@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DomainError
 from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId
 from .sumrules import (

@@ -201,7 +201,8 @@ def cached_dataset(
     f = FunctionId(f)
     tag = "ra" if include_real_axis else "cl"
     step = grid_step if grid_step is not None else "auto"
-    path = cache_dir() / f"{f.value}_t{t_max:g}_s{step}_{tag}.csv"
+    # repr keeps every digit: t_max values that differ must not share a file
+    path = cache_dir() / f"{f.value}_t{float(t_max)!r}_s{step}_{tag}.csv"
     if path.exists():
         try:
             return load_dataset(path)

@@ -131,12 +131,19 @@ def _merged_triplets(t_lo: float, t_hi: float):
 
     Labels are Z at T_plus zeros (zeros of V) and P at T_minus zeros (poles
     of V). Returns (ordinals, labels, ordinates) triplet tuples whose
-    centroid lies in [t_lo, t_hi].
+    centroid lies in [t_lo, t_hi]. Raises DomainError if such a triplet
+    could hold an ordinate above the height the datasets were scanned to.
     """
+    tp_ds = cached_dataset(FunctionId.T_PLUS, 1000.0, None, False)
+    tm_ds = cached_dataset(FunctionId.T_MINUS, 1000.0, None, True)
+    tp, tm = tp_ds.ordinates(), tm_ds.ordinates()
+    # the merged sequence is complete up to the scanned height, so every
+    # triplet with an ordinate above it has its centroid above `complete`
+    height = min(tp_ds.t_max_scanned, tm_ds.t_max_scanned)
+    complete = (np.sort(np.concatenate((tp[-2:], tm[-2:])))[-2:].sum() + height) / 3.0
+    if t_hi > complete:
+        raise DomainError(f"triplets up to t = {t_hi} need zeros above t = {height:g}")
     t_cap = max(t_hi * 1.05 + 10.0, 100.0)
-    t_cap = min(t_cap, 1000.0)
-    tp = cached_dataset(FunctionId.T_PLUS, 1000.0, None, False).ordinates()
-    tm = cached_dataset(FunctionId.T_MINUS, 1000.0, None, True).ordinates()
     merged = sorted(
         [(t, "Z") for t in tp if t <= t_cap] + [(t, "P") for t in tm if t <= t_cap]
     )
@@ -286,15 +293,16 @@ def trace_unit_contour(
     return ContourPolyline(level=1.0, points=points, closed=True)
 
 
-def _family_critical_line(t: float, y: float, opts: EvalOptions) -> float:
+def _family_critical_line(t, y: float, opts: EvalOptions):
     """Scaled restriction of xi_1(2s) y^s + xi_1(2-2s) y^(1-s) to the line.
 
     At s = 1/2 + it the two terms are complex conjugates, so the family is
     2 sqrt(y) Re[exp(i t log y) xi_1(1 + 2it)]; the positive prefactor is
-    dropped and the xi_1 magnitude rescaled to keep values representable.
+    dropped and the xi_1 magnitude rescaled to keep values representable
+    (t scalar or array).
     """
-    lw = log_xi1(1.0 + 2j * t, opts)
-    return math.cos(t * math.log(y) + lw.imag)
+    lw = log_xi1(1.0 + 2j * np.asarray(t), opts)
+    return np.cos(t * math.log(y) + lw.imag)
 
 
 def family_line_zeros(
@@ -306,7 +314,7 @@ def family_line_zeros(
     collision point of the lowest conjugate pair) is still bracketed.
     """
     ts = np.geomspace(1e-6, t_hi, n_grid)
-    vals = np.array([_family_critical_line(t, y, opts) for t in ts])
+    vals = _family_critical_line(ts, y, opts)
     hits = []
     for i in range(len(ts) - 1):
         if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:

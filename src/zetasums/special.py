@@ -40,6 +40,7 @@ EULER_GAMMA = 0.5772156649015328606
 
 LN_PI = math.log(math.pi)
 LN_2 = math.log(2.0)
+LN_4 = math.log(4.0)
 
 # Log-scale clamp for critical-line forms: keeps values normal floats while
 # preserving signs and zeros once the true magnitude underflows double range.
@@ -56,30 +57,6 @@ class FunctionId(str, Enum):
     L4 = "l4"
     L4_COMPLETED = "l4c"
 
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Euler-Maclaurin controls.
-
-    euler_maclaurin_cutoff: direct terms N; None selects max(50, ceil(|Im s|/3)).
-    bernoulli_order: number of B_{2k} correction terms.
-    target_abs_error: absolute accuracy target for zeta/hurwitz.
-    """
-
-    euler_maclaurin_cutoff: int | None = None
-    bernoulli_order: int = 12
-    target_abs_error: float = 1e-12
-
-    def __post_init__(self):
-        if self.euler_maclaurin_cutoff is not None and self.euler_maclaurin_cutoff < 1:
-            raise DomainError("euler_maclaurin_cutoff must be positive")
-        if self.bernoulli_order < 1:
-            raise DomainError("bernoulli_order must be positive")
-        if not self.target_abs_error > 0:
-            raise DomainError("target_abs_error must be positive")
-
-
-DEFAULT_OPTIONS = EvalOptions()
 
 # B_2, B_4, ..., B_28 (float); precomputed once at import.
 _BERNOULLI = (
@@ -98,6 +75,34 @@ _BERNOULLI = (
     8553103.0 / 6.0,
     -23749461029.0 / 870.0,
 )
+
+
+@dataclass(frozen=True)
+class EvalOptions:
+    """Euler-Maclaurin controls.
+
+    euler_maclaurin_cutoff: direct terms N; None selects max(50, ceil(|Im s|/3)).
+    bernoulli_order: number of B_{2k} correction terms, at most 13.
+    target_abs_error: absolute accuracy target for zeta/hurwitz.
+    """
+
+    euler_maclaurin_cutoff: int | None = None
+    bernoulli_order: int = 12
+    target_abs_error: float = 1e-12
+
+    def __post_init__(self):
+        if self.euler_maclaurin_cutoff is not None and self.euler_maclaurin_cutoff < 1:
+            raise DomainError("euler_maclaurin_cutoff must be positive")
+        if not 1 <= self.bernoulli_order < len(_BERNOULLI):
+            # the tail bound reads the first omitted B_{2k} from the table
+            raise DomainError(
+                f"bernoulli_order must be between 1 and {len(_BERNOULLI) - 1}"
+            )
+        if not self.target_abs_error > 0:
+            raise DomainError("target_abs_error must be positive")
+
+
+DEFAULT_OPTIONS = EvalOptions()
 
 # Lanczos, g = 607/128, 15 terms (Godfrey coefficients).
 _LANCZOS_G = 607.0 / 128.0
@@ -185,14 +190,6 @@ def gamma(s) -> complex:
     if lg.real > 709.0:
         raise AccuracyError("Gamma overflows double precision at this argument")
     return cmath.exp(lg)
-
-
-def rgamma(s) -> complex:
-    """1/Gamma(s), entire (exact zero at non-positive integers)."""
-    s = complex(s)
-    if abs(s.imag) < 1e-13 and abs(s.real - round(s.real)) < 1e-13 and round(s.real) <= 0:
-        return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(s))
 
 
 def _auto_cutoff(im_max: float, opts: EvalOptions) -> int:
@@ -290,14 +287,6 @@ def riemann_zeta(s, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     return complex(_hurwitz_em_array(np.array([s]), 1.0, opts)[0])
 
 
-def zeta_values(s_array, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """Vectorised Riemann zeta for arrays with Re s >= -0.5."""
-    s_array = np.asarray(s_array, dtype=complex)
-    if np.any(s_array.real < -0.5):
-        raise DomainError("zeta_values requires Re s >= -0.5; use riemann_zeta")
-    return _hurwitz_em_array(s_array, 1.0, opts)
-
-
 def hurwitz_zeta(s, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     """Hurwitz zeta(s, a) for a in (0, 1] (PoleError at s = 1)."""
     s = complex(s)
@@ -306,11 +295,6 @@ def hurwitz_zeta(s, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
     if abs(s - 1.0) < 1e-300:
         raise PoleError("hurwitz zeta pole at s=1")
     return complex(_hurwitz_em_array(np.array([s]), a, opts)[0])
-
-
-def hurwitz_values(s_array, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    s_array = np.asarray(s_array, dtype=complex)
-    return _hurwitz_em_array(s_array, a, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +310,7 @@ def log_xi1(w, opts: EvalOptions = DEFAULT_OPTIONS):
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
-    out = np.empty(w.shape, dtype=complex)
-    refl = w.real < 0.5
-    ww = np.where(refl, 1.0 - w, w)
+    ww = np.where(w.real < 0.5, 1.0 - w, w)
     out = (
         _lanczos_loggamma_right(ww / 2.0)
         - (ww / 2.0) * LN_PI
@@ -337,83 +319,129 @@ def log_xi1(w, opts: EvalOptions = DEFAULT_OPTIONS):
     return complex(out[0]) if scalar else out
 
 
-def _xi1(s: complex, opts: EvalOptions) -> complex:
-    if min(abs(s), abs(s - 1.0)) < 1e-12:
-        raise PoleError(f"xi1 pole at s={s}")
-    if s.real < 0.5:
-        s = 1.0 - s
-    lg = log_gamma(s / 2.0) - (s / 2.0) * LN_PI
-    return cmath.exp(lg) * riemann_zeta(s, opts)
+# The evaluators below take and return 1-d complex arrays. Branches are
+# masks; each branch runs once, on its own entries, and only if it has any.
+
+_STENCIL = np.exp(1j * (math.pi / 8 + np.arange(8) * math.pi / 4))
 
 
-def _xi(s: complex, opts: EvalOptions) -> complex:
+def _near(s: np.ndarray, points, tol: float) -> np.ndarray:
+    """Mask of the entries of s within tol of any of the points."""
+    mask = np.zeros(s.shape, dtype=bool)
+    for p in points:
+        mask |= np.abs(s - p) < tol
+    return mask
+
+
+def _split(s: np.ndarray, mask: np.ndarray, on, off) -> np.ndarray:
+    """on(s[mask]) merged with off(s[~mask]); neither runs without entries."""
+    if not mask.any():
+        return off(s)
+    out = np.empty(s.shape, dtype=complex)
+    out[mask] = on(s[mask])
+    if not mask.all():
+        out[~mask] = off(s[~mask])
+    return out
+
+
+def _singular(poles=(), removable=(), tol: float = 0.0, radius: float = 0.0):
+    """Evaluator decorator: PoleError if an entry lies within 1e-12 of a pole;
+    entries within tol of a removable point get the mean of the function over
+    8 points on a circle of the given radius, an O(radius^8) limit."""
+
+    def wrap(direct):
+        def func(s, opts):
+            hit = _near(s, poles, 1e-12)
+            if hit.any():
+                raise PoleError(f"{direct.__name__[1:]} pole at s={s[hit][0]}")
+
+            def limit(z):
+                pts = (z[:, None] + radius * _STENCIL).ravel()
+                return func(pts, opts).reshape(-1, 8).mean(axis=1)
+
+            return _split(s, _near(s, removable, tol), limit, lambda z: direct(z, opts))
+
+        return func
+
+    return wrap
+
+
+def _rgamma(z: np.ndarray) -> np.ndarray:
+    """1/Gamma(z), entire (exact zero at non-positive integers)."""
+    n = np.round(z.real)
+    pole = (np.abs(z.imag) < 1e-13) & (np.abs(z.real - n) < 1e-13) & (n <= 0)
+    out = np.zeros(z.shape, dtype=complex)
+    out[~pole] = np.exp(-log_gamma(z[~pole]))
+    return out
+
+
+@_singular(poles=(0.0, 1.0))
+def _xi1(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    w = np.where(s.real < 0.5, 1.0 - s, s)
+    lg = _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI
+    return np.exp(lg) * _hurwitz_em_array(w, 1.0, opts)
+
+
+def _half_sum(s: np.ndarray, sign: float, opts: EvalOptions) -> np.ndarray:
+    """(xi1(2s) + sign xi1(2s - 1)) / 4 from one kernel call (the two share |Im|)."""
+    both = _xi1(np.concatenate((2.0 * s, 2.0 * s - 1.0)), opts)
+    return (both[: s.size] + sign * both[s.size :]) / 4.0
+
+
+# the reflection s -> 1-s maps 0 to the cancelling zeta pole at 1
+@_singular(removable=(0.0, 1.0), tol=1e-7, radius=1e-3)
+def _xi(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     # (s-1) pi^{-s/2} Gamma(s/2 + 1) zeta(s): entire, regular at 0 and 1
-    if abs(s - 1.0) < 1e-7:
-        return _limit_mean(lambda z: _xi(z, opts), s, radius=1e-3)
-    if s.real < 0.0:
-        return _xi(1.0 - s, opts)
-    return (
-        (s - 1.0)
-        * cmath.exp(log_gamma(s / 2.0 + 1.0) - (s / 2.0) * LN_PI)
-        * riemann_zeta(s, opts)
-    )
+    w = np.where(s.real < 0.0, 1.0 - s, s)
+    lg = _lanczos_loggamma_right(w / 2.0 + 1.0) - (w / 2.0) * LN_PI
+    return (w - 1.0) * np.exp(lg) * _hurwitz_em_array(w, 1.0, opts)
 
 
-def _limit_mean(func, s: complex, radius: float = 1e-3) -> complex:
-    """8-point circle mean; O(radius^8) limit evaluation at removable points."""
-    pts = [s + radius * cmath.exp(1j * (math.pi / 8 + k * math.pi / 4)) for k in range(8)]
-    return sum(func(p) for p in pts) / 8.0
+# both xi1 poles cancel at 1/2; a wider circle keeps the cancellation noise down
+@_singular(poles=(0.0, 1.0), removable=(0.5,), tol=1e-7, radius=1e-2)
+def _t_plus(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    return _half_sum(s, 1.0, opts)
 
 
-def _t_plus(s: complex, opts: EvalOptions) -> complex:
-    if min(abs(s), abs(s - 1.0)) < 1e-12:
-        raise PoleError(f"T_plus pole at s={s}")
-    if abs(s - 0.5) < 1e-7:
-        # both xi1 poles cancel; a wider circle keeps the cancellation noise down
-        return _limit_mean(lambda z: _t_plus(z, opts), s, radius=1e-2)
-    return (_xi1(2.0 * s, opts) + _xi1(2.0 * s - 1.0, opts)) / 4.0
+@_singular(poles=(0.0, 0.5, 1.0))
+def _t_minus(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    return _half_sum(s, -1.0, opts)
 
 
-def _t_minus(s: complex, opts: EvalOptions) -> complex:
-    if min(abs(s), abs(s - 1.0), abs(s - 0.5)) < 1e-12:
-        raise PoleError(f"T_minus pole at s={s}")
-    return (_xi1(2.0 * s, opts) - _xi1(2.0 * s - 1.0, opts)) / 4.0
-
-
-def _t_plus_tilde(s: complex, opts: EvalOptions) -> complex:
-    for p in (0.0, 1.0):
-        if abs(s - p) < 1e-4:
-            return _limit_mean(lambda z: _t_plus_tilde(z, opts), s)
+@_singular(removable=(0.0, 1.0), tol=1e-4, radius=1e-3)
+def _t_plus_tilde(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     return s * (1.0 - s) * _t_plus(s, opts)
 
 
-def _t_minus_tilde(s: complex, opts: EvalOptions) -> complex:
-    for p in (0.0, 0.5, 1.0):
-        if abs(s - p) < 1e-4:
-            return _limit_mean(lambda z: _t_minus_tilde(z, opts), s)
+@_singular(removable=(0.0, 0.5, 1.0), tol=1e-4, radius=1e-3)
+def _t_minus_tilde(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     return s * (1.0 - s) * (s - 0.5) * _t_minus(s, opts)
 
 
-def _l4(s: complex, opts: EvalOptions) -> complex:
+# the hurwitz pole residues cancel at 1 in the difference
+@_singular(removable=(1.0,), tol=1e-7, radius=1e-2)
+def _l4(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     """Dirichlet L for the non-principal character mod 4."""
-    if abs(s - 1.0) < 1e-7:
-        # hurwitz pole residues cancel in the difference
-        return _limit_mean(lambda z: _l4(z, opts), s, radius=1e-2)
-    if s.real > 0.0:
-        return 4.0**-s * (hurwitz_zeta(s, 0.25, opts) - hurwitz_zeta(s, 0.75, opts))
-    # continue through the even completed form; rgamma keeps trivial zeros exact
-    lam = _l4_completed(1.0 - s, opts)
-    inv_pref = cmath.exp((1.0 - s) * LN_2 + ((s + 1.0) / 2.0) * LN_PI)
-    return lam * inv_pref * rgamma((s + 1.0) / 2.0)
+
+    def right(z):
+        return np.exp(-z * LN_4) * (
+            _hurwitz_em_array(z, 0.25, opts) - _hurwitz_em_array(z, 0.75, opts)
+        )
+
+    def left(z):
+        # continue through the even completed form; 1/Gamma keeps trivial zeros exact
+        inv_pref = np.exp((1.0 - z) * LN_2 + ((z + 1.0) / 2.0) * LN_PI)
+        return _l4_completed(1.0 - z, opts) * inv_pref * _rgamma((z + 1.0) / 2.0)
+
+    return _split(s, s.real > 0.0, right, left)
 
 
-def _l4_completed(s: complex, opts: EvalOptions) -> complex:
+def _l4_completed(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     # Gamma(s) L4(s) / (pi^{s/2} Gamma(s/2)) rewritten by Legendre duplication:
     # 2^{s-1} pi^{-(s+1)/2} Gamma((s+1)/2) L4(s); entire and even under s -> 1-s.
-    if s.real < 0.5:
-        return _l4_completed(1.0 - s, opts)
-    pref = cmath.exp((s - 1.0) * LN_2 - ((s + 1.0) / 2.0) * LN_PI + log_gamma((s + 1.0) / 2.0))
-    return pref * _l4(s, opts)
+    w = np.where(s.real < 0.5, 1.0 - s, s)
+    lg = (w - 1.0) * LN_2 - ((w + 1.0) / 2.0) * LN_PI + _lanczos_loggamma_right((w + 1.0) / 2.0)
+    return np.exp(lg) * _l4(w, opts)
 
 
 _EVALUATORS = {
@@ -428,17 +456,20 @@ _EVALUATORS = {
 }
 
 
-def evaluate(f: FunctionId, s, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Evaluate the selected function at complex s.
+def evaluate(f: FunctionId, s, opts: EvalOptions = DEFAULT_OPTIONS):
+    """Evaluate the selected function at complex s, a scalar or an array.
 
-    Raises PoleError at genuine poles; removable singularities of the tilde
-    forms (and of xi at 1) are filled by a small-circle limit stencil.
+    Returns a complex for scalar s, else an array of the shape of s. Raises
+    PoleError if any entry is a genuine pole and AccuracyError if any value
+    is non-finite; removable singularities are filled by a limit stencil.
     """
     f = FunctionId(f)
-    value = _EVALUATORS[f](complex(s), opts)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise AccuracyError(f"non-finite value from {f} at s={s}")
-    return value
+    z = np.asarray(s, dtype=complex)
+    values = _EVALUATORS[f](z.ravel(), opts)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise AccuracyError(f"non-finite value from {f} at s={z.ravel()[bad][0]}")
+    return complex(values[0]) if z.ndim == 0 else values.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +512,7 @@ def critical_line_values(f: FunctionId, t, opts: EvalOptions = DEFAULT_OPTIONS):
         lg = (s - 1.0) * LN_2 - ((s + 1.0) / 2.0) * LN_PI + _lanczos_loggamma_right(
             (s + 1.0) / 2.0
         )
-        l4 = np.exp(-s * math.log(4.0)) * (
+        l4 = np.exp(-s * LN_4) * (
             _hurwitz_em_array(s, 0.25, opts) - _hurwitz_em_array(s, 0.75, opts)
         )
         out = _scaled_real_part(lg.real, lg.imag, l4)
@@ -510,23 +541,7 @@ def laurent_check(f: FunctionId, pole, opts: EvalOptions = DEFAULT_OPTIONS,
         raise DomainError("laurent_check supports T_plus at poles 0 and 1 only")
     theta = 2.0 * math.pi * np.arange(samples) / samples
     ring = radius * np.exp(1j * theta)
-    vals = np.array([_t_plus(pole + d, opts) for d in ring])
+    vals = _t_plus(pole + ring, opts)
     residue = np.mean(vals * ring)
     constant = np.mean(vals)
     return float(residue.real), float(constant.real)
-
-
-def startup_self_test(opts: EvalOptions = DEFAULT_OPTIONS) -> None:
-    """Assert the pole structure fixing the completed-zeta normalisation.
-
-    Checks residues -1/8 and +1/8 of the half-sum function at 0 and 1, and
-    its finite value (EULER_GAMMA - log 4 pi)/4 at 1/2.
-    """
-    r0, _ = laurent_check(FunctionId.T_PLUS, 0.0, opts)
-    r1, _ = laurent_check(FunctionId.T_PLUS, 1.0, opts)
-    mid = evaluate(FunctionId.T_PLUS, 0.5, opts)
-    expect_mid = (EULER_GAMMA - math.log(4.0 * math.pi)) / 4.0
-    if abs(r0 + 0.125) > 1e-9 or abs(r1 - 0.125) > 1e-9:
-        raise AccuracyError("completed-zeta normalisation self-test failed (residues)")
-    if abs(mid - expect_mid) > 1e-9:
-        raise AccuracyError("completed-zeta normalisation self-test failed (midpoint)")

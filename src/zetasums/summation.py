@@ -1,8 +1,7 @@
 """Compensated (error-free transformation) summation helpers.
 
-Zero-power sums and Bernoulli correction loops accumulate with Neumaier
-compensation so results are deterministic and independent of block split,
-as long as blocks are merged in index order.
+Zero-power sums accumulate with math.fsum so results are deterministic and
+independent of block split, as long as blocks are merged in index order.
 """
 
 from __future__ import annotations
@@ -12,20 +11,6 @@ import math
 import numpy as np
 
 DEFAULT_BLOCK = 4096
-
-
-def neumaier_sum(values: np.ndarray) -> float:
-    """Compensated sum of a 1-D float array (Neumaier variant of Kahan)."""
-    s = 0.0
-    c = 0.0
-    for x in np.asarray(values, dtype=float):
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
 
 
 def block_sum(values: np.ndarray, block: int = DEFAULT_BLOCK) -> float:

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from .errors import ConvergenceError, DomainError, RadiusError
 from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId, evaluate
 from .summation import block_sum, block_sum_complex
-from .zeros import CRITICAL_LINE, REAL_AXIS, ZeroDataset
+from .zeros import ZeroDataset
 
 DERIVATIVE_ROUTE = "derivative_route"
 ZERO_ROUTE = "zero_route"
@@ -62,8 +62,7 @@ class KeiperCoefficients:
 
 def _circle_samples(f: FunctionId, center: complex, radius: float, n: int, opts):
     angles = 2.0 * np.pi * np.arange(n) / n
-    pts = center + radius * np.exp(1j * angles)
-    return np.array([evaluate(f, p, opts) for p in pts])
+    return evaluate(f, center + radius * np.exp(1j * angles), opts)
 
 
 def _taylor_from_samples(samples: np.ndarray, radius: float, K: int) -> np.ndarray:
@@ -103,7 +102,9 @@ def taylor_log_coeffs(
         if f not in DEFAULT_RADII:
             raise DomainError(f"no default radius for {f}; pass one explicitly")
         radius = DEFAULT_RADII[f]
-    samples = _circle_samples(f, center, radius, resolution, opts)
+    samples2 = _circle_samples(f, center, radius, 2 * resolution, opts)
+    # the even-indexed angles 2 pi (2k) / (2n) are exactly 2 pi k / n
+    samples = samples2[::2]
     mags = np.abs(samples)
     if mags.min() == 0.0 or mags.max() / mags.min() > 1e6:
         raise RadiusError(
@@ -111,7 +112,6 @@ def taylor_log_coeffs(
             "a zero is on or near it"
         )
     c = _log_series(_taylor_from_samples(samples, radius, K))
-    samples2 = _circle_samples(f, center, radius, 2 * resolution, opts)
     c2 = _log_series(_taylor_from_samples(samples2, radius, K))
     # relative agreement, with an absolute floor for coefficients at the
     # double-precision noise level of the quadrature
@@ -163,12 +163,6 @@ def _anchored_tail(g, f: FunctionId, t_max: float, n_observed: int) -> float:
     )
     fluct = _smooth_count(f, t_max) - float(n_observed)
     return integral + g(t_max) * fluct
-
-
-def _pair_terms(ts: np.ndarray, g) -> np.ndarray:
-    """g applied to each ordinate; caller's g already includes both of the
-    conjugate pair."""
-    return g(ts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ searches for the shift window in which interlacing holds without failures.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from math import comb

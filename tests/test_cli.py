@@ -81,6 +81,14 @@ def test_computation_error_exit_1_with_json(runner):
     assert "error" in err and "message" in err
 
 
+def test_rhscan_beyond_datasets_exit_1_with_json(runner):
+    # the T_plus / T_minus datasets end at t = 1000
+    result = runner.invoke(main, ["rhscan", "--range", "1200..1300"])
+    assert result.exit_code == 1
+    err = json.loads(result.stderr)
+    assert err["error"] == "DomainError"
+
+
 def test_ystar_json(runner):
     result = runner.invoke(main, ["ystar", "--resolution", "0.01"])
     assert result.exit_code == 0

@@ -72,3 +72,10 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     # two calls hit the same file and agree exactly
     ds2 = cached_dataset(FunctionId.XI, 30.0)
     assert [r.t_or_x for r in ds.records] == [r.t_or_x for r in ds2.records]
+
+
+def test_cache_key_keeps_every_digit_of_t_max(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    cached_dataset(FunctionId.XI, 30.0)
+    cached_dataset(FunctionId.XI, 30.00001)  # "30" under the :g format
+    assert len(list(tmp_path.glob("*.csv"))) == 2

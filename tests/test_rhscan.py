@@ -9,12 +9,16 @@ import pytest
 
 from zetasums.errors import DomainError
 from zetasums.rhscan import (
+    _bisect_level,
+    _family_critical_line,
     asymptotic_check,
+    family_line_zeros,
     find_derivative_zeros,
     trace_unit_contour,
     u_func,
     v_func,
 )
+from zetasums.special import DEFAULT_OPTIONS
 
 
 def test_moebius_consistency(rng):
@@ -126,3 +130,17 @@ def test_contour_passes_through_u_zero_and_pole(contour_518):
     vs = [v_func(p) for p in contour_518.points]
     assert min(abs(v - 1.0) for v in vs) < 0.2
     assert min(abs(v + 1.0) for v in vs) < 0.2
+
+
+@pytest.mark.parametrize("y", [6.0, 7.0, 7.1])
+def test_family_line_zeros_match_scalar_grid(y):
+    # the reference evaluates the grid one point at a time
+    ts = np.geomspace(1e-6, 1.5, 400)
+    vals = [_family_critical_line(float(t), y, DEFAULT_OPTIONS) for t in ts]
+    expected = [
+        _bisect_level(lambda t: _family_critical_line(t, y, DEFAULT_OPTIONS), ts[i], ts[i + 1])
+        for i in range(len(ts) - 1)
+        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0
+    ]
+    assert family_line_zeros(y, 1.5) == expected
+    assert len(expected) == (1 if y < 7.0555 else 0)  # the pair collides at y* ~ 7.0555

@@ -139,6 +139,13 @@ def test_hurwitz_splitting_identity():
     assert abs(lhs - rhs) < 1e-11
 
 
+def test_bernoulli_order_beyond_table_is_a_domain_error():
+    # 13 terms is the most the 14-entry table supports (the tail bound reads one more)
+    assert abs(riemann_zeta(0.5 + 10j, EvalOptions(bernoulli_order=13)) - riemann_zeta(0.5 + 10j)) < 1e-12
+    with pytest.raises(DomainError):
+        EvalOptions(bernoulli_order=14)
+
+
 def test_explicit_cutoff_accuracy_error():
     opts = EvalOptions(euler_maclaurin_cutoff=5, target_abs_error=1e-12)
     with pytest.raises(AccuracyError):
@@ -183,6 +190,68 @@ def test_laurent_check_t_plus():
     residue, _const = laurent_check(FunctionId.T_PLUS, 1.0)
     # xi_1(2s)/4 near s=1: residue (1/2)/4 = 1/8 from the argument scaling
     assert residue == pytest.approx(0.125, abs=1e-8)
+
+
+def test_completed_zeta_normalisation():
+    # the pole structure of T_plus fixes the normalisation of xi_1
+    r0, _ = laurent_check(FunctionId.T_PLUS, 0.0)
+    r1, _ = laurent_check(FunctionId.T_PLUS, 1.0)
+    assert abs(r0 + 0.125) <= 1e-9
+    assert abs(r1 - 0.125) <= 1e-9
+    mid = evaluate(FunctionId.T_PLUS, 0.5)
+    assert abs(mid - (EULER_GAMMA - math.log(4.0 * math.pi)) / 4.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# array evaluation: one call on many points equals one call per point
+
+_generic_point = st.builds(complex, st.floats(-3.0, 4.0), st.floats(-20.0, 20.0))
+# within 1e-4 of the removable points (and, for xi1 and T_plus/T_minus, poles)
+_point_near_special = st.builds(
+    lambda c, r, a: c + r * cmath.exp(1j * a),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(1e-9, 1e-4),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(FunctionId)),
+    st.lists(st.one_of(_generic_point, _point_near_special), min_size=1, max_size=12),
+)
+def test_array_evaluation_matches_scalar(f, pts):
+    s = np.array(pts)
+    try:
+        expected = np.array([evaluate(f, p) for p in pts])
+    except PoleError:
+        with pytest.raises(PoleError):
+            evaluate(f, s)
+        return
+    values = evaluate(f, s)
+    assert values.shape == s.shape
+    assert np.all(np.abs(values - expected) <= 1e-14 * np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "f, pole",
+    [
+        (FunctionId.XI1, 1.0),
+        (FunctionId.XI1, 0.0),
+        (FunctionId.T_PLUS, 0.0),
+        (FunctionId.T_MINUS, 0.5),
+    ],
+)
+def test_array_containing_a_pole_raises(f, pole):
+    with pytest.raises(PoleError):
+        evaluate(f, np.array([0.3 + 2.0j, pole, 2.5 - 1.0j]))
+
+
+def test_array_evaluation_keeps_shape():
+    s = np.array([[0.2 + 1.0j, 3.0], [-1.5 + 0.5j, 0.5]])
+    values = evaluate(FunctionId.T_MINUS_TILDE, s)
+    assert values.shape == (2, 2)
+    assert values[1, 1] == evaluate(FunctionId.T_MINUS_TILDE, 0.5)
 
 
 # ---------------------------------------------------------------------------

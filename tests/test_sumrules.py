@@ -2,11 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from zetasums.special import FunctionId
+from zetasums.special import DEFAULT_OPTIONS, FunctionId
 from zetasums.sumrules import (
+    DEFAULT_RADII,
+    _circle_samples,
     crossover_select,
     inverse_square_modulus_sum,
     keiper_identity_residuals,
@@ -67,6 +70,37 @@ def test_lambda_full_plane_identity_on_toy_zeros():
     for m in range(1, 6):
         expected = sum(1.0 - (r / (r - 1.0)) ** m for r in rhos) / m
         assert abs(kz.lam[m] - expected) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# circle samples against mpmath
+
+
+def _mp_xi1(w):
+    return mpmath.pi ** (-w / 2) * mpmath.gamma(w / 2) * mpmath.zeta(w)
+
+
+_MP_FORMS = {
+    FunctionId.XI: lambda s: s * (s - 1) / 2 * _mp_xi1(s),
+    FunctionId.T_PLUS_TILDE: lambda s: s * (1 - s) * (_mp_xi1(2 * s) + _mp_xi1(2 * s - 1)) / 4,
+    FunctionId.T_MINUS_TILDE: lambda s: s * (1 - s) * (s - 0.5) * (_mp_xi1(2 * s) - _mp_xi1(2 * s - 1)) / 4,
+    FunctionId.L4_COMPLETED: lambda s: (
+        2 ** (s - 1) * mpmath.pi ** (-(s + 1) / 2) * mpmath.gamma((s + 1) / 2)
+        * mpmath.dirichlet(s, [0, 1, 0, -1])
+    ),
+}
+
+
+@pytest.mark.parametrize("f", list(DEFAULT_RADII))
+def test_circle_samples_match_mpmath(f):
+    n = 1024  # the doubled resolution taylor_log_coeffs samples by default
+    samples = _circle_samples(f, 0.0, DEFAULT_RADII[f], n, DEFAULT_OPTIONS)
+    angles = 2.0 * np.pi * np.arange(n) / n
+    # off the real axis, where the mpmath forms meet Gamma poles times trivial zeros
+    for k in (1, 77, 300, 700, 1000):
+        s = DEFAULT_RADII[f] * complex(np.exp(1j * angles[k]))
+        expected = complex(_MP_FORMS[f](mpmath.mpc(s)))
+        assert abs(samples[k] - expected) <= 1e-12 * abs(expected)
 
 
 # ---------------------------------------------------------------------------
