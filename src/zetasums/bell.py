@@ -70,11 +70,10 @@ def _bell_vector_from_sigma(sig: SigmaSeries, K: int) -> List[complex]:
     return [-sig.sigma(j) * math.factorial(j - 1) for j in range(1, K + 1)]
 
 
-def series_from_sigma(f0: float, sig: SigmaSeries, K: int) -> PowerSeries:
+def series_from_sigma(sig: SigmaSeries, K: int) -> PowerSeries:
     """Taylor coefficients of F(s)/F(0) rebuilt from the sigma series.
 
-    Coefficient k is B_k(x)/k! with x_j = -sigma_j (j-1)!; f0 is carried
-    only as documentation of the normalization point.
+    Coefficient k is B_k(x)/k! with x_j = -sigma_j (j-1)!.
     """
     x = _bell_vector_from_sigma(sig, K)
     coeffs = [bell_eval(x, k) / math.factorial(k) for k in range(K + 1)]

@@ -205,7 +205,7 @@ def bell(fname, order, fmt, output, precision_report):
     """Taylor coefficients rebuilt from the sigma series via Bell polynomials."""
     f = _function(fname)
     sig = sr.sigma_series_derivative(f, order)
-    ps = bell_mod.series_from_sigma(1.0, sig, order)
+    ps = bell_mod.series_from_sigma(sig, order)
     rows = [(k, repr(ps.coeffs[k].real)) for k in range(order + 1)]
     _emit(rows, ["k", "coefficient"], fmt, output, None)
 

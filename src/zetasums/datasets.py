@@ -190,6 +190,13 @@ def cache_dir() -> Path:
     return p
 
 
+def _cache_path(f: FunctionId, t_max: float, grid_step, include_real_axis: bool) -> Path:
+    tag = "ra" if include_real_axis else "cl"
+    step = grid_step if grid_step is not None else "auto"
+    # repr keeps every digit: t_max values that differ must not share a file
+    return cache_dir() / f"{FunctionId(f).value}_t{float(t_max)!r}_s{step}_{tag}.csv"
+
+
 def cached_dataset(
     f: FunctionId,
     t_max: float,
@@ -199,10 +206,7 @@ def cached_dataset(
 ) -> ZeroDataset:
     """Scan-once-then-reuse helper keyed by (function, t_max, step, flag)."""
     f = FunctionId(f)
-    tag = "ra" if include_real_axis else "cl"
-    step = grid_step if grid_step is not None else "auto"
-    # repr keeps every digit: t_max values that differ must not share a file
-    path = cache_dir() / f"{f.value}_t{float(t_max)!r}_s{step}_{tag}.csv"
+    path = _cache_path(f, t_max, grid_step, include_real_axis)
     if path.exists():
         try:
             return load_dataset(path)
@@ -213,3 +217,31 @@ def cached_dataset(
         ds = with_real_axis_records(ds, opts)
     save_dataset(ds, path)
     return ds
+
+
+_ORDINATES: dict = {}
+
+
+def cached_ordinates(f: FunctionId, t_max: float, include_real_axis: bool = False):
+    """(ordinates(), t_max_scanned) of cached_dataset(f, t_max, None, include_real_axis).
+
+    Memoized per cache file: the file is read again, through load_dataset
+    and its checksum, only when the CSV or its manifest changed on disk
+    (st_mtime_ns or st_size); another cache directory is another file.
+    """
+    path = _cache_path(f, t_max, None, include_real_axis)
+
+    def stamp():
+        try:
+            return [(st.st_mtime_ns, st.st_size) for st in map(os.stat, (path, _manifest_path(path)))]
+        except FileNotFoundError:
+            return None
+
+    before = stamp()
+    memo = _ORDINATES.get(path)
+    if before is None or memo is None or memo[0] != before:
+        ds = cached_dataset(f, t_max, None, include_real_axis)
+        ordinates = ds.ordinates()
+        ordinates.flags.writeable = False  # every caller shares this array
+        memo = _ORDINATES[path] = (before or stamp(), (ordinates, ds.t_max_scanned))
+    return memo[1]

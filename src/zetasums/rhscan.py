@@ -28,7 +28,8 @@ from .errors import (
     PoleError,
 )
 from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId, log_xi1
-from .datasets import cached_dataset
+from .datasets import cached_ordinates
+from .zeros import _bracket_roots, _sign_changes
 
 __all__ = [
     "TripletReport",
@@ -61,16 +62,19 @@ class ContourPolyline:
     closed: bool
 
 
-def u_func(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """U(s) = xi_1(2s - 1) / xi_1(2s), computed in log form."""
-    s = complex(s)
-    return cmath.exp(log_xi1(2 * s - 1, opts) - log_xi1(2 * s, opts))
+def u_func(s, opts: EvalOptions = DEFAULT_OPTIONS):
+    """U(s) = xi_1(2s - 1) / xi_1(2s), computed in log form.
+
+    Returns a complex for scalar s, else an array of the shape of s.
+    """
+    u = np.exp(log_xi1(2 * s - 1, opts) - log_xi1(2 * s, opts))
+    return complex(u) if np.ndim(u) == 0 else u
 
 
-def v_func(s: complex, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """V(s) = (1 + U(s)) / (1 - U(s))."""
+def v_func(s, opts: EvalOptions = DEFAULT_OPTIONS):
+    """V(s) = (1 + U(s)) / (1 - U(s)), for scalar or array s."""
     u = u_func(s, opts)
-    if abs(u - 1.0) < 1e-300:
+    if np.any(np.abs(u - 1.0) < 1e-300):
         raise PoleError(f"V(s) has a pole at s={s} (U = 1)")
     return (1.0 + u) / (1.0 - u)
 
@@ -134,12 +138,11 @@ def _merged_triplets(t_lo: float, t_hi: float):
     centroid lies in [t_lo, t_hi]. Raises DomainError if such a triplet
     could hold an ordinate above the height the datasets were scanned to.
     """
-    tp_ds = cached_dataset(FunctionId.T_PLUS, 1000.0, None, False)
-    tm_ds = cached_dataset(FunctionId.T_MINUS, 1000.0, None, True)
-    tp, tm = tp_ds.ordinates(), tm_ds.ordinates()
+    tp, tp_height = cached_ordinates(FunctionId.T_PLUS, 1000.0)
+    tm, tm_height = cached_ordinates(FunctionId.T_MINUS, 1000.0, True)
     # the merged sequence is complete up to the scanned height, so every
     # triplet with an ordinate above it has its centroid above `complete`
-    height = min(tp_ds.t_max_scanned, tm_ds.t_max_scanned)
+    height = min(tp_height, tm_height)
     complete = (np.sort(np.concatenate((tp[-2:], tm[-2:])))[-2:].sum() + height) / 3.0
     if t_hi > complete:
         raise DomainError(f"triplets up to t = {t_hi} need zeros above t = {height:g}")
@@ -231,23 +234,6 @@ def condition_scan(
     return all_met, reports
 
 
-def _bisect_level(
-    f, r_lo: float, r_hi: float, tol: float = 1e-8, max_iter: int = 80
-) -> float:
-    """Bisection for f(r) = 0 given f(r_lo) < 0 < f(r_hi) or the reverse."""
-    f_lo = f(r_lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (r_lo + r_hi)
-        f_mid = f(mid)
-        if (f_mid < 0) == (f_lo < 0):
-            r_lo, f_lo = mid, f_mid
-        else:
-            r_hi = mid
-        if r_hi - r_lo < tol:
-            break
-    return 0.5 * (r_lo + r_hi)
-
-
 def trace_unit_contour(
     t_center: float,
     n_points: int = 256,
@@ -257,13 +243,13 @@ def trace_unit_contour(
 
     From the zero at s0 = 1/2 + i t_center the curve is traced radially:
     along each of n_points rays the level crossing log|V| = 0 is bracketed
-    (|V| -> 0 at s0) and bisected to 1e-8 in the radius. The expansion
-    budget for the outer bracket is the local zero gap; if some ray never
-    reaches |V| >= 1 within it, the curve cannot close around s0 alone and
-    OpenContourError is raised.
+    (|V| -> 0 at s0) and refined to 1e-8 in the radius, all rays in
+    lockstep. The expansion budget for the outer bracket is the local zero
+    gap; if some ray never reaches |V| >= 1 within it, the curve cannot
+    close around s0 alone and OpenContourError is raised.
     """
     s0 = complex(0.5, t_center)
-    tp = cached_dataset(FunctionId.T_PLUS, 1000.0, None, False).ordinates()
+    tp = cached_ordinates(FunctionId.T_PLUS, 1000.0)[0]
     gaps = np.diff(tp)
     idx = int(np.argmin(np.abs(tp - t_center)))
     if abs(tp[idx] - t_center) > 0.05:
@@ -271,25 +257,32 @@ def trace_unit_contour(
     local_gap = float(
         min(gaps[max(idx - 1, 0)], gaps[min(idx, len(gaps) - 1)])
     )
+    budget = 1.2 * local_gap
+    rays = np.arange(n_points)
+    theta = 2.0 * math.pi * rays / n_points
+    # the radius ladder 1e-6, 0.05, 0.075, ... up to the budget, on all rays at once
+    rungs = max(math.floor(math.log(budget / 0.05) / math.log(1.5)), 0) + 1
+    ladder = np.concatenate(([1e-6], 0.05 * 1.5 ** np.arange(rungs)))
+    # one real coordinate for all rays: radius r on ray k is x = k * span + r
+    span = 2.0 * ladder[-1]
 
-    def logmod(r: float, theta: float) -> float:
-        return math.log(abs(v_func(s0 + r * cmath.exp(1j * theta), opts)))
+    def level(x):
+        k = np.floor(x / span).astype(int)
+        return np.log(np.abs(v_func(s0 + (x - k * span) * np.exp(1j * theta[k]), opts)))
 
-    points: List[complex] = []
-    for k in range(n_points):
-        theta = 2.0 * math.pi * k / n_points
-        r_lo = 1e-6
-        r_hi = 0.05
-        budget = 1.2 * local_gap
-        while logmod(r_hi, theta) < 0.0:
-            r_hi *= 1.5
-            if r_hi > budget:
-                raise OpenContourError(
-                    f"|V| = 1 not reached along theta = {theta:.3f} within "
-                    f"radius {budget:.3f} of t = {t_center}"
-                )
-        r = _bisect_level(lambda rr: logmod(rr, theta), r_lo, r_hi)
-        points.append(s0 + r * cmath.exp(1j * theta))
+    grid = rays[:, None] * span + ladder
+    values = level(grid.ravel()).reshape(grid.shape)
+    reached = values >= 0.0
+    short = np.nonzero(~reached.any(axis=1))[0]
+    if short.size:
+        raise OpenContourError(
+            f"|V| = 1 not reached along theta = {theta[short[0]]:.3f} within "
+            f"radius {budget:.3f} of t = {t_center}"
+        )
+    j = reached.argmax(axis=1)  # the first rung at or above the level; never rung 0
+    lo, hi = (rays, j - 1), (rays, j)
+    x = _bracket_roots(level, grid[lo], grid[hi], values[lo], values[hi], 1e-8)
+    points = [complex(p) for p in s0 + (x - rays * span) * np.exp(1j * theta)]
     return ContourPolyline(level=1.0, points=points, closed=True)
 
 
@@ -315,15 +308,9 @@ def family_line_zeros(
     """
     ts = np.geomspace(1e-6, t_hi, n_grid)
     vals = _family_critical_line(ts, y, opts)
-    hits = []
-    for i in range(len(ts) - 1):
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            hits.append(
-                _bisect_level(
-                    lambda t: _family_critical_line(t, y, opts), ts[i], ts[i + 1]
-                )
-            )
-    return hits
+    i = _sign_changes(vals)
+    func = lambda t: _family_critical_line(t, y, opts)
+    return [float(t) for t in _bracket_roots(func, ts[i], ts[i + 1], vals[i], vals[i + 1], 1e-8)]
 
 
 def lagarias_suzuki_y_star(
@@ -338,11 +325,12 @@ def lagarias_suzuki_y_star(
     the presence of a sign change below t = 1.5 (the next zero of the
     family stays above 2 throughout the bracket).
     """
-    t_hi = 1.5
+    ts = np.geomspace(1e-6, 1.5, 400)  # the grid of family_line_zeros(y, 1.5)
     y_lo, y_hi = 6.0, 8.0
 
     def pair_on_line(y: float) -> bool:
-        return len(family_line_zeros(y, t_hi, opts)) > 0
+        # a sign change on the grid is a zero; no need to refine it
+        return _sign_changes(_family_critical_line(ts, y, opts)).size > 0
 
     if not pair_on_line(y_lo) or pair_on_line(y_hi):
         raise ConvergenceError(

@@ -81,7 +81,8 @@ _BERNOULLI = (
 class EvalOptions:
     """Euler-Maclaurin controls.
 
-    euler_maclaurin_cutoff: direct terms N; None selects max(50, ceil(|Im s|/3)).
+    euler_maclaurin_cutoff: direct terms N; None selects max(50, ceil(|Im s|/2)),
+        with the largest |Im s| of an array call.
     bernoulli_order: number of B_{2k} correction terms, at most 13.
     target_abs_error: absolute accuracy target for zeta/hurwitz.
     """
@@ -230,8 +231,10 @@ def _hurwitz_em_once(flat, a, n_direct, opts):
     nu = opts.bernoulli_order
 
     n = np.arange(n_direct, dtype=float) + a  # a, 1+a, ..., N-1+a
-    # direct terms (n+a)^(-s); pairwise numpy reduction keeps ~1 ulp * log N
-    terms = np.exp(np.multiply.outer(flat, -np.log(n)))
+    # direct terms (n+a)^(-s); pairwise numpy reduction keeps ~1 ulp * log N.
+    # exp in place: the (points x N) block is the largest temporary of a scan
+    terms = np.multiply.outer(flat, -np.log(n))
+    np.exp(terms, out=terms)
     total = terms.sum(axis=1)
 
     b = float(n_direct) + a

@@ -17,7 +17,6 @@ from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError, RadiusError
 from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId, evaluate
-from .summation import block_sum, block_sum_complex
 from .zeros import ZeroDataset
 
 DERIVATIVE_ROUTE = "derivative_route"
@@ -188,7 +187,7 @@ def sigma_from_zeros(
     ts = ds.ordinates()
     rho = 0.5 + 1j * ts
     terms = 2.0 * (rho ** (-m)).real  # pair with the conjugate
-    total = complex(block_sum(terms))
+    total = complex(math.fsum(terms))
     if include_real_axis:
         for x in ds.real_points():
             total += complex(x) ** (-m)
@@ -306,10 +305,11 @@ def keiper_identity_residuals(sig: SigmaSeries) -> Tuple[float, float, float]:
     if K < 20:
         raise DomainError("identities need sigma to order K >= 20")
     k = np.arange(1, K + 1, dtype=float)
-    r1 = abs(complex(block_sum_complex(sig.values / k)))
-    r2 = abs(sig.sigma(1) + complex(block_sum_complex(sig.values)))
-    r3 = abs(sig.sigma(2) - complex(block_sum_complex((k - 1) * sig.values)))
-    return r1, r2, r3
+    s1, s2, s3 = (
+        complex(math.fsum(v.real), math.fsum(v.imag))
+        for v in (sig.values / k, sig.values, (k - 1) * sig.values)
+    )
+    return abs(s1), abs(sig.sigma(1) + s2), abs(sig.sigma(2) - s3)
 
 
 def tau_lambda_from_sigma(sig: SigmaSeries, K: int) -> KeiperCoefficients:
@@ -365,8 +365,8 @@ def tau_lambda_from_zeros(
         wm = wm * w
         tau_terms = -2.0 * (wm / rho**2).real
         lam_terms = 2.0 * (1.0 - wm).real / m
-        t_m = complex(block_sum(tau_terms))
-        l_m = complex(block_sum(lam_terms))
+        t_m = complex(math.fsum(tau_terms))
+        l_m = complex(math.fsum(lam_terms))
         for x in xs:
             wx = x / (x - 1.0)
             t_m += -(wx**m) / x**2
@@ -406,7 +406,7 @@ def inverse_square_modulus_sum(
 ) -> Tuple[float, float]:
     """(raw, tail_corrected) values of sum over zeros of 1/|rho|^2."""
     ts = ds.ordinates()
-    raw = float(block_sum(2.0 / (0.25 + ts * ts)))
+    raw = math.fsum(2.0 / (0.25 + ts * ts))
     if include_real_axis:
         raw += float(np.sum(1.0 / ds.real_points() ** 2)) if len(ds.real_points()) else 0.0
     corrected = raw

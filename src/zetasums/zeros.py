@@ -1,8 +1,9 @@
 """Zero location on the critical line and the real axis.
 
-Zeros are found as sign changes of the rescaled critical-line real form,
-refined by bisection followed by secant steps, and returned as ordered
-datasets with 1-based ordinals.
+Zeros are found as sign changes of the rescaled critical-line real form on
+a grid, refined together by one bracketed solver (Illinois steps with a
+bisection point at every step, one array call per step), and returned as
+ordered datasets with 1-based ordinals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .special import (
     DEFAULT_OPTIONS,
     EvalOptions,
     FunctionId,
-    critical_line_form,
     critical_line_values,
     evaluate,
 )
@@ -28,6 +28,9 @@ CRITICAL_LINE = "critical_line"
 REAL_AXIS = "real_axis"
 
 _CHUNK = 4096
+# Brackets refined together by scan_zeros. Small probe arrays keep the
+# refiner's temporaries out of the heap that the grid chunks leave behind.
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -66,44 +69,62 @@ def default_grid_step(t_hi: float) -> float:
     return 0.02 if t_hi <= 1200.0 else 0.01
 
 
-def _opposite(fa: float, fb: float) -> bool:
-    """True when fa and fb have strictly opposite signs.
+def _sign_changes(v: np.ndarray) -> np.ndarray:
+    """Indices i where v[i] and v[i + 1] have strictly opposite signs.
 
-    Sign comparison, not a product test: rescaled critical-line values can
-    be ~1e-300 and their product would underflow to zero.
+    A product of signs, not of values: rescaled critical-line values can be
+    ~1e-300 and their product would underflow to zero.
     """
-    return (fa > 0.0) != (fb > 0.0) and fa != 0.0 and fb != 0.0
+    return np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)[0]
 
 
-def _bisect_secant(func, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of func on [a, b] given fa*fb < 0: bisection to 1e-6, then
-    secant steps kept inside the shrinking bracket, to width 1e-11."""
-    while b - a > 1e-6:
-        m = 0.5 * (a + b)
-        fm = func(m)
-        if fm == 0.0:
-            return m
-        if _opposite(fa, fm):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    for _ in range(60):
-        if b - a <= 1e-11:
+def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
+    """Roots of func in the brackets [a[i], b[i]], all refined in lockstep.
+
+    func maps a float array to a float array; fa and fb are its values at
+    the bracket ends, of strictly opposite signs (a value of exactly 0 is a
+    root). Each step makes one call of func at four probes per open
+    bracket: the Illinois (modified regula falsi) point x, x -+ tol/2
+    clamped to the bracket, and the bracket midpoint. The pair around x
+    closes the bracket to width <= tol as soon as x is that close to the
+    root; the midpoint halves it at every step, so a bracket of width w
+    closes within ceil(log2(w / tol)) steps. Returns the midpoints of the
+    closed brackets, or the probe where func is exactly 0.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    wa, wb = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    roots = np.where(wa == 0.0, a, np.where(wb == 0.0, b, np.nan))
+    a_pos = wa > 0.0  # the sign of func at the a end of each bracket
+    kept = np.zeros(a.shape, dtype=int)  # end the last step kept: -1 a, 1 b
+    width = float(np.max(b - a, initial=tol))
+    for _ in range(max(math.ceil(math.log2(width / tol)), 0)):
+        live = np.nonzero(np.isnan(roots) & (b - a > tol))[0]
+        if live.size == 0:
             break
-        if fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
-        else:
-            x = 0.5 * (a + b)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        fx = func(x)
-        if fx == 0.0:
-            return x
-        if _opposite(fa, fx):
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    return 0.5 * (a + b)
+        la, lb, lwa, lwb = a[live], b[live], wa[live], wb[live]
+        mid = 0.5 * (la + lb)
+        x = la + (lb - la) * (lwa / (lwa - lwb))
+        x = np.where((la < x) & (x < lb), x, mid)
+        probes = np.stack((x - 0.5 * tol, x, x + 0.5 * tol, mid), axis=1)
+        probes = np.sort(probes.clip(la[:, None], lb[:, None]), axis=1)
+        values = func(probes.ravel()).reshape(probes.shape)
+        zero = values == 0.0
+        hit = zero.any(axis=1)
+        roots[live[hit]] = probes[hit, zero[hit].argmax(axis=1)]
+        # the new bracket ends at the first column whose sign differs from a's
+        cols = np.concatenate((la[:, None], probes, lb[:, None]), axis=1)
+        vals = np.concatenate((lwa[:, None], values, lwb[:, None]), axis=1)
+        flip = (vals[:, 1:] > 0.0) != a_pos[live, None]
+        flip[:, -1] = True
+        j = flip.argmax(axis=1) + 1
+        last = cols.shape[1] - 1
+        rows = np.arange(live.size)
+        # Illinois: an end kept twice running has its weight halved
+        a[live], b[live] = cols[rows, j - 1], cols[rows, j]
+        wa[live] = np.where(j == 1, lwa * np.where(kept[live] == -1, 0.5, 1.0), vals[rows, j - 1])
+        wb[live] = np.where(j == last, lwb * np.where(kept[live] == 1, 0.5, 1.0), vals[rows, j])
+        kept[live] = np.where(j == 1, -1, np.where(j == last, 1, 0))
+    return np.where(np.isnan(roots), 0.5 * (a + b), roots)
 
 
 def refine_zero(
@@ -120,26 +141,20 @@ def refine_zero(
     a, b = float(t_bracket[0]), float(t_bracket[1])
     if not a < b:
         raise DomainError("bracket must satisfy a < b")
-    func = lambda t: critical_line_form(f, t, opts)
-    fa, fb = func(a), func(b)
-    if fa == 0.0:
-        return ZeroRecord(f, index, CRITICAL_LINE, a, 0.0)
-    if fb == 0.0:
-        return ZeroRecord(f, index, CRITICAL_LINE, b, 0.0)
-    if not _opposite(fa, fb):
+    func = lambda t: critical_line_values(f, t, opts)
+    grid = np.linspace(a, b, 17)
+    vals = func(grid)
+    if np.sign(vals[0]) * np.sign(vals[-1]) > 0.0:
         # look for an interior sign change (possible zero pair)
-        grid = np.linspace(a, b, 17)
-        vals = [fa] + [func(x) for x in grid[1:-1]] + [fb]
-        for i in range(len(grid) - 1):
-            if _opposite(vals[i], vals[i + 1]):
-                a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
-                break
-        else:
+        inner = _sign_changes(vals)
+        if inner.size == 0:
             raise NoSignChangeError(
                 f"no sign change of {f} critical-line form on [{a}, {b}]"
             )
-    root = _bisect_secant(func, a, b, fa, fb)
-    return ZeroRecord(f, index, CRITICAL_LINE, root, abs(func(root)))
+        i = inner[0]
+        grid, vals = grid[i : i + 2], vals[i : i + 2]
+    root = float(_bracket_roots(func, grid[:1], grid[-1:], vals[:1], vals[-1:], 1e-11)[0])
+    return ZeroRecord(f, index, CRITICAL_LINE, root, abs(float(func(root))))
 
 
 def scan_zeros(
@@ -153,7 +168,9 @@ def scan_zeros(
     """Scan [t_lo, t_hi] for zeros of the critical-line form of f.
 
     The grid is aligned to integer multiples of the step, so adjacent scans
-    share their boundary points and concatenate without loss.
+    share their boundary points and concatenate without loss. The sign
+    changes of each grid chunk are refined together, at most _BATCH at a
+    time, to brackets of width 1e-11.
     """
     f = FunctionId(f)
     if grid_step is None:
@@ -164,33 +181,27 @@ def scan_zeros(
     i_hi = math.floor(t_hi / grid_step + 1e-9)
     if f == FunctionId.T_MINUS:
         i_lo = max(i_lo, 1)  # pole of T_minus at t=0
-    roots: List[float] = []
+    func = lambda x: critical_line_values(f, x, opts)
+    roots: List[np.ndarray] = []
     prev_t = prev_v = None
     for start in range(i_lo, i_hi + 1, _CHUNK):
         stop = min(start + _CHUNK, i_hi + 1)
         t = np.arange(start, stop, dtype=float) * grid_step
-        v = critical_line_values(f, t, opts)
+        v = func(t)
         if prev_t is not None:
             t = np.concatenate(([prev_t], t))
             v = np.concatenate(([prev_v], v))
-        sign_change = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)[0]
-        for i in sign_change:
-            root = _bisect_secant(
-                lambda x: critical_line_form(f, x, opts),
-                float(t[i]),
-                float(t[i + 1]),
-                float(v[i]),
-                float(v[i + 1]),
-            )
-            roots.append(root)
-        roots.extend(float(x) for x in t[v == 0.0])
+        change = _sign_changes(v)
+        for k in range(0, change.size, _BATCH):
+            i = change[k : k + _BATCH]
+            roots.append(_bracket_roots(func, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
+        roots.append(t[v == 0.0])
         prev_t, prev_v = float(t[-1]), float(v[-1])
-    roots = sorted(set(roots))
+    found = np.unique(np.concatenate(roots)) if roots else np.empty(0)
+    residuals = np.abs(func(found)) if found.size else found
     records = [
-        ZeroRecord(
-            f, i + 1, CRITICAL_LINE, r, abs(critical_line_form(f, r, opts))
-        )
-        for i, r in enumerate(roots)
+        ZeroRecord(f, i + 1, CRITICAL_LINE, float(r), float(res))
+        for i, (r, res) in enumerate(zip(found, residuals))
     ]
     ds = ZeroDataset(
         function=f,
@@ -245,16 +256,15 @@ def real_axis_zeros_tminus(
     which is real on the real axis.
     """
 
-    def g(x: float) -> float:
+    def g(x: np.ndarray) -> np.ndarray:
         return evaluate(FunctionId.T_MINUS_TILDE, x, opts).real
 
-    def solve(a: float, b: float) -> float:
-        return _bisect_secant(g, a, b, g(a), g(b))
-
-    x_pos = solve(3.5, 4.3)
-    x_neg = solve(-3.3, -2.5)
-    rec_pos = ZeroRecord(FunctionId.T_MINUS, 1, REAL_AXIS, x_pos, abs(g(x_pos)))
-    rec_neg = ZeroRecord(FunctionId.T_MINUS, 2, REAL_AXIS, x_neg, abs(g(x_neg)))
+    a, b = np.array([3.5, -3.3]), np.array([4.3, -2.5])
+    ends = g(np.concatenate((a, b)))
+    x_pos, x_neg = _bracket_roots(g, a, b, ends[:2], ends[2:], 1e-11)
+    res_pos, res_neg = np.abs(g(np.array([x_pos, x_neg])))
+    rec_pos = ZeroRecord(FunctionId.T_MINUS, 1, REAL_AXIS, float(x_pos), float(res_pos))
+    rec_neg = ZeroRecord(FunctionId.T_MINUS, 2, REAL_AXIS, float(x_neg), float(res_neg))
     return rec_pos, rec_neg
 
 

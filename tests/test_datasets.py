@@ -4,16 +4,18 @@ import dataclasses
 
 import pytest
 
+from zetasums import datasets
 from zetasums.datasets import (
     cache_dir,
     cached_dataset,
+    cached_ordinates,
     extend_dataset,
     load_dataset,
     save_dataset,
 )
 from zetasums.errors import ChecksumError, SchemaError
 from zetasums.special import FunctionId
-from zetasums.zeros import scan_zeros, with_real_axis_records
+from zetasums.zeros import ZeroDataset, scan_zeros, with_real_axis_records
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +81,33 @@ def test_cache_key_keeps_every_digit_of_t_max(tmp_path, monkeypatch):
     cached_dataset(FunctionId.XI, 30.0)
     cached_dataset(FunctionId.XI, 30.00001)  # "30" under the :g format
     assert len(list(tmp_path.glob("*.csv"))) == 2
+
+
+def test_cached_ordinates_reload_only_changed_files(tmp_path, monkeypatch, small_ds):
+    loads = []
+    real = datasets.load_dataset
+    monkeypatch.setattr(datasets, "load_dataset", lambda p: loads.append(p) or real(p))
+
+    def rewrite(path, drop):
+        cut = small_ds.records[:-2 - drop] + small_ds.records[-2:]  # keep the real-axis records
+        cut = [dataclasses.replace(r, index=i + 1) for i, r in enumerate(cut)]
+        save_dataset(ZeroDataset(small_ds.function, cut, small_ds.t_max_scanned), path)
+
+    n = len(small_ds.ordinates())
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "a"))
+    cached_dataset(FunctionId.T_MINUS, 60.0, include_real_axis=True)
+    (path,) = (tmp_path / "a").glob("*.csv")
+    # two calls make one load
+    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n
+    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n
+    assert len(loads) == 1
+    # rewriting the dataset reloads it
+    rewrite(path, 1)
+    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n - 1
+    assert len(loads) == 2
+    # another cache directory never gets this one's arrays
+    (tmp_path / "b").mkdir()
+    rewrite(tmp_path / "b" / path.name, 2)
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "b"))
+    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n - 2
+    assert len(loads) == 3

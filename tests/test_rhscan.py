@@ -7,18 +7,21 @@ import math
 import numpy as np
 import pytest
 
+from zetasums import datasets
 from zetasums.errors import DomainError
 from zetasums.rhscan import (
-    _bisect_level,
     _family_critical_line,
+    _merged_triplets,
     asymptotic_check,
     family_line_zeros,
     find_derivative_zeros,
+    lagarias_suzuki_y_star,
     trace_unit_contour,
     u_func,
     v_func,
 )
 from zetasums.special import DEFAULT_OPTIONS
+from zetasums.zeros import _bracket_roots
 
 
 def test_moebius_consistency(rng):
@@ -137,10 +140,28 @@ def test_family_line_zeros_match_scalar_grid(y):
     # the reference evaluates the grid one point at a time
     ts = np.geomspace(1e-6, 1.5, 400)
     vals = [_family_critical_line(float(t), y, DEFAULT_OPTIONS) for t in ts]
+    func = lambda t: _family_critical_line(t, y, DEFAULT_OPTIONS)
     expected = [
-        _bisect_level(lambda t: _family_critical_line(t, y, DEFAULT_OPTIONS), ts[i], ts[i + 1])
+        float(_bracket_roots(func, [ts[i]], [ts[i + 1]], [vals[i]], [vals[i + 1]], 1e-8)[0])
         for i in range(len(ts) - 1)
         if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0
     ]
     assert family_line_zeros(y, 1.5) == expected
     assert len(expected) == (1 if y < 7.0555 else 0)  # the pair collides at y* ~ 7.0555
+
+
+@pytest.mark.parametrize("resolution, expected", [(1e-3, 7.05517578125), (1e-4, 7.055511474609375)])
+def test_y_star_unchanged(resolution, expected):
+    # the values of the search that refined every grid zero before testing for one
+    assert lagarias_suzuki_y_star(resolution) == expected
+
+
+
+def test_merged_triplets_reuse_the_dataset_reads(ds_tplus, ds_tminus, monkeypatch):
+    loads = []
+    real = datasets.load_dataset
+    monkeypatch.setattr(datasets, "load_dataset", lambda p: loads.append(p) or real(p))
+    first = _merged_triplets(600.0, 600.5)
+    n = len(loads)
+    assert _merged_triplets(600.0, 600.5) == first
+    assert len(loads) == n <= 2

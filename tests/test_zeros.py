@@ -1,5 +1,8 @@
 """Zero finder: scanning, refinement, counts, and real-axis zeros."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from zetasums.special import FunctionId, critical_line_form
 from zetasums.zeros import (
     CRITICAL_LINE,
     REAL_AXIS,
+    _bracket_roots,
     count_check,
     real_axis_zeros_tminus,
     refine_zero,
@@ -38,6 +42,60 @@ def test_refine_matches_independent_bisection():
     oracle = _bisect_oracle(FunctionId.XI, 14.0, 14.3)
     assert rec.t_or_x == pytest.approx(oracle, abs=1e-9)
     assert rec.t_or_x == pytest.approx(FIRST_XI_T, abs=1e-9)
+
+
+def test_refine_two_zero_bracket_returns_lower_zero():
+    # xi has the same sign at 14 and 21.5, with zeros at 14.13 and 21.02 between
+    assert critical_line_form(FunctionId.XI, 14.0) * critical_line_form(FunctionId.XI, 21.5) > 0
+    rec = refine_zero(FunctionId.XI, (14.0, 21.5))
+    assert rec.t_or_x == pytest.approx(FIRST_XI_T, abs=1e-9)
+
+
+def _counted(func):
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.size(x))
+        return func(x)
+
+    return wrapped, calls
+
+
+def test_bracket_roots_exact_zero_at_endpoint():
+    func, calls = _counted(lambda x: x - 0.5)
+    roots = _bracket_roots(func, [0.5, 0.0], [1.0, 0.5], [0.0, -0.5], [0.5, 0.0], 1e-11)
+    assert list(roots) == [0.5, 0.5]
+    assert calls == []
+
+
+def test_bracket_roots_exact_zero_at_probe():
+    # the regula falsi point of a line is its root, where the line is exactly 0
+    func, calls = _counted(lambda x: x - 0.25)
+    roots = _bracket_roots(func, [0.0], [1.0], [-0.25], [0.75], 1e-11)
+    assert roots[0] == 0.25
+    assert len(calls) == 1
+
+
+def test_bracket_roots_values_near_1e_300():
+    # the product of two end values underflows to 0; only the signs count
+    g = lambda x: 1e-300 * np.sin(x)
+    k = np.arange(1, 4)
+    a, b = k * np.pi - 0.2, k * np.pi + 0.3
+    assert np.all(g(a) * g(b) == 0.0)
+    roots = _bracket_roots(g, a, b, g(a), g(b), 1e-11)
+    assert np.all(np.abs(roots - k * np.pi) <= 1e-11)
+
+
+def test_bracket_roots_flat_crossing_within_bisection_bound():
+    # sin(x)^9 is flat at its zeros, where regula falsi alone would crawl;
+    # all five brackets move in lockstep, one call per step
+    g = lambda x: np.sin(x) ** 9
+    k = np.arange(1, 6)
+    a, b = k * np.pi - 0.3 * k, k * np.pi + 1.0 / k
+    func, calls = _counted(g)
+    roots = _bracket_roots(func, a, b, g(a), g(b), 1e-11)
+    assert np.all(np.abs(roots - k * np.pi) <= 1e-11)
+    assert len(calls) <= math.ceil(math.log2(np.max(b - a) / 1e-11))
 
 
 def test_refine_requires_sign_change():
@@ -113,3 +171,33 @@ def test_real_axis_zeros():
 def test_real_axis_records_present(ds_tminus):
     ra = [r for r in ds_tminus.records if r.location_kind == REAL_AXIS]
     assert len(ra) == 2
+
+
+@pytest.mark.parametrize("lo", [12.0, 997.0, 2498.0])
+def test_xi_window_matches_mpmath(lo):
+    ts = scan_zeros(FunctionId.XI, lo, lo + 5.0, check_count=False).ordinates()
+    first = int(mpmath.nzeros(lo))
+    assert len(ts) == int(mpmath.nzeros(lo + 5.0)) - first
+    for n, t in enumerate(ts, start=first + 1):
+        assert abs(t - float(mpmath.zetazero(n).imag)) <= 1e-9
+
+
+def _mpmath_form(f, t):
+    """The critical-line form of f at 1/2 + it, built from mpmath alone."""
+    with mpmath.workdps(30):
+        if f == FunctionId.L4_COMPLETED:
+            s = mpmath.mpc(0.5, t)
+            gamma = mpmath.gamma((s + 1) / 2)
+            return (2 ** (s - 1) * mpmath.pi ** (-(s + 1) / 2) * gamma * mpmath.dirichlet(s, [0, 1, 0, -1])).real
+        w = 1 + 2j * mpmath.mpf(t)
+        xi1 = mpmath.pi ** (-w / 2) * mpmath.gamma(w / 2) * mpmath.zeta(w)
+        return xi1.real if f == FunctionId.T_PLUS else xi1.imag
+
+
+@pytest.mark.parametrize(
+    "f, lo", [(FunctionId.T_PLUS, 702.0), (FunctionId.T_MINUS, 403.0), (FunctionId.L4_COMPLETED, 1101.0)]
+)
+def test_ordinate_brackets_mpmath_sign_change(f, lo):
+    ts = scan_zeros(f, lo, lo + 2.0, check_count=False).ordinates()
+    t = float(ts[len(ts) // 2])
+    assert _mpmath_form(f, t - 1e-9) * _mpmath_form(f, t + 1e-9) < 0
