@@ -65,10 +65,13 @@ class ContourPolyline:
 def u_func(s, opts: EvalOptions = DEFAULT_OPTIONS):
     """U(s) = xi_1(2s - 1) / xi_1(2s), computed in log form.
 
-    Returns a complex for scalar s, else an array of the shape of s.
+    Returns a complex for scalar s, else an array of the shape of s. Both
+    arguments go into one log_xi1 call; they share Im, hence the cutoff.
     """
-    u = np.exp(log_xi1(2 * s - 1, opts) - log_xi1(2 * s, opts))
-    return complex(u) if np.ndim(u) == 0 else u
+    w = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    lw = log_xi1(np.concatenate((2 * w - 1, 2 * w)), opts)
+    u = np.exp(lw[: w.size] - lw[w.size :])
+    return complex(u[0]) if np.ndim(s) == 0 else u.reshape(np.shape(s))
 
 
 def v_func(s, opts: EvalOptions = DEFAULT_OPTIONS):
@@ -98,32 +101,43 @@ def asymptotic_check(
     return mod_err, arg_err
 
 
-def _v_prime(s: complex, opts: EvalOptions, h: float = 1e-5) -> complex:
-    hs = h * max(1.0, abs(s))
-    return (v_func(s + hs, opts) - v_func(s - hs, opts)) / (2.0 * hs)
+def _v_derivative(s: np.ndarray, order: int, opts: EvalOptions) -> np.ndarray:
+    """Central differences of V of the given order at the points s, from one
+    v_func call; the step is 1e-5 * max(1, |x|) at each stencil point x."""
+    if order == 0:
+        return v_func(s, opts)
+    hs = 1e-5 * np.maximum(1.0, np.abs(s))
+    inner = _v_derivative(np.concatenate((s + hs, s - hs)), order - 1, opts)
+    return (inner[: s.size] - inner[s.size :]) / (2.0 * hs)
 
 
 def _newton_vprime(
     seed: complex, opts: EvalOptions, max_iter: int = 40
 ) -> Optional[complex]:
-    """Damped Newton iteration on V', central-difference second derivative."""
+    """Damped Newton iteration on V', bounded to Im within 20 of the seed.
+
+    A line-search trial further from the seed's Im fails without evaluating
+    V there, which keeps the Euler-Maclaurin cutoff (about Im/2) small.
+    """
+    def deriv(x: complex, order: int) -> complex:
+        return complex(_v_derivative(np.array([x]), order, opts)[0])
     s = seed
-    g = _v_prime(s, opts)
+    g = deriv(s, 1)
     for _ in range(max_iter):
         if abs(g) <= 1e-8:
             return s
-        hs = 1e-5 * max(1.0, abs(s))
-        gp = (_v_prime(s + hs, opts) - _v_prime(s - hs, opts)) / (2.0 * hs)
+        gp = deriv(s, 2)
         if gp == 0:
             return None
         step = g / gp
         lam = 1.0
         for _ in range(8):
             s_new = s - lam * step
-            g_new = _v_prime(s_new, opts)
-            if abs(g_new) < abs(g):
-                s, g = s_new, g_new
-                break
+            if abs(s_new.imag - seed.imag) <= 20.0:
+                g_new = deriv(s_new, 1)
+                if abs(g_new) < abs(g):
+                    s, g = s_new, g_new
+                    break
             lam *= 0.5
         else:
             return None
@@ -168,7 +182,9 @@ def find_derivative_zeros(
     Each consecutive triplet of the interlaced T_plus / T_minus ordinate
     sequence anchors one derivative zero, found by damped Newton seeded at
     the triplet centroid pushed 0.15 off the critical line; alternative
-    seeds are tried before a NonConvergenceWarning is issued.
+    seeds are tried before a NonConvergenceWarning is issued. Each search
+    stays within 20 in Im of its seed, and each of its steps makes one
+    log_xi1 call for V'' and one per line-search trial for V'.
     """
     triplets = _merged_triplets(t_lo, t_hi)
     if not triplets:

@@ -227,15 +227,22 @@ def _hurwitz_em_array(s: np.ndarray, a: float, opts: EvalOptions) -> np.ndarray:
         n_direct *= 2
 
 
+_SLAB = 512
+
+
 def _hurwitz_em_once(flat, a, n_direct, opts):
     nu = opts.bernoulli_order
 
     n = np.arange(n_direct, dtype=float) + a  # a, 1+a, ..., N-1+a
     # direct terms (n+a)^(-s); pairwise numpy reduction keeps ~1 ulp * log N.
-    # exp in place: the (points x N) block is the largest temporary of a scan
-    terms = np.multiply.outer(flat, -np.log(n))
-    np.exp(terms, out=terms)
-    total = terms.sum(axis=1)
+    # Summed in slabs of _SLAB points, exp in place, to bound the largest
+    # temporary of a scan; each row's sum is the same whatever the slab.
+    log_n = -np.log(n)
+    total = np.empty_like(flat)
+    for i in range(0, flat.size, _SLAB):
+        terms = np.multiply.outer(flat[i : i + _SLAB], log_n)
+        np.exp(terms, out=terms)
+        total[i : i + _SLAB] = terms.sum(axis=1)
 
     b = float(n_direct) + a
     lb = math.log(b)

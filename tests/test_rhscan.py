@@ -3,12 +3,13 @@ derivative zeros, the unit contour, and the asymptotic regime."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from zetasums import datasets
-from zetasums.errors import DomainError
+from zetasums import datasets, rhscan
+from zetasums.errors import DomainError, NonConvergenceWarning
 from zetasums.rhscan import (
     _family_critical_line,
     _merged_triplets,
@@ -20,7 +21,7 @@ from zetasums.rhscan import (
     u_func,
     v_func,
 )
-from zetasums.special import DEFAULT_OPTIONS
+from zetasums.special import DEFAULT_OPTIONS, log_xi1
 from zetasums.zeros import _bracket_roots
 
 
@@ -41,6 +42,13 @@ def test_u_pure_imaginary_on_critical_line(rng):
         assert abs(abs(u) - 1.0) < 1e-10
         v = v_func(s)
         assert abs(v.real) <= 1e-10 * max(1.0, abs(v))
+
+
+def test_u_func_is_one_log_xi1_call_bitwise(rng):
+    s = rng.uniform(-1.0, 2.0, 200) + 1j * rng.uniform(5.0, 900.0, 200)
+    for p in s:
+        assert u_func(p) == np.exp(log_xi1(2 * p - 1) - log_xi1(2 * p))
+    assert np.array_equal(u_func(s), np.exp(log_xi1(2 * s - 1) - log_xi1(2 * s)))
 
 
 def test_zero_and_pole_placement(ds_tplus, ds_tminus):
@@ -80,6 +88,46 @@ def test_triplet_kinds_alternate_labels(rhscan_417):
     for r in rhscan_417:
         assert r.triplet_kind in ("ZPZ", "PZP")
         assert r.condition_met
+
+
+def test_newton_stays_in_box(ds_tplus, ds_tminus, monkeypatch):
+    # a search that wandered to |Im s| ~ 5e5 made every kernel call there cost
+    # ~5e5 terms; searches now stay within 20 of their seeds' ordinates
+    seen = []
+
+    def spy(w, opts=DEFAULT_OPTIONS):
+        seen.append(float(np.max(np.abs(np.imag(w)), initial=0.0)))
+        return log_xi1(w, opts)
+
+    monkeypatch.setattr(rhscan, "log_xi1", spy)
+    reports = find_derivative_zeros(191.5, 192.0)
+    assert len(reports) == 1
+    assert max(seen) <= 2.0 * (192.0 + 20.0) + 1.0
+    assert len(seen) < 300  # the unbounded scalar search made 2,214
+
+
+@pytest.mark.parametrize(
+    "window, s_d, modulus, ordinals",
+    [
+        ((191.5, 192.0), 1.1343939289 + 191.9029744168j, 1.1441120748, (381, 382, 383)),
+        ((432.0, 432.5), 1.1278835848 + 432.3500166000j, 1.0923054136, (1081, 1082, 1083)),
+        ((858.5, 859.0), 1.2771226500 + 858.5387444510j, 1.0744340936, (2521, 2522, 2523)),
+    ],
+    ids=["191.5", "432.0", "858.5"],
+)
+def test_derivative_zeros_pinned(ds_tplus, ds_tminus, window, s_d, modulus, ordinals):
+    (r,) = find_derivative_zeros(*window)
+    assert abs(r.s_d - s_d) <= 1e-8
+    assert r.modulus == pytest.approx(modulus, abs=1e-10)
+    assert r.anchor_ordinals == ordinals
+
+
+@pytest.mark.parametrize("window", [(124.5, 125.0), (12.0, 12.5)], ids=["124.5", "12.0"])
+def test_derivative_zeros_pinned_warning_windows(ds_tplus, ds_tminus, window):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert find_derivative_zeros(*window) == []
+    assert [w.category for w in caught] == [NonConvergenceWarning]
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from zetasums.special import (
     DEFAULT_OPTIONS,
     EvalOptions,
     FunctionId,
+    _hurwitz_em_array,
     critical_line_form,
     critical_line_values,
     evaluate,
@@ -150,6 +151,16 @@ def test_explicit_cutoff_accuracy_error():
     opts = EvalOptions(euler_maclaurin_cutoff=5, target_abs_error=1e-12)
     with pytest.raises(AccuracyError):
         riemann_zeta(0.5 + 200.0j, opts)
+
+
+def test_em_row_slabs_are_bitwise(rng):
+    # 1,300 points span three row slabs; a fixed cutoff makes every point's
+    # direct sum the same length in one call and in one-point calls
+    s = rng.uniform(0.5, 1.5, 1300) + 1j * rng.uniform(-700.0, 700.0, 1300)
+    opts = EvalOptions(euler_maclaurin_cutoff=400)
+    together = _hurwitz_em_array(s, 1.0, opts)
+    one_by_one = [_hurwitz_em_array(s[i : i + 1], 1.0, opts)[0] for i in range(s.size)]
+    assert all(a == b for a, b in zip(together, one_by_one))
 
 
 # ---------------------------------------------------------------------------
