@@ -21,28 +21,16 @@ from . import bell as bell_mod
 from . import rhscan as rhscan_mod
 from . import sumrules as sr
 from . import translate as tr
-from .datasets import cached_dataset
+from .datasets import cached_dataset, default_dataset
 from .errors import ZetasumsError
-from .special import FunctionId
-
-_DS_TMAX = {
-    FunctionId.XI: 2520.0,
-    FunctionId.T_PLUS: 1000.0,
-    FunctionId.T_MINUS: 1000.0,
-    FunctionId.L4_COMPLETED: 1126.33,
-}
-
-_FUNin = click.Choice(["xi", "tplus", "tminus", "l4c"])
+from .special import SPECS, FunctionId
 
 
-def _function(name: str) -> FunctionId:
-    return FunctionId(name)
-
-
-def _default_dataset(f: FunctionId):
-    return cached_dataset(
-        f, _DS_TMAX[f], None, include_real_axis=(f is FunctionId.T_MINUS)
-    )
+# --function: one of the functions with a default dataset, passed on as a FunctionId
+_function_option = click.option(
+    "--function", "f", required=True, callback=lambda ctx, param, value: FunctionId(value),
+    type=click.Choice([f.value for f, row in SPECS.items() if row.t_max is not None]),
+)
 
 
 def _parse_range(text: str) -> List[int]:
@@ -82,15 +70,14 @@ def _emit(
         if precision_lines:
             payload["precision_report"] = precision_lines
         text = json.dumps(payload, indent=2) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(text, output)
 
 
 def _emit_json(payload: dict, output: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    _write(json.dumps(payload, indent=2) + "\n", output)
+
+
+def _write(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -130,17 +117,16 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--function", "fname", type=_FUNin, required=True)
+@_function_option
 @click.option("--t-max", type=float, default=None, help="scan height (default per function)")
 @click.option("--grid-step", type=float, default=None)
 @click.option("--include-real-axis", is_flag=True, default=False)
 @_common
 @_computation_guard
-def zeros(fname, t_max, grid_step, include_real_axis, fmt, output, precision_report):
+def zeros(f, t_max, grid_step, include_real_axis, fmt, output, precision_report):
     """Critical-line (and optional real-axis) zero dataset."""
-    f = _function(fname)
     if t_max is None:
-        t_max = _DS_TMAX[f]
+        t_max = SPECS[f].t_max
     ds = cached_dataset(f, t_max, grid_step, include_real_axis)
     rows = [
         (r.function.value, r.index, r.location_kind, repr(r.t_or_x), repr(r.residual))
@@ -155,15 +141,14 @@ def zeros(fname, t_max, grid_step, include_real_axis, fmt, output, precision_rep
 
 
 @main.command()
-@click.option("--function", "fname", type=_FUNin, required=True)
+@_function_option
 @click.option("--m", "m_text", default="1..6", show_default=True)
 @_common
 @_computation_guard
-def sumrule(fname, m_text, fmt, output, precision_report):
+def sumrule(f, m_text, fmt, output, precision_report):
     """Power sums over zeros: derivative route vs zero route."""
-    f = _function(fname)
     m_range = _parse_range(m_text)
-    ds = _default_dataset(f)
+    ds = default_dataset(f)
     table = sr.verify_sum_rule(f, ds, m_range)
     rows = [
         (m, f"{lhs:.10f}", f"{rhs:.10f}", f"{diff:.3e}") for m, lhs, rhs, diff in table
@@ -177,13 +162,12 @@ def sumrule(fname, m_text, fmt, output, precision_report):
 
 
 @main.command()
-@click.option("--function", "fname", type=_FUNin, required=True)
+@_function_option
 @click.option("--order", type=int, default=30, show_default=True)
 @_common
 @_computation_guard
-def keiper(fname, order, fmt, output, precision_report):
+def keiper(f, order, fmt, output, precision_report):
     """tau and lambda coefficients from the sigma series."""
-    f = _function(fname)
     sig = sr.sigma_series_derivative(f, order + 1)
     kc = sr.tau_lambda_from_sigma(sig, order)
     rows = [
@@ -197,13 +181,12 @@ def keiper(fname, order, fmt, output, precision_report):
 
 
 @main.command()
-@click.option("--function", "fname", type=_FUNin, required=True)
+@_function_option
 @click.option("--order", type=int, default=8, show_default=True)
 @_common
 @_computation_guard
-def bell(fname, order, fmt, output, precision_report):
+def bell(f, order, fmt, output, precision_report):
     """Taylor coefficients rebuilt from the sigma series via Bell polynomials."""
-    f = _function(fname)
     sig = sr.sigma_series_derivative(f, order)
     ps = bell_mod.series_from_sigma(sig, order)
     rows = [(k, repr(ps.coeffs[k].real)) for k in range(order + 1)]
@@ -230,23 +213,21 @@ def link(order, fmt, output, precision_report):
 
 
 @main.command()
-@click.option("--function", "fname", type=_FUNin, required=True)
+@_function_option
 @click.option("--z0", type=str, required=True, help="complex center, e.g. 0.1+0.05j")
 @click.option("--m", type=int, required=True)
 @click.option("--terms", type=int, default=40, show_default=True)
 @_common
 @_computation_guard
-def translate(fname, z0, m, terms, fmt, output, precision_report):
+def translate(f, z0, m, terms, fmt, output, precision_report):
     """Translated zero-power sum at z0, both routes."""
-    f = _function(fname)
     try:
         center = complex(z0)
     except ValueError:
         raise click.UsageError(f"cannot parse complex number {z0!r}")
-    series_f = sr._series_function(f)
     sig = sr.sigma_series_derivative(f, m + terms)
     via_series = tr.translated_sigma_series(sig, center, m, terms)
-    via_direct = tr.translated_sigma_direct(series_f, center, m)
+    via_direct = tr.translated_sigma_direct(SPECS[f].series, center, m)
     payload = {
         "function": f.value,
         "z0": [center.real, center.imag],
@@ -274,9 +255,8 @@ def interlace(pair, mode, n_check, t0, fmt, output, precision_report):
     a_name = pair.split(":")[0]
     if mode is None:
         mode = "between" if a_name == "tminus" else "after"
-    a_f = FunctionId.T_MINUS if a_name == "tminus" else FunctionId.T_PLUS
-    a = _default_dataset(a_f).ordinates()
-    b = tr.xi_halfshift_ordinates(_default_dataset(FunctionId.XI))
+    a = default_dataset(FunctionId(a_name)).ordinates()
+    b = tr.xi_halfshift_ordinates(default_dataset(FunctionId.XI))
     report = tr.interlacing_report(
         a, b, mode, t0=t0, n_check=n_check, pair=(a_name, "xihalf")
     )

@@ -11,12 +11,12 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ChecksumError, DomainError, SchemaError
-from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId
+from .special import DEFAULT_OPTIONS, SPECS, EvalOptions, FunctionId
 from .zeros import (
     CRITICAL_LINE,
     REAL_AXIS,
@@ -75,18 +75,7 @@ def save_dataset(ds: ZeroDataset, path) -> DatasetManifest:
         schema_version=SCHEMA_VERSION,
     )
     with open(_manifest_path(path), "w") as fh:
-        json.dump(
-            {
-                "function": manifest.function.value,
-                "count": manifest.count,
-                "t_max": manifest.t_max,
-                "checksum": manifest.checksum,
-                "generator_metadata": manifest.generator_metadata,
-                "schema_version": manifest.schema_version,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump({**asdict(manifest), "function": manifest.function.value}, fh, indent=2)
         fh.write("\n")
     return manifest
 
@@ -202,9 +191,8 @@ def cached_dataset(
     t_max: float,
     grid_step: Optional[float] = None,
     include_real_axis: bool = False,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> ZeroDataset:
-    """Scan-once-then-reuse helper keyed by (function, t_max, step, flag)."""
+    """Scan-once-then-reuse helper keyed by the whole request: function, t_max, step, flag."""
     f = FunctionId(f)
     path = _cache_path(f, t_max, grid_step, include_real_axis)
     if path.exists():
@@ -212,11 +200,16 @@ def cached_dataset(
             return load_dataset(path)
         except (ChecksumError, SchemaError):
             pass
-    ds = scan_zeros(f, 0.0, t_max, grid_step, opts)
+    ds = scan_zeros(f, 0.0, t_max, grid_step)
     if include_real_axis:
-        ds = with_real_axis_records(ds, opts)
+        ds = with_real_axis_records(ds)
     save_dataset(ds, path)
     return ds
+
+
+def default_dataset(f: FunctionId) -> ZeroDataset:
+    """cached_dataset at the default height of f, with its real-axis zeros if it has them."""
+    return cached_dataset(f, SPECS[f].t_max, None, SPECS[f].real_axis)
 
 
 _ORDINATES: dict = {}

@@ -27,7 +27,7 @@ from .errors import (
     OpenContourError,
     PoleError,
 )
-from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId, log_xi1
+from .special import DEFAULT_OPTIONS, SPECS, EvalOptions, FunctionId, log_xi1
 from .datasets import cached_ordinates
 from .zeros import _bracket_roots, _sign_changes
 
@@ -144,34 +144,38 @@ def _newton_vprime(
     return s if abs(g) <= 1e-8 else None
 
 
+def _default_ordinates(f: FunctionId):
+    """(ordinates, t_max_scanned) of the default dataset of f."""
+    return cached_ordinates(f, SPECS[f].t_max, SPECS[f].real_axis)
+
+
 def _merged_triplets(t_lo: float, t_hi: float):
     """Consecutive triplets of the merged T_plus / T_minus ordinate sequence.
 
     Labels are Z at T_plus zeros (zeros of V) and P at T_minus zeros (poles
-    of V). Returns (ordinals, labels, ordinates) triplet tuples whose
-    centroid lies in [t_lo, t_hi]. Raises DomainError if such a triplet
-    could hold an ordinate above the height the datasets were scanned to.
+    of V). Returns (ordinals, labels, ordinates, centroid) tuples of the
+    triplets whose centroid lies in [t_lo, t_hi]. Raises DomainError if such a
+    triplet could hold an ordinate above the height the datasets were scanned to.
     """
-    tp, tp_height = cached_ordinates(FunctionId.T_PLUS, 1000.0)
-    tm, tm_height = cached_ordinates(FunctionId.T_MINUS, 1000.0, True)
+    tp, tp_height = _default_ordinates(FunctionId.T_PLUS)
+    tm, tm_height = _default_ordinates(FunctionId.T_MINUS)
     # the merged sequence is complete up to the scanned height, so every
     # triplet with an ordinate above it has its centroid above `complete`
     height = min(tp_height, tm_height)
     complete = (np.sort(np.concatenate((tp[-2:], tm[-2:])))[-2:].sum() + height) / 3.0
     if t_hi > complete:
         raise DomainError(f"triplets up to t = {t_hi} need zeros above t = {height:g}")
-    t_cap = max(t_hi * 1.05 + 10.0, 100.0)
-    merged = sorted(
-        [(t, "Z") for t in tp if t <= t_cap] + [(t, "P") for t in tm if t <= t_cap]
-    )
-    out = []
-    for i in range(len(merged) - 2):
-        trio = merged[i : i + 3]
-        centroid = sum(t for t, _ in trio) / 3.0
-        if t_lo <= centroid <= t_hi:
-            kind = "".join(lab for _, lab in trio)
-            out.append(((i + 1, i + 2, i + 3), kind, tuple(t for t, _ in trio)))
-    return out
+    both = np.concatenate((tm, tp))
+    order = np.argsort(both, kind="stable")  # a tie puts the pole first
+    m = both[order]
+    labels = np.where(order < tm.size, "P", "Z")
+    centroids = (m[:-2] + m[1:-1] + m[2:]) / 3.0  # nondecreasing, as m is sorted
+    lo = int(np.searchsorted(centroids, t_lo, "left"))
+    hi = int(np.searchsorted(centroids, t_hi, "right"))
+    return [
+        ((i + 1, i + 2, i + 3), "".join(labels[i : i + 3]), tuple(m[i : i + 3]), centroids[i])
+        for i in range(lo, hi)
+    ]
 
 
 def find_derivative_zeros(
@@ -193,8 +197,7 @@ def find_derivative_zeros(
     # 1 - conj(s_d) are the same object, keyed by the off-line distance.
     pool: dict = {}
     any_converged_near = [False] * len(triplets)
-    for idx, (ordinals, kind, ts) in enumerate(triplets):
-        centroid_t = sum(ts) / 3.0
+    for idx, (ordinals, kind, ts, centroid_t) in enumerate(triplets):
         span = ts[2] - ts[0]
         for off in (0.15, -0.15, 0.3, -0.3, 0.6, -0.6, 0.05, -0.05):
             s_d = _newton_vprime(complex(0.5 + off, centroid_t), opts)
@@ -210,11 +213,9 @@ def find_derivative_zeros(
                 pool[key] = s_d
             any_converged_near[idx] = True
             break
-    centroids = [sum(ts) / 3.0 for _, _, ts in triplets]
     reports: List[TripletReport] = []
     for s_d in pool.values():
-        idx = min(range(len(triplets)), key=lambda i: abs(centroids[i] - s_d.imag))
-        ordinals, kind, ts = triplets[idx]
+        ordinals, kind, ts, centroid_t = min(triplets, key=lambda trio: abs(trio[3] - s_d.imag))
         modulus = abs(v_func(s_d, opts))
         reports.append(
             TripletReport(
@@ -223,18 +224,18 @@ def find_derivative_zeros(
                 triplet_kind=kind,
                 anchor_ordinals=ordinals,
                 condition_met=modulus > 1.0,
-                centroid_t=centroids[idx],
+                centroid_t=centroid_t,
                 converged=True,
             )
         )
     covered = np.array(sorted(s.imag for s in pool.values()))
-    for idx, (ordinals, kind, ts) in enumerate(triplets):
+    for idx, (ordinals, kind, ts, centroid_t) in enumerate(triplets):
         span = ts[2] - ts[0]
-        near = covered.size and np.min(np.abs(covered - centroids[idx])) < 1.5 * span
+        near = covered.size and np.min(np.abs(covered - centroid_t)) < 1.5 * span
         if not (any_converged_near[idx] or near):
             warnings.warn(
                 f"derivative-zero search did not converge for the triplet "
-                f"near t = {centroids[idx]:.4f}",
+                f"near t = {centroid_t:.4f}",
                 NonConvergenceWarning,
             )
     reports.sort(key=lambda r: r.s_d.imag)
@@ -265,7 +266,7 @@ def trace_unit_contour(
     close around s0 alone and OpenContourError is raised.
     """
     s0 = complex(0.5, t_center)
-    tp = cached_ordinates(FunctionId.T_PLUS, 1000.0)[0]
+    tp = _default_ordinates(FunctionId.T_PLUS)[0]
     gaps = np.diff(tp)
     idx = int(np.argmin(np.abs(tp - t_center)))
     if abs(tp[idx] - t_center) > 0.05:

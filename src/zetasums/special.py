@@ -1,4 +1,4 @@
-"""Complex evaluation kernel for the supported zeta-type functions.
+"""Complex evaluation kernel and the table of the supported zeta-type functions.
 
 Provides Gamma (Lanczos rational approximation), Riemann and Hurwitz zeta
 (Euler-Maclaurin), the completed function xi1(s) = pi^(-s/2) Gamma(s/2) zeta(s),
@@ -6,8 +6,11 @@ the symmetric xi, the half-sum/half-difference pair built from xi1(2s) and
 xi1(2s-1), the Dirichlet L function of conductor 4 with its completed even
 form, and real-valued restrictions to the critical line.
 
-All evaluators are pure functions; the only shared state is an immutable
-Bernoulli table.
+SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
+series form and its circle radius, the default dataset, the smooth zero count
+and the critical-line form, which shares its log-form builder with the
+evaluator. Other modules read every per-function fact from that row. The
+evaluators are pure functions; the only shared state is the Bernoulli table.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,6 +28,8 @@ from .errors import AccuracyError, DomainError, PoleError
 
 __all__ = [
     "FunctionId",
+    "FunctionSpec",
+    "SPECS",
     "EvalOptions",
     "gamma",
     "log_gamma",
@@ -309,6 +316,16 @@ def hurwitz_zeta(s, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
 
 # ---------------------------------------------------------------------------
 # completed functions
+#
+# The log-form builders return (log prefactor, kernel) at w = s or 1 - s,
+# whichever has Re w >= 1/2: the functions they serve are even under s -> 1-s,
+# and there Lanczos is in range and Euler-Maclaurin stable at any |Im s|.
+
+
+def _xi1_log_form(s: np.ndarray, opts: EvalOptions):
+    """(log(pi^(-w/2) Gamma(w/2)), zeta(w)), so that xi1(s) = exp(log) * zeta."""
+    w = np.where(s.real < 0.5, 1.0 - s, s)
+    return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, _hurwitz_em_array(w, 1.0, opts)
 
 
 def log_xi1(w, opts: EvalOptions = DEFAULT_OPTIONS):
@@ -318,15 +335,9 @@ def log_xi1(w, opts: EvalOptions = DEFAULT_OPTIONS):
     so it is stable for arbitrarily large |Im w|. Imaginary part modulo 2*pi.
     """
     w = np.asarray(w, dtype=complex)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    ww = np.where(w.real < 0.5, 1.0 - w, w)
-    out = (
-        _lanczos_loggamma_right(ww / 2.0)
-        - (ww / 2.0) * LN_PI
-        + np.log(_hurwitz_em_array(ww, 1.0, opts))
-    )
-    return complex(out[0]) if scalar else out
+    lg, z = _xi1_log_form(np.atleast_1d(w), opts)
+    out = lg + np.log(z)
+    return complex(out[0]) if w.ndim == 0 else out
 
 
 # The evaluators below take and return 1-d complex arrays. Branches are
@@ -387,9 +398,8 @@ def _rgamma(z: np.ndarray) -> np.ndarray:
 
 @_singular(poles=(0.0, 1.0))
 def _xi1(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    w = np.where(s.real < 0.5, 1.0 - s, s)
-    lg = _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI
-    return np.exp(lg) * _hurwitz_em_array(w, 1.0, opts)
+    lg, z = _xi1_log_form(s, opts)
+    return np.exp(lg) * z
 
 
 def _half_sum(s: np.ndarray, sign: float, opts: EvalOptions) -> np.ndarray:
@@ -398,13 +408,11 @@ def _half_sum(s: np.ndarray, sign: float, opts: EvalOptions) -> np.ndarray:
     return (both[: s.size] + sign * both[s.size :]) / 4.0
 
 
-# the reflection s -> 1-s maps 0 to the cancelling zeta pole at 1
+# s(s-1)/2 cancels the xi1 poles at 0 and 1, one of which is the zeta pole
 @_singular(removable=(0.0, 1.0), tol=1e-7, radius=1e-3)
 def _xi(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    # (s-1) pi^{-s/2} Gamma(s/2 + 1) zeta(s): entire, regular at 0 and 1
-    w = np.where(s.real < 0.0, 1.0 - s, s)
-    lg = _lanczos_loggamma_right(w / 2.0 + 1.0) - (w / 2.0) * LN_PI
-    return (w - 1.0) * np.exp(lg) * _hurwitz_em_array(w, 1.0, opts)
+    lg, z = _xi1_log_form(s, opts)
+    return (s * (s - 1.0) / 2.0) * np.exp(lg) * z
 
 
 # both xi1 poles cancel at 1/2; a wider circle keeps the cancellation noise down
@@ -446,23 +454,127 @@ def _l4(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     return _split(s, s.real > 0.0, right, left)
 
 
-def _l4_completed(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    # Gamma(s) L4(s) / (pi^{s/2} Gamma(s/2)) rewritten by Legendre duplication:
-    # 2^{s-1} pi^{-(s+1)/2} Gamma((s+1)/2) L4(s); entire and even under s -> 1-s.
+def _l4c_log_form(s: np.ndarray, opts: EvalOptions):
+    """(log(2^(w-1) pi^(-(w+1)/2) Gamma((w+1)/2)), L4(w)); that prefactor is
+    Gamma(w) / (pi^(w/2) Gamma(w/2)) by Legendre duplication."""
     w = np.where(s.real < 0.5, 1.0 - s, s)
     lg = (w - 1.0) * LN_2 - ((w + 1.0) / 2.0) * LN_PI + _lanczos_loggamma_right((w + 1.0) / 2.0)
-    return np.exp(lg) * _l4(w, opts)
+    return lg, _l4(w, opts)
 
 
-_EVALUATORS = {
-    FunctionId.XI: _xi,
-    FunctionId.XI1: _xi1,
-    FunctionId.T_PLUS: _t_plus,
-    FunctionId.T_MINUS: _t_minus,
-    FunctionId.T_PLUS_TILDE: _t_plus_tilde,
-    FunctionId.T_MINUS_TILDE: _t_minus_tilde,
-    FunctionId.L4: _l4,
-    FunctionId.L4_COMPLETED: _l4_completed,
+def _l4_completed(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    lg, l4 = _l4c_log_form(s, opts)
+    return np.exp(lg) * l4
+
+
+# ---------------------------------------------------------------------------
+# critical-line real forms: the builders' pair at 1/2 + it (xi, l4c) or at
+# 1 + 2it (T_plus, T_minus), with the prefactor's modulus kept as a log
+
+
+def _scaled_real_part(log_scale, phase, values, take_imag=False):
+    """exp(clamped log_scale) * Re(e^{i phase} values) elementwise."""
+    rotated = np.exp(1j * phase) * values
+    comp = rotated.imag if take_imag else rotated.real
+    return np.exp(np.maximum(log_scale, _LOG_FLOOR)) * comp
+
+
+def _xi_line(t: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    # xi = s(s-1)/2 xi1, and s(s-1)/2 = -(t^2 + 1/4)/2 on the line
+    lg, z = _xi1_log_form(0.5 + 1j * t, opts)
+    return -_scaled_real_part(np.log(0.5 * (t * t + 0.25)) + lg.real, lg.imag, z)
+
+
+def _t_line(t: np.ndarray, opts: EvalOptions, take_imag: bool = False) -> np.ndarray:
+    # xi1(2s - 1) = xi1(2 - 2s) = conj xi1(2s) on the line, so T_plus = Re xi1(1 + 2it)/2
+    # and T_minus / i = Im xi1(1 + 2it)/2
+    tiny = np.abs(t) < 1e-8
+    if take_imag and np.any(tiny):
+        raise PoleError("T_minus has a pole at s=1/2 (t=0)")
+    w = np.where(tiny, 1.0 + 2e-6j, 1.0 + 2j * t)  # dodge the zeta pole at w=1
+    lg, z = _xi1_log_form(w, opts)
+    out = 0.5 * _scaled_real_part(lg.real, lg.imag, z, take_imag)
+    if np.any(tiny):
+        out[tiny] = evaluate(FunctionId.T_PLUS, 0.5, opts).real
+    return out
+
+
+def _l4c_line(t: np.ndarray, opts: EvalOptions) -> np.ndarray:
+    lg, l4 = _l4c_log_form(0.5 + 1j * t, opts)
+    return _scaled_real_part(lg.real, lg.imag, l4)
+
+
+# ---------------------------------------------------------------------------
+# the function table
+
+
+@dataclass(frozen=True)
+class ZeroCount:
+    """Smooth count N(T) = x log(T/h_log) - x + c, x = T/h, of the zeros with
+    ordinate in (0, T] (one per conjugate pair), and its density dN/dT."""
+
+    h: float
+    h_log: float
+    c: float = 0.0
+
+    def count(self, t: float) -> float:
+        x = t / self.h
+        return x * math.log(t / self.h_log) - x + self.c
+
+    def density(self, t: float) -> float:
+        return math.log(t / self.h_log) / self.h
+
+
+@dataclass(frozen=True)
+class FunctionSpec:
+    """Every fact the library keeps about one function of zeta type.
+
+    evaluator: (1-d complex array, EvalOptions) -> array of values.
+    series: the form whose log-Taylor series about 0 gives the sum rules
+        (pole-free, except xi1, which has no radius).
+    radius: default Taylor circle radius, inside the nearest zero.
+    t_max, real_axis: height of the default zero dataset, and whether it
+        carries the real-axis zeros.
+    zeros: smooth zero count and density, for the density-model tails.
+    line: real critical-line form r(t) on a float array (critical_line_form).
+    """
+
+    evaluator: Callable
+    series: FunctionId
+    radius: Optional[float] = None
+    t_max: Optional[float] = None
+    real_axis: bool = False
+    zeros: Optional[ZeroCount] = None
+    line: Optional[Callable] = None
+
+
+_XI_ZEROS = ZeroCount(2.0 * math.pi, 2.0 * math.pi, 7.0 / 8.0)
+_T_ZEROS = ZeroCount(math.pi, math.pi)
+_L4_ZEROS = ZeroCount(2.0 * math.pi, math.pi / 2.0)  # upper half-plane zeros only
+
+SPECS = {
+    FunctionId.XI: FunctionSpec(
+        _xi, FunctionId.XI, radius=4.0, t_max=2520.0, zeros=_XI_ZEROS, line=_xi_line
+    ),
+    FunctionId.XI1: FunctionSpec(_xi1, FunctionId.XI1),
+    FunctionId.T_PLUS: FunctionSpec(
+        _t_plus, FunctionId.T_PLUS_TILDE, t_max=1000.0, zeros=_T_ZEROS, line=_t_line
+    ),
+    FunctionId.T_MINUS: FunctionSpec(
+        _t_minus, FunctionId.T_MINUS_TILDE, t_max=1000.0, real_axis=True,
+        zeros=_T_ZEROS, line=partial(_t_line, take_imag=True),
+    ),
+    FunctionId.T_PLUS_TILDE: FunctionSpec(
+        _t_plus_tilde, FunctionId.T_PLUS_TILDE, radius=2.0, zeros=_T_ZEROS
+    ),
+    FunctionId.T_MINUS_TILDE: FunctionSpec(
+        _t_minus_tilde, FunctionId.T_MINUS_TILDE, radius=1.5, zeros=_T_ZEROS
+    ),
+    FunctionId.L4: FunctionSpec(_l4, FunctionId.L4_COMPLETED, zeros=_L4_ZEROS),
+    FunctionId.L4_COMPLETED: FunctionSpec(
+        _l4_completed, FunctionId.L4_COMPLETED, radius=3.0, t_max=1126.33,
+        zeros=_L4_ZEROS, line=_l4c_line,
+    ),
 }
 
 
@@ -475,60 +587,21 @@ def evaluate(f: FunctionId, s, opts: EvalOptions = DEFAULT_OPTIONS):
     """
     f = FunctionId(f)
     z = np.asarray(s, dtype=complex)
-    values = _EVALUATORS[f](z.ravel(), opts)
+    values = SPECS[f].evaluator(z.ravel(), opts)
     bad = ~np.isfinite(values)
     if bad.any():
         raise AccuracyError(f"non-finite value from {f} at s={z.ravel()[bad][0]}")
     return complex(values[0]) if z.ndim == 0 else values.reshape(z.shape)
 
 
-# ---------------------------------------------------------------------------
-# critical-line real forms
-
-
-def _scaled_real_part(log_scale, phase, values, take_imag=False):
-    """exp(clamped log_scale) * Re(e^{i phase} values) elementwise."""
-    rotated = np.exp(1j * phase) * values
-    comp = rotated.imag if take_imag else rotated.real
-    return np.exp(np.maximum(log_scale, _LOG_FLOOR)) * comp
-
-
 def critical_line_values(f: FunctionId, t, opts: EvalOptions = DEFAULT_OPTIONS):
     """Vectorised critical-line real form r(t); see critical_line_form."""
     f = FunctionId(f)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if f == FunctionId.XI:
-        s = 0.5 + 1j * t
-        lg = _lanczos_loggamma_right(s / 2.0) - (s / 2.0) * LN_PI
-        z = _hurwitz_em_array(s, 1.0, opts)
-        scale = np.log(0.5 * (t * t + 0.25)) + lg.real
-        out = -_scaled_real_part(scale, lg.imag, z)
-    elif f in (FunctionId.T_PLUS, FunctionId.T_MINUS):
-        tiny = np.abs(t) < 1e-8
-        if f == FunctionId.T_MINUS and np.any(tiny):
-            raise PoleError("T_minus has a pole at s=1/2 (t=0)")
-        w = np.where(tiny, 1.0 + 2e-6j, 1.0 + 2j * t)  # dodge the zeta pole at w=1
-        lg = _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI
-        z = _hurwitz_em_array(w, 1.0, opts)
-        out = 0.5 * _scaled_real_part(
-            lg.real, lg.imag, z, take_imag=(f == FunctionId.T_MINUS)
-        )
-        if np.any(tiny):
-            out[tiny] = evaluate(FunctionId.T_PLUS, 0.5, opts).real
-    elif f == FunctionId.L4_COMPLETED:
-        s = 0.5 + 1j * t
-        lg = (s - 1.0) * LN_2 - ((s + 1.0) / 2.0) * LN_PI + _lanczos_loggamma_right(
-            (s + 1.0) / 2.0
-        )
-        l4 = np.exp(-s * LN_4) * (
-            _hurwitz_em_array(s, 0.25, opts) - _hurwitz_em_array(s, 0.75, opts)
-        )
-        out = _scaled_real_part(lg.real, lg.imag, l4)
-    else:
+    if SPECS[f].line is None:
         raise DomainError(f"no critical-line real form for {f}")
-    return float(out[0]) if scalar else out
+    t = np.asarray(t, dtype=float)
+    out = SPECS[f].line(np.atleast_1d(t), opts)
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def critical_line_form(f: FunctionId, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:

@@ -4,6 +4,8 @@ sigma_m is computed (a) from Taylor coefficients of log f about 0, via
 circle sampling, and (b) by direct summation over located zeros with a
 density-model tail. The two routes are complementary: the zero route
 converges slowly for small m, the derivative route loses digits as m grows.
+The series form, its circle radius and the density model of each function
+are read from its row of special.SPECS.
 """
 
 from __future__ import annotations
@@ -16,19 +18,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError, RadiusError
-from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId, evaluate
+from .special import DEFAULT_OPTIONS, SPECS, EvalOptions, FunctionId, evaluate
 from .zeros import ZeroDataset
 
 DERIVATIVE_ROUTE = "derivative_route"
 ZERO_ROUTE = "zero_route"
-
-# circle radii staying inside the nearest zero of each pole-free form
-DEFAULT_RADII = {
-    FunctionId.XI: 4.0,
-    FunctionId.T_PLUS_TILDE: 2.0,
-    FunctionId.T_MINUS_TILDE: 1.5,
-    FunctionId.L4_COMPLETED: 3.0,
-}
 
 
 @dataclass
@@ -98,9 +92,9 @@ def taylor_log_coeffs(
     """
     f = FunctionId(f)
     if radius is None:
-        if f not in DEFAULT_RADII:
+        radius = SPECS[f].radius
+        if radius is None:
             raise DomainError(f"no default radius for {f}; pass one explicitly")
-        radius = DEFAULT_RADII[f]
     samples2 = _circle_samples(f, center, radius, 2 * resolution, opts)
     # the even-indexed angles 2 pi (2k) / (2n) are exactly 2 pi k / n
     samples = samples2[::2]
@@ -129,38 +123,25 @@ def taylor_log_coeffs(
 
 def zero_density(f: FunctionId, t: float) -> float:
     """Smooth density of critical-line zeros at ordinate t (one per pair)."""
-    if f == FunctionId.XI:
-        return math.log(t / (2.0 * math.pi)) / (2.0 * math.pi)
-    if f in (FunctionId.T_PLUS, FunctionId.T_MINUS, FunctionId.T_PLUS_TILDE, FunctionId.T_MINUS_TILDE):
-        return math.log(t / math.pi) / math.pi
-    if f in (FunctionId.L4, FunctionId.L4_COMPLETED):
-        return math.log(2.0 * t / math.pi) / (2.0 * math.pi)
-    raise DomainError(f"no zero-density model for {f}")
+    zeros = SPECS[FunctionId(f)].zeros
+    if zeros is None:
+        raise DomainError(f"no zero-density model for {f}")
+    return zeros.density(t)
 
 
-def _smooth_count(f: FunctionId, t: float) -> float:
-    if f == FunctionId.XI:
-        x = t / (2.0 * math.pi)
-        return x * math.log(x) - x + 7.0 / 8.0
-    if f in (FunctionId.T_PLUS, FunctionId.T_MINUS, FunctionId.T_PLUS_TILDE, FunctionId.T_MINUS_TILDE):
-        x = t / math.pi
-        return x * math.log(x) - x
-    if f in (FunctionId.L4, FunctionId.L4_COMPLETED):
-        return (t / (2.0 * math.pi)) * (math.log(2.0 * t / math.pi) - 1.0)
-    raise DomainError(f"no zero-count model for {f}")
-
-
-def _anchored_tail(g, f: FunctionId, t_max: float, n_observed: int) -> float:
+def _anchored_tail(g, ds: ZeroDataset, n_observed: int) -> float:
     """Estimate of sum of g(t) over critical-line ordinates above t_max.
 
-    Integrates g against the smooth density, then anchors the boundary with
-    the observed fluctuation N_smooth(t_max) - N_observed, which removes the
-    leading error of the density model at the cut.
+    Integrates g against the smooth density of the dataset's function, then
+    anchors the boundary t_max = ds.t_max_scanned with the observed
+    fluctuation N_smooth(t_max) - N_observed, which removes the leading error
+    of the density model at the cut.
     """
+    t_max = ds.t_max_scanned
     integral, _ = quad(
-        lambda t: g(t) * zero_density(f, t), t_max, np.inf, limit=200
+        lambda t: g(t) * zero_density(ds.function, t), t_max, np.inf, limit=200
     )
-    fluct = _smooth_count(f, t_max) - float(n_observed)
+    fluct = SPECS[ds.function].zeros.count(t_max) - float(n_observed)
     return integral + g(t_max) * fluct
 
 
@@ -192,12 +173,7 @@ def sigma_from_zeros(
         for x in ds.real_points():
             total += complex(x) ** (-m)
     if tail_correction and len(ts):
-        total += _anchored_tail(
-            lambda t: 2.0 * ((0.5 + 1j * t) ** (-m)).real,
-            ds.function,
-            ds.t_max_scanned,
-            len(ts),
-        )
+        total += _anchored_tail(lambda t: 2.0 * ((0.5 + 1j * t) ** (-m)).real, ds, len(ts))
     return total
 
 
@@ -210,15 +186,6 @@ def sigma_series_from_zeros(
     return SigmaSeries(ds.function, vals, [ZERO_ROUTE] * K, len(ds.records))
 
 
-def _series_function(f: FunctionId) -> FunctionId:
-    """Pole-free form whose log-Taylor series encodes the zeros of f."""
-    return {
-        FunctionId.T_PLUS: FunctionId.T_PLUS_TILDE,
-        FunctionId.T_MINUS: FunctionId.T_MINUS_TILDE,
-        FunctionId.L4: FunctionId.L4_COMPLETED,
-    }.get(f, f)
-
-
 def sigma_series_derivative(
     f: FunctionId,
     K: int,
@@ -226,7 +193,7 @@ def sigma_series_derivative(
     opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> SigmaSeries:
     """sigma_1..sigma_K from log-Taylor coefficients: sigma_m = -m c_m."""
-    f = _series_function(FunctionId(f))
+    f = SPECS[FunctionId(f)].series
     ps = taylor_log_coeffs(f, K, radius, opts)
     vals = np.array([-m * ps.coeffs[m] for m in range(1, K + 1)])
     return SigmaSeries(f, vals, [DERIVATIVE_ROUTE] * K, 0)
@@ -240,7 +207,7 @@ def verify_sum_rule(
     opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> List[Tuple[int, float, float, float]]:
     """Rows (m, lhs, rhs, diff): lhs = c_m of log f, rhs = -sigma_m/m from zeros."""
-    f = _series_function(FunctionId(f))
+    f = SPECS[FunctionId(f)].series
     K = max(m_range)
     ps = taylor_log_coeffs(f, K, radius, opts)
     rows = []
@@ -372,12 +339,8 @@ def tau_lambda_from_zeros(
             t_m += -(wx**m) / x**2
             l_m += (1.0 - wx**m) / m
         if tail_correction and n_obs:
-            t_m += _anchored_tail(
-                _tau_pair_integrand(m), ds.function, ds.t_max_scanned, n_obs
-            )
-            l_m += _anchored_tail(
-                _lambda_pair_integrand(m), ds.function, ds.t_max_scanned, n_obs
-            )
+            t_m += _anchored_tail(_tau_pair_integrand(m), ds, n_obs)
+            l_m += _anchored_tail(_lambda_pair_integrand(m), ds, n_obs)
         if m >= 2:
             tau[m - 1] = t_m
         lam[m] = l_m
@@ -411,7 +374,5 @@ def inverse_square_modulus_sum(
         raw += float(np.sum(1.0 / ds.real_points() ** 2)) if len(ds.real_points()) else 0.0
     corrected = raw
     if len(ts):
-        corrected += _anchored_tail(
-            lambda t: 2.0 / (0.25 + t * t), ds.function, ds.t_max_scanned, len(ts)
-        )
+        corrected += _anchored_tail(lambda t: 2.0 / (0.25 + t * t), ds, len(ts))
     return raw, corrected

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import MissedZeroWarning, NoSignChangeError, DomainError
 from .special import (
     DEFAULT_OPTIONS,
+    SPECS,
     EvalOptions,
     FunctionId,
     critical_line_values,
@@ -214,30 +215,17 @@ def scan_zeros(
     return ds
 
 
-def _predicted_count(f: FunctionId, big_t: float) -> float:
-    """Smooth zero-count estimate N(T) on (0, T]."""
-    if big_t <= 0.0:
-        return 0.0
-    if f == FunctionId.XI:
-        x = big_t / (2.0 * math.pi)
-        return x * math.log(x) - x + 7.0 / 8.0 if x > 0 else 0.0
-    if f in (FunctionId.T_PLUS, FunctionId.T_MINUS):
-        x = big_t / math.pi
-        return x * math.log(x) - x
-    if f == FunctionId.L4_COMPLETED:
-        # upper half-plane only; conjugate zeros are implied
-        return (big_t / (2.0 * math.pi)) * (math.log(2.0 * big_t / math.pi) - 1.0)
-    raise DomainError(f"no zero-count model for {f}")
-
-
 def count_check(ds: ZeroDataset) -> Tuple[int, float]:
     """Compare the dataset's zero count on (0, t_max] with the density model.
 
     Emits MissedZeroWarning when the discrepancy exceeds 2 + 5% of the
     prediction; the smooth model itself fluctuates by O(log T).
     """
+    zeros = SPECS[ds.function].zeros
+    if zeros is None:
+        raise DomainError(f"no zero-count model for {ds.function}")
     observed = int(np.sum(ds.ordinates() <= ds.t_max_scanned))
-    predicted = _predicted_count(ds.function, ds.t_max_scanned)
+    predicted = zeros.count(ds.t_max_scanned) if ds.t_max_scanned > 0.0 else 0.0
     if abs(observed - predicted) > 2.0 + 0.05 * predicted:
         warnings.warn(
             f"{ds.function}: found {observed} zeros up to t={ds.t_max_scanned}, "

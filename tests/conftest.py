@@ -1,33 +1,29 @@
 import numpy as np
 import pytest
 
-from zetasums.datasets import cached_dataset
+from zetasums.datasets import default_dataset
 from zetasums.special import FunctionId
 from zetasums.sumrules import sigma_series_derivative
-
-XI_TMAX = 2520.0
-T_TMAX = 1000.0
-L4_TMAX = 1126.33
 
 
 @pytest.fixture(scope="session")
 def ds_xi():
-    return cached_dataset(FunctionId.XI, XI_TMAX)
+    return default_dataset(FunctionId.XI)
 
 
 @pytest.fixture(scope="session")
 def ds_tplus():
-    return cached_dataset(FunctionId.T_PLUS, T_TMAX)
+    return default_dataset(FunctionId.T_PLUS)
 
 
 @pytest.fixture(scope="session")
 def ds_tminus():
-    return cached_dataset(FunctionId.T_MINUS, T_TMAX, include_real_axis=True)
+    return default_dataset(FunctionId.T_MINUS)
 
 
 @pytest.fixture(scope="session")
 def ds_l4():
-    return cached_dataset(FunctionId.L4_COMPLETED, L4_TMAX)
+    return default_dataset(FunctionId.L4_COMPLETED)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 """CLI: artifact formats, exit codes, and determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +14,19 @@ from zetasums.cli import main
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("zetasums ")
+    ]
+    assert len(commands) == len(main.commands)
+    for name, *args in commands:
+        main.commands[name].make_context(name, args)  # raises a UsageError, runs nothing
 
 
 def test_sumrule_table_row(runner):

@@ -364,6 +364,17 @@ def test_critical_line_values_vectorized_consistency():
         assert v == pytest.approx(critical_line_form(FunctionId.XI, float(t)), rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "f, unit",
+    [(FunctionId.XI, 1), (FunctionId.T_PLUS, 1), (FunctionId.T_MINUS, 1j), (FunctionId.L4_COMPLETED, 1)],
+)
+def test_critical_line_values_match_evaluate(f, unit):
+    # below t = 60 nothing is clamped, so the line form is the function itself
+    ts = np.linspace(0.5, 60.0, 239)[1:]
+    expected = (evaluate(f, 0.5 + 1j * ts) / unit).real
+    assert np.all(np.abs(critical_line_values(f, ts) - expected) <= 1e-12 * np.abs(expected))
+
+
 def test_critical_line_no_underflow_at_large_t():
     ts = np.linspace(995.0, 1000.0, 32)
     for f in (FunctionId.T_PLUS, FunctionId.T_MINUS, FunctionId.XI):

@@ -6,9 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetasums.special import DEFAULT_OPTIONS, FunctionId
+from zetasums.special import DEFAULT_OPTIONS, SPECS, FunctionId
 from zetasums.sumrules import (
-    DEFAULT_RADII,
     _circle_samples,
     crossover_select,
     inverse_square_modulus_sum,
@@ -91,14 +90,17 @@ _MP_FORMS = {
 }
 
 
-@pytest.mark.parametrize("f", list(DEFAULT_RADII))
+_WITH_RADIUS = [f for f, row in SPECS.items() if row.radius is not None]
+
+
+@pytest.mark.parametrize("f", _WITH_RADIUS)
 def test_circle_samples_match_mpmath(f):
     n = 1024  # the doubled resolution taylor_log_coeffs samples by default
-    samples = _circle_samples(f, 0.0, DEFAULT_RADII[f], n, DEFAULT_OPTIONS)
+    samples = _circle_samples(f, 0.0, SPECS[f].radius, n, DEFAULT_OPTIONS)
     angles = 2.0 * np.pi * np.arange(n) / n
     # off the real axis, where the mpmath forms meet Gamma poles times trivial zeros
     for k in (1, 77, 300, 700, 1000):
-        s = DEFAULT_RADII[f] * complex(np.exp(1j * angles[k]))
+        s = SPECS[f].radius * complex(np.exp(1j * angles[k]))
         expected = complex(_MP_FORMS[f](mpmath.mpc(s)))
         assert abs(samples[k] - expected) <= 1e-12 * abs(expected)
 
@@ -187,6 +189,32 @@ def test_zero_density_matches_observed_gaps(ds_xi):
     assert zero_density(FunctionId.XI, 1000.0) == pytest.approx(
         observed_rate, rel=0.05
     )
+
+
+@pytest.mark.parametrize("f", [f for f, row in SPECS.items() if row.zeros is not None])
+@pytest.mark.parametrize("t", [50.0, 500.0, 2500.0])
+def test_density_is_the_derivative_of_the_count(f, t):
+    h = 1e-4 * t
+    zeros = SPECS[f].zeros
+    slope = (zeros.count(t + h) - zeros.count(t - h)) / (2.0 * h)
+    assert zero_density(f, t) == pytest.approx(slope, rel=1e-8)
+
+
+# the session dataset whose zeros are the zeros of each series form
+_SERIES_DATASET = {
+    FunctionId.XI: "ds_xi",
+    FunctionId.T_PLUS_TILDE: "ds_tplus",
+    FunctionId.T_MINUS_TILDE: "ds_tminus",
+    FunctionId.L4_COMPLETED: "ds_l4",
+}
+
+
+@pytest.mark.parametrize("f", _WITH_RADIUS)
+def test_series_radius_inside_nearest_zero(f, request):
+    ds = request.getfixturevalue(_SERIES_DATASET[f])
+    assert SPECS[ds.function].series is f
+    nearest = min([abs(0.5 + 1j * ds.ordinates()[0])] + list(np.abs(ds.real_points())))
+    assert SPECS[f].radius < nearest
 
 
 def test_inverse_square_raw_vs_direct(ds_tplus):
