@@ -1,7 +1,10 @@
 """Zeros and zero-power sum rules for Riemann-zeta-type functions."""
 
+__version__ = "0.1.0"  # before the imports: datasets names its cache files with it
+
 from .errors import (
     AccuracyError,
+    CacheWarning,
     ChecksumError,
     ConvergenceError,
     DomainError,
@@ -65,4 +68,3 @@ from .rhscan import (
     v_func,
 )
 
-__version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 A dataset is a CSV of records plus a JSON sidecar manifest carrying a
 checksum of the record stream. Floats are written in shortest round-trip
-form so save/load is bit-identical.
+form so save/load is bit-identical. Both files are written whole or not at
+all, and cache file names carry the kernel that wrote them.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ChecksumError, DomainError, SchemaError
+from . import __version__
+from .errors import CacheWarning, ChecksumError, DomainError, SchemaError
 from .special import DEFAULT_OPTIONS, SPECS, EvalOptions, FunctionId
 from .zeros import (
     CRITICAL_LINE,
@@ -29,6 +32,10 @@ from .zeros import (
 SCHEMA_VERSION = 1
 _HEADER = ["function", "index", "kind", "t_or_x", "residual"]
 CACHE_ENV = "ZETASUMS_CACHE_DIR"
+# Zero-finding kernel number, in every cache file name with the package
+# version: a change that can move a written ordinate bumps it, so that no
+# file written by an older kernel is served. 2: separable scan grid.
+KERNEL = 2
 
 
 @dataclass(frozen=True)
@@ -59,13 +66,15 @@ def _stream_checksum(rows) -> str:
 
 
 def save_dataset(ds: ZeroDataset, path) -> DatasetManifest:
-    """Write the dataset CSV and its sidecar manifest; returns the manifest."""
+    """Write the dataset CSV and its sidecar manifest; returns the manifest.
+
+    Both are written to temporary files beside the targets and then moved
+    over them, the CSV first, so a write that fails leaves no partial file
+    at either path.
+    """
     path = Path(path)
+    mpath = _manifest_path(path)
     rows = list(_record_rows(ds))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_HEADER)
-        w.writerows(rows)
     manifest = DatasetManifest(
         function=ds.function,
         count=len(rows),
@@ -74,9 +83,20 @@ def save_dataset(ds: ZeroDataset, path) -> DatasetManifest:
         generator_metadata=ds.generator_metadata,
         schema_version=SCHEMA_VERSION,
     )
-    with open(_manifest_path(path), "w") as fh:
-        json.dump({**asdict(manifest), "function": manifest.function.value}, fh, indent=2)
-        fh.write("\n")
+    temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (path, mpath)]
+    try:
+        with open(temps[0], "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(_HEADER)
+            w.writerows(rows)
+        with open(temps[1], "w") as fh:
+            json.dump({**asdict(manifest), "function": manifest.function.value}, fh, indent=2)
+            fh.write("\n")
+        os.replace(temps[0], path)
+        os.replace(temps[1], mpath)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
     return manifest
 
 
@@ -183,7 +203,8 @@ def _cache_path(f: FunctionId, t_max: float, grid_step, include_real_axis: bool)
     tag = "ra" if include_real_axis else "cl"
     step = grid_step if grid_step is not None else "auto"
     # repr keeps every digit: t_max values that differ must not share a file
-    return cache_dir() / f"{FunctionId(f).value}_t{float(t_max)!r}_s{step}_{tag}.csv"
+    name = f"{FunctionId(f).value}_t{float(t_max)!r}_s{step}_{tag}_v{__version__}k{KERNEL}.csv"
+    return cache_dir() / name
 
 
 def cached_dataset(
@@ -192,14 +213,16 @@ def cached_dataset(
     grid_step: Optional[float] = None,
     include_real_axis: bool = False,
 ) -> ZeroDataset:
-    """Scan-once-then-reuse helper keyed by the whole request: function, t_max, step, flag."""
+    """Scan-once-then-reuse helper keyed by the whole request: function, t_max,
+    step, flag, and the kernel. A cache file that fails its checks warns
+    CacheWarning and is rebuilt."""
     f = FunctionId(f)
     path = _cache_path(f, t_max, grid_step, include_real_axis)
     if path.exists():
         try:
             return load_dataset(path)
-        except (ChecksumError, SchemaError):
-            pass
+        except (ChecksumError, SchemaError) as exc:
+            warnings.warn(f"rebuilding corrupt cache file {path}: {exc}", CacheWarning)
     ds = scan_zeros(f, 0.0, t_max, grid_step)
     if include_real_axis:
         ds = with_real_axis_records(ds)

@@ -55,3 +55,7 @@ class MissedZeroWarning(UserWarning):
 
 class NonConvergenceWarning(UserWarning):
     """A derivative-zero search did not converge for one triplet."""
+
+
+class CacheWarning(UserWarning):
+    """A cached dataset failed its checks and is being rebuilt."""

@@ -3,7 +3,11 @@
 Zeros are found as sign changes of the rescaled critical-line real form on
 a grid, refined together by one bracketed solver (Illinois steps with a
 bisection point at every step, one array call per step), and returned as
-ordered datasets with 1-based ordinals.
+ordered datasets with 1-based ordinals. The grid is aligned to multiples of
+its step, so each chunk is read with the separable kernel: its
+Euler-Maclaurin direct sums are one product of a block-phase matrix and a
+step-phase matrix (special._hurwitz_em_once). The bracket ends, the
+refiner's probes and the residuals are read pointwise.
 """
 
 from __future__ import annotations
@@ -77,6 +81,31 @@ def _sign_changes(v: np.ndarray) -> np.ndarray:
     ~1e-300 and their product would underflow to zero.
     """
     return np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)[0]
+
+
+def _read_ends(func, t, v, top, carried: bool) -> None:
+    """Replace grid values v, in place, by pointwise ones at the last point
+    and at both ends of every sign change, until the sign changes settle.
+
+    A grid value differs from the pointwise one at rounding level, so where
+    r(t) is that small its sign may differ. Every bracket then starts from
+    the same ends, and the same values, as a pointwise scan: each read
+    includes the chunk's top point, so it shares the chunk's cutoff.
+    carried: v[0] is the previous chunk's last value, read already.
+    """
+    exact = np.zeros(t.size, dtype=bool)
+    exact[0] = carried
+    need = np.zeros(t.size, dtype=bool)
+    need[-1] = True  # carried into the next chunk
+    while True:
+        i = _sign_changes(v)
+        need[i] = need[i + 1] = True
+        need &= ~exact
+        if not need.any():
+            return
+        at = np.nonzero(need)[0]
+        v[at] = func(np.append(t[at], top))[:-1]
+        exact |= need
 
 
 def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
@@ -169,9 +198,12 @@ def scan_zeros(
     """Scan [t_lo, t_hi] for zeros of the critical-line form of f.
 
     The grid is aligned to integer multiples of the step, so adjacent scans
-    share their boundary points and concatenate without loss. The sign
-    changes of each grid chunk are refined together, at most _BATCH at a
-    time, to brackets of width 1e-11.
+    share their boundary points and concatenate without loss, and each
+    chunk of _CHUNK points is one separable grid call of
+    critical_line_values. The ends of its sign changes are read again
+    pointwise (_read_ends), and the sign changes are refined together, at
+    most _BATCH at a time, to brackets of width 1e-11: the ordinates are
+    those of a scan with a pointwise grid.
     """
     f = FunctionId(f)
     if grid_step is None:
@@ -188,10 +220,12 @@ def scan_zeros(
     for start in range(i_lo, i_hi + 1, _CHUNK):
         stop = min(start + _CHUNK, i_hi + 1)
         t = np.arange(start, stop, dtype=float) * grid_step
-        v = func(t)
+        v = critical_line_values(f, t, opts, grid_step)
+        top = t[np.argmax(np.abs(t))]
         if prev_t is not None:
             t = np.concatenate(([prev_t], t))
             v = np.concatenate(([prev_v], v))
+        _read_ends(func, t, v, top, prev_t is not None)
         change = _sign_changes(v)
         for k in range(0, change.size, _BATCH):
             i = change[k : k + _BATCH]

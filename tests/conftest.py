@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from zetasums.datasets import default_dataset
+from zetasums.datasets import CACHE_ENV, default_dataset
 from zetasums.special import FunctionId
 from zetasums.sumrules import sigma_series_derivative
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_cache(tmp_path_factory):
+    """One fresh dataset cache for the session: the tests never read or write
+    the user's cache, and always build with the current kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CACHE_ENV, str(tmp_path_factory.mktemp("cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import zetasums
 from zetasums import datasets
 from zetasums.datasets import (
     cache_dir,
@@ -13,7 +14,7 @@ from zetasums.datasets import (
     load_dataset,
     save_dataset,
 )
-from zetasums.errors import ChecksumError, SchemaError
+from zetasums.errors import CacheWarning, ChecksumError, SchemaError
 from zetasums.special import FunctionId
 from zetasums.zeros import ZeroDataset, scan_zeros, with_real_axis_records
 
@@ -111,3 +112,48 @@ def test_cached_ordinates_reload_only_changed_files(tmp_path, monkeypatch, small
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "b"))
     assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n - 2
     assert len(loads) == 3
+
+
+def test_cache_never_serves_another_kernel(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    stale = ZeroDataset(FunctionId.XI, [], 30.0)
+    save_dataset(stale, tmp_path / "xi_t30.0_sauto_cl.csv")  # the name before kernels were tagged
+    with monkeypatch.context() as m:
+        m.setattr(datasets, "KERNEL", datasets.KERNEL - 1)
+        save_dataset(stale, datasets._cache_path(FunctionId.XI, 30.0, None, False))
+    path = datasets._cache_path(FunctionId.XI, 30.0, None, False)
+    assert path.name.endswith(f"_v{zetasums.__version__}k{datasets.KERNEL}.csv")
+    assert len(cached_dataset(FunctionId.XI, 30.0).records) == 3
+    assert len(load_dataset(path).records) == 3
+
+
+def test_corrupt_cache_file_warns_and_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    ds = cached_dataset(FunctionId.XI, 30.0)
+    (path,) = tmp_path.glob("*.csv")
+    path.write_text(path.read_text().replace("14.13", "14.14", 1))
+    with pytest.warns(CacheWarning, match="checksum mismatch"):
+        again = cached_dataset(FunctionId.XI, 30.0)
+    assert [r.t_or_x for r in again.records] == [r.t_or_x for r in ds.records]
+    assert len(load_dataset(path).records) == 3  # the rebuild was saved
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, small_ds):
+    path = tmp_path / "tm.csv"
+
+    def disk_full(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    # the CSV is written, the manifest fails: nothing reaches the target
+    monkeypatch.setattr(datasets.json, "dump", disk_full)
+    with pytest.raises(OSError):
+        save_dataset(small_ds, path)
+    assert list(tmp_path.iterdir()) == []
+    # over an existing dataset, the old files stay whole
+    monkeypatch.undo()
+    save_dataset(small_ds, path)
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    monkeypatch.setattr(datasets.json, "dump", disk_full)
+    with pytest.raises(OSError):
+        save_dataset(ZeroDataset(small_ds.function, [], 1.0), path)
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before

@@ -25,6 +25,7 @@ from zetasums.special import (
     log_xi1,
     riemann_zeta,
 )
+from zetasums.zeros import default_grid_step
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -154,7 +155,7 @@ def test_explicit_cutoff_accuracy_error():
 
 
 def test_em_row_slabs_are_bitwise(rng):
-    # 1,300 points span three row slabs; a fixed cutoff makes every point's
+    # 1,300 points span eight row slabs; a fixed cutoff makes every point's
     # direct sum the same length in one call and in one-point calls
     s = rng.uniform(0.5, 1.5, 1300) + 1j * rng.uniform(-700.0, 700.0, 1300)
     opts = EvalOptions(euler_maclaurin_cutoff=400)
@@ -373,6 +374,30 @@ def test_critical_line_values_match_evaluate(f, unit):
     ts = np.linspace(0.5, 60.0, 239)[1:]
     expected = (evaluate(f, 0.5 + 1j * ts) / unit).real
     assert np.all(np.abs(critical_line_values(f, ts) - expected) <= 1e-12 * np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "f, t0",
+    [(f, t0) for f in (FunctionId.XI, FunctionId.T_PLUS, FunctionId.T_MINUS, FunctionId.L4_COMPLETED)
+     for t0 in (10.0, 100.0, 1000.0)] + [(FunctionId.XI, 2500.0)],
+)
+def test_grid_values_match_pointwise(f, t0):
+    # the separable direct sum agrees with the pointwise one at rounding level
+    step = default_grid_step(t0)
+    t = np.arange(round(t0 / step), round(t0 / step) + 500, dtype=float) * step
+    point = critical_line_values(f, t)
+    grid = critical_line_values(f, t, grid_step=step)
+    bound = 1e-12 * np.max(np.abs(point))
+    assert np.max(np.abs(grid - point)) <= bound
+    big = np.abs(point) > bound
+    assert np.array_equal(np.sign(grid[big]), np.sign(point[big]))
+
+
+def test_grid_values_need_grid_points():
+    with pytest.raises(DomainError):
+        critical_line_values(FunctionId.XI, np.array([10.0, 10.015]), grid_step=0.02)
+    with pytest.raises(DomainError):
+        critical_line_values(FunctionId.XI, np.array([10.0]), grid_step=0.0)
 
 
 def test_critical_line_no_underflow_at_large_t():

@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from zetasums import special, zeros
 from zetasums.errors import NoSignChangeError
-from zetasums.special import FunctionId, critical_line_form
+from zetasums.special import FunctionId, critical_line_form, critical_line_values
 from zetasums.zeros import (
     CRITICAL_LINE,
     REAL_AXIS,
@@ -180,6 +181,27 @@ def test_xi_window_matches_mpmath(lo):
     assert len(ts) == int(mpmath.nzeros(lo + 5.0)) - first
     for n, t in enumerate(ts, start=first + 1):
         assert abs(t - float(mpmath.zetazero(n).imag)) <= 1e-9
+
+
+def test_rounding_level_grid_end_keeps_the_pointwise_root(monkeypatch):
+    # t = J h lies within rounding of a zero of xi near 2499.862, where the
+    # grid value and the pointwise one have opposite signs
+    J, h = 249969, 0.010000688256628844
+    t = np.arange(J - 100, J + 101, dtype=float) * h
+    grid = critical_line_values(FunctionId.XI, t, grid_step=h)
+    point = critical_line_values(FunctionId.XI, t)
+    assert np.sign(grid[100]) != np.sign(point[100])
+    assert abs(point[100]) <= 1e-12 * np.max(np.abs(point))
+    found = scan_zeros(FunctionId.XI, t[0], t[-1], h, check_count=False).ordinates()
+    # the same scan with a pointwise grid
+    monkeypatch.setattr(
+        zeros, "critical_line_values", lambda f, t, opts, grid_step=None: special.critical_line_values(f, t, opts)
+    )
+    pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h, check_count=False).ordinates()
+    assert found.size == pointwise.size == 2
+    # the ends are read again pointwise, so every bracket refines as in the
+    # pointwise scan; from the grid ends the root moved by 9.1e-12
+    assert np.array_equal(found, pointwise)
 
 
 def _mpmath_form(f, t):
