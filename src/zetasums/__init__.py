@@ -19,7 +19,6 @@ from .errors import (
     SchemaError,
 )
 from .special import (
-    EvalOptions,
     FunctionId,
     critical_line_form,
     evaluate,
@@ -43,7 +42,6 @@ from .sumrules import (
     keiper_identity_residuals,
     sigma_from_zeros,
     sigma_series_derivative,
-    sigma_series_from_zeros,
     tau_lambda_from_sigma,
     taylor_log_coeffs,
     verify_sum_rule,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .special import DEFAULT_OPTIONS, EvalOptions, FunctionId
+from .special import FunctionId
 from .sumrules import (
     PowerSeries,
     SigmaSeries,
@@ -93,26 +93,23 @@ def symmetric_sum_check(ds: ZeroDataset, sig: SigmaSeries) -> LinkReport:
     return LinkReport(2, lhs, rhs, abs(lhs - rhs))
 
 
-def _three_sigma_series(
-    K: int, opts: EvalOptions
-) -> Tuple[SigmaSeries, SigmaSeries, SigmaSeries]:
-    sK = sigma_series_derivative(FunctionId.XI, K + 1, opts=opts)
-    sP = sigma_series_derivative(FunctionId.T_PLUS_TILDE, K + 1, opts=opts)
-    sM = sigma_series_derivative(FunctionId.T_MINUS_TILDE, K + 1, opts=opts)
+def _three_sigma_series(K: int) -> Tuple[SigmaSeries, SigmaSeries, SigmaSeries]:
+    sK = sigma_series_derivative(FunctionId.XI, K + 1)
+    sP = sigma_series_derivative(FunctionId.T_PLUS_TILDE, K + 1)
+    sM = sigma_series_derivative(FunctionId.T_MINUS_TILDE, K + 1)
     return sK, sP, sM
 
 
 def verify_link3(
     K: int,
     sigmas: Optional[Tuple[SigmaSeries, SigmaSeries, SigmaSeries]] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> List[LinkReport]:
     """Coefficient comparison of (1-s) xi(2s) = 4[Tm~(s) + (s-1/2) Tp~(s)].
 
     Both sides are expanded about s=0 through order K from the three sigma
     series; the xi side carries the 2^k scaling from its 2s argument.
     """
-    sK, sP, sM = sigmas if sigmas is not None else _three_sigma_series(K, opts)
+    sK, sP, sM = sigmas if sigmas is not None else _three_sigma_series(K)
     bK = bell_table(_bell_vector_from_sigma(sK, K), K)
     bP = bell_table(_bell_vector_from_sigma(sP, K), K)
     bM = bell_table(_bell_vector_from_sigma(sM, K), K)

@@ -98,17 +98,25 @@ def _computation_guard(fn):
     return wrapper
 
 
-def _common(fn):
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["csv", "json"]),
-        default="csv",
-        show_default=True,
-    )(fn)
-    fn = click.option("--output", type=click.Path(writable=True), default=None)(fn)
-    fn = click.option("--precision-report", is_flag=True, default=False)(fn)
-    return fn
+def _common(table: bool = True, precision: bool = True):
+    """--output, plus --format where the output is a table and
+    --precision-report where the command writes one."""
+
+    def options(fn):
+        if table:
+            fn = click.option(
+                "--format",
+                "fmt",
+                type=click.Choice(["csv", "json"]),
+                default="csv",
+                show_default=True,
+            )(fn)
+        fn = click.option("--output", type=click.Path(writable=True), default=None)(fn)
+        if precision:
+            fn = click.option("--precision-report", is_flag=True, default=False)(fn)
+        return fn
+
+    return options
 
 
 @click.group()
@@ -121,7 +129,7 @@ def main() -> None:
 @click.option("--t-max", type=float, default=None, help="scan height (default per function)")
 @click.option("--grid-step", type=float, default=None)
 @click.option("--include-real-axis", is_flag=True, default=False)
-@_common
+@_common()
 @_computation_guard
 def zeros(f, t_max, grid_step, include_real_axis, fmt, output, precision_report):
     """Critical-line (and optional real-axis) zero dataset."""
@@ -143,7 +151,7 @@ def zeros(f, t_max, grid_step, include_real_axis, fmt, output, precision_report)
 @main.command()
 @_function_option
 @click.option("--m", "m_text", default="1..6", show_default=True)
-@_common
+@_common()
 @_computation_guard
 def sumrule(f, m_text, fmt, output, precision_report):
     """Power sums over zeros: derivative route vs zero route."""
@@ -164,7 +172,7 @@ def sumrule(f, m_text, fmt, output, precision_report):
 @main.command()
 @_function_option
 @click.option("--order", type=int, default=30, show_default=True)
-@_common
+@_common()
 @_computation_guard
 def keiper(f, order, fmt, output, precision_report):
     """tau and lambda coefficients from the sigma series."""
@@ -183,19 +191,19 @@ def keiper(f, order, fmt, output, precision_report):
 @main.command()
 @_function_option
 @click.option("--order", type=int, default=8, show_default=True)
-@_common
+@_common(precision=False)
 @_computation_guard
-def bell(f, order, fmt, output, precision_report):
+def bell(f, order, fmt, output):
     """Taylor coefficients rebuilt from the sigma series via Bell polynomials."""
     sig = sr.sigma_series_derivative(f, order)
     ps = bell_mod.series_from_sigma(sig, order)
     rows = [(k, repr(ps.coeffs[k].real)) for k in range(order + 1)]
-    _emit(rows, ["k", "coefficient"], fmt, output, None)
+    _emit(rows, ["k", "coefficient"], fmt, output)
 
 
 @main.command()
 @click.option("--order", type=int, default=10, show_default=True)
-@_common
+@_common()
 @_computation_guard
 def link(order, fmt, output, precision_report):
     """Cross-function linkage residuals (xi vs T-tilde pair)."""
@@ -217,9 +225,9 @@ def link(order, fmt, output, precision_report):
 @click.option("--z0", type=str, required=True, help="complex center, e.g. 0.1+0.05j")
 @click.option("--m", type=int, required=True)
 @click.option("--terms", type=int, default=40, show_default=True)
-@_common
+@_common(table=False, precision=False)
 @_computation_guard
-def translate(f, z0, m, terms, fmt, output, precision_report):
+def translate(f, z0, m, terms, output):
     """Translated zero-power sum at z0, both routes."""
     try:
         center = complex(z0)
@@ -248,9 +256,9 @@ def translate(f, z0, m, terms, fmt, output, precision_report):
 @click.option("--mode", type=click.Choice(["between", "after"]), default=None)
 @click.option("--n", "n_check", type=int, default=1500, show_default=True)
 @click.option("--t0", type=float, default=0.0, show_default=True)
-@_common
+@_common(table=False, precision=False)
 @_computation_guard
-def interlace(pair, mode, n_check, t0, fmt, output, precision_report):
+def interlace(pair, mode, n_check, t0, output):
     """Interlacing failures between a zero sequence and half-shifted xi zeros."""
     a_name = pair.split(":")[0]
     if mode is None:
@@ -265,9 +273,9 @@ def interlace(pair, mode, n_check, t0, fmt, output, precision_report):
 
 @main.command()
 @click.option("--range", "range_text", required=True, help="t range, e.g. 410..420")
-@_common
+@_common(precision=False)
 @_computation_guard
-def rhscan(range_text, fmt, output, precision_report):
+def rhscan(range_text, fmt, output):
     """Derivative zeros of V and the modulus condition over a t range."""
     parts = range_text.split("..")
     if len(parts) != 2:
@@ -293,15 +301,14 @@ def rhscan(range_text, fmt, output, precision_report):
         ["t_centroid", "re_s_d", "im_s_d", "modulus", "kind", "condition_met"],
         fmt,
         output,
-        None,
     )
 
 
 @main.command()
 @click.option("--resolution", type=float, default=1e-4, show_default=True)
-@_common
+@_common(table=False, precision=False)
 @_computation_guard
-def ystar(resolution, fmt, output, precision_report):
+def ystar(resolution, output):
     """Collision parameter y* of the two-term xi_1 family."""
     value = rhscan_mod.lagarias_suzuki_y_star(resolution)
     _emit_json({"y_star": value, "resolution": resolution}, output)

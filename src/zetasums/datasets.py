@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from . import __version__
 from .errors import CacheWarning, ChecksumError, DomainError, SchemaError
-from .special import DEFAULT_OPTIONS, SPECS, EvalOptions, FunctionId
+from .special import SPECS, FunctionId
 from .zeros import (
     CRITICAL_LINE,
     REAL_AXIS,
@@ -155,7 +155,6 @@ def extend_dataset(
     ds: ZeroDataset,
     t_new_max: float,
     grid_step: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> ZeroDataset:
     """Continue the scan of ds up to t_new_max; ordinals continue.
 
@@ -168,9 +167,7 @@ def extend_dataset(
         return ds
     cl = [r for r in ds.records if r.location_kind == CRITICAL_LINE]
     ra = [r for r in ds.records if r.location_kind == REAL_AXIS]
-    more = scan_zeros(
-        ds.function, ds.t_max_scanned, t_new_max, grid_step, opts, check_count=False
-    )
+    more = scan_zeros(ds.function, ds.t_max_scanned, t_new_max, grid_step, check_count=False)
     known = {round(r.t_or_x, 9) for r in cl}
     new_cl = [r for r in more.records if round(r.t_or_x, 9) not in known]
     records = []

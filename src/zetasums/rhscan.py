@@ -27,7 +27,7 @@ from .errors import (
     OpenContourError,
     PoleError,
 )
-from .special import DEFAULT_OPTIONS, SPECS, EvalOptions, FunctionId, log_xi1
+from .special import SPECS, FunctionId, log_xi1
 from .datasets import cached_ordinates
 from .zeros import _bracket_roots, _sign_changes
 
@@ -62,29 +62,27 @@ class ContourPolyline:
     closed: bool
 
 
-def u_func(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def u_func(s):
     """U(s) = xi_1(2s - 1) / xi_1(2s), computed in log form.
 
     Returns a complex for scalar s, else an array of the shape of s. Both
     arguments go into one log_xi1 call; they share Im, hence the cutoff.
     """
     w = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    lw = log_xi1(np.concatenate((2 * w - 1, 2 * w)), opts)
+    lw = log_xi1(np.concatenate((2 * w - 1, 2 * w)))
     u = np.exp(lw[: w.size] - lw[w.size :])
     return complex(u[0]) if np.ndim(s) == 0 else u.reshape(np.shape(s))
 
 
-def v_func(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def v_func(s):
     """V(s) = (1 + U(s)) / (1 - U(s)), for scalar or array s."""
-    u = u_func(s, opts)
+    u = u_func(s)
     if np.any(np.abs(u - 1.0) < 1e-300):
         raise PoleError(f"V(s) has a pole at s={s} (U = 1)")
     return (1.0 + u) / (1.0 - u)
 
 
-def asymptotic_check(
-    sigma: float, t: float, opts: EvalOptions = DEFAULT_OPTIONS
-) -> Tuple[float, float]:
+def asymptotic_check(sigma: float, t: float) -> Tuple[float, float]:
     """Deviations of |V| and arg V from their large-t leading estimates.
 
     In the regime 1 << sigma << t, U ~ sqrt(pi/s) gives the leading
@@ -95,35 +93,34 @@ def asymptotic_check(
         raise DomainError(
             f"(sigma, t) = ({sigma}, {t}) outside the regime 5 <= sigma <= t/20"
         )
-    v = v_func(complex(sigma, t), opts)
+    v = v_func(complex(sigma, t))
     mod_err = abs(abs(v) - (1.0 + math.sqrt(2.0 * math.pi / t)))
     arg_err = abs(cmath.phase(v) + math.sqrt(2.0 * math.pi / t))
     return mod_err, arg_err
 
 
-def _v_derivative(s: np.ndarray, order: int, opts: EvalOptions) -> np.ndarray:
+def _v_derivative(s: np.ndarray, order: int) -> np.ndarray:
     """Central differences of V of the given order at the points s, from one
     v_func call; the step is 1e-5 * max(1, |x|) at each stencil point x."""
     if order == 0:
-        return v_func(s, opts)
+        return v_func(s)
     hs = 1e-5 * np.maximum(1.0, np.abs(s))
-    inner = _v_derivative(np.concatenate((s + hs, s - hs)), order - 1, opts)
+    inner = _v_derivative(np.concatenate((s + hs, s - hs)), order - 1)
     return (inner[: s.size] - inner[s.size :]) / (2.0 * hs)
 
 
-def _newton_vprime(
-    seed: complex, opts: EvalOptions, max_iter: int = 40
-) -> Optional[complex]:
-    """Damped Newton iteration on V', bounded to Im within 20 of the seed.
+def _newton_vprime(seed: complex) -> Optional[complex]:
+    """Damped Newton iteration on V', at most 40 steps, bounded to Im within
+    20 of the seed.
 
     A line-search trial further from the seed's Im fails without evaluating
     V there, which keeps the Euler-Maclaurin cutoff (about Im/2) small.
     """
     def deriv(x: complex, order: int) -> complex:
-        return complex(_v_derivative(np.array([x]), order, opts)[0])
+        return complex(_v_derivative(np.array([x]), order)[0])
     s = seed
     g = deriv(s, 1)
-    for _ in range(max_iter):
+    for _ in range(40):
         if abs(g) <= 1e-8:
             return s
         gp = deriv(s, 2)
@@ -178,9 +175,7 @@ def _merged_triplets(t_lo: float, t_hi: float):
     ]
 
 
-def find_derivative_zeros(
-    t_lo: float, t_hi: float, opts: EvalOptions = DEFAULT_OPTIONS
-) -> List[TripletReport]:
+def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     """Zeros of V' near the critical line, one per merged-sequence triplet.
 
     Each consecutive triplet of the interlaced T_plus / T_minus ordinate
@@ -200,7 +195,7 @@ def find_derivative_zeros(
     for idx, (ordinals, kind, ts, centroid_t) in enumerate(triplets):
         span = ts[2] - ts[0]
         for off in (0.15, -0.15, 0.3, -0.3, 0.6, -0.6, 0.05, -0.05):
-            s_d = _newton_vprime(complex(0.5 + off, centroid_t), opts)
+            s_d = _newton_vprime(complex(0.5 + off, centroid_t))
             if (
                 s_d is None
                 or abs(s_d.imag - centroid_t) > 1.5 * span
@@ -216,7 +211,7 @@ def find_derivative_zeros(
     reports: List[TripletReport] = []
     for s_d in pool.values():
         ordinals, kind, ts, centroid_t = min(triplets, key=lambda trio: abs(trio[3] - s_d.imag))
-        modulus = abs(v_func(s_d, opts))
+        modulus = abs(v_func(s_d))
         reports.append(
             TripletReport(
                 s_d=s_d,
@@ -242,20 +237,14 @@ def find_derivative_zeros(
     return reports
 
 
-def condition_scan(
-    t_lo: float, t_hi: float, opts: EvalOptions = DEFAULT_OPTIONS
-) -> Tuple[bool, List[TripletReport]]:
+def condition_scan(t_lo: float, t_hi: float) -> Tuple[bool, List[TripletReport]]:
     """Aggregate the sufficient condition |V(s_d)| > 1 over a t range."""
-    reports = find_derivative_zeros(t_lo, t_hi, opts)
+    reports = find_derivative_zeros(t_lo, t_hi)
     all_met = all(r.condition_met for r in reports if r.converged)
     return all_met, reports
 
 
-def trace_unit_contour(
-    t_center: float,
-    n_points: int = 256,
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> ContourPolyline:
+def trace_unit_contour(t_center: float, n_points: int = 256) -> ContourPolyline:
     """Trace the closed |V| = 1 level curve around a T_plus zero.
 
     From the zero at s0 = 1/2 + i t_center the curve is traced radially:
@@ -285,7 +274,7 @@ def trace_unit_contour(
 
     def level(x):
         k = np.floor(x / span).astype(int)
-        return np.log(np.abs(v_func(s0 + (x - k * span) * np.exp(1j * theta[k]), opts)))
+        return np.log(np.abs(v_func(s0 + (x - k * span) * np.exp(1j * theta[k]))))
 
     grid = rays[:, None] * span + ladder
     values = level(grid.ravel()).reshape(grid.shape)
@@ -303,7 +292,11 @@ def trace_unit_contour(
     return ContourPolyline(level=1.0, points=points, closed=True)
 
 
-def _family_critical_line(t, y: float, opts: EvalOptions):
+# Points of the scan grid of the two-term family on (0, t_hi].
+_FAMILY_GRID = 400
+
+
+def _family_critical_line(t, y: float):
     """Scaled restriction of xi_1(2s) y^s + xi_1(2-2s) y^(1-s) to the line.
 
     At s = 1/2 + it the two terms are complex conjugates, so the family is
@@ -311,28 +304,25 @@ def _family_critical_line(t, y: float, opts: EvalOptions):
     dropped and the xi_1 magnitude rescaled to keep values representable
     (t scalar or array).
     """
-    lw = log_xi1(1.0 + 2j * np.asarray(t), opts)
+    lw = log_xi1(1.0 + 2j * np.asarray(t))
     return np.cos(t * math.log(y) + lw.imag)
 
 
-def family_line_zeros(
-    y: float, t_hi: float, opts: EvalOptions = DEFAULT_OPTIONS, n_grid: int = 400
-) -> List[float]:
+def family_line_zeros(y: float, t_hi: float) -> List[float]:
     """Positive critical-line zero ordinates of the family up to t_hi.
 
-    The grid is geometric so that a zero descending toward t = 0 (the
-    collision point of the lowest conjugate pair) is still bracketed.
+    The grid of _FAMILY_GRID points is geometric so that a zero descending
+    toward t = 0 (the collision point of the lowest conjugate pair) is
+    still bracketed.
     """
-    ts = np.geomspace(1e-6, t_hi, n_grid)
-    vals = _family_critical_line(ts, y, opts)
+    ts = np.geomspace(1e-6, t_hi, _FAMILY_GRID)
+    vals = _family_critical_line(ts, y)
     i = _sign_changes(vals)
-    func = lambda t: _family_critical_line(t, y, opts)
+    func = lambda t: _family_critical_line(t, y)
     return [float(t) for t in _bracket_roots(func, ts[i], ts[i + 1], vals[i], vals[i + 1], 1e-8)]
 
 
-def lagarias_suzuki_y_star(
-    resolution: float = 1e-4, opts: EvalOptions = DEFAULT_OPTIONS
-) -> float:
+def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     """Parameter y* where the lowest zero pair of the two-term family
     xi_1(2s) y^s + xi_1(2-2s) y^(1-s) collides and leaves the critical line.
 
@@ -342,12 +332,12 @@ def lagarias_suzuki_y_star(
     the presence of a sign change below t = 1.5 (the next zero of the
     family stays above 2 throughout the bracket).
     """
-    ts = np.geomspace(1e-6, 1.5, 400)  # the grid of family_line_zeros(y, 1.5)
+    ts = np.geomspace(1e-6, 1.5, _FAMILY_GRID)  # the grid of family_line_zeros(y, 1.5)
     y_lo, y_hi = 6.0, 8.0
 
     def pair_on_line(y: float) -> bool:
         # a sign change on the grid is a zero; no need to refine it
-        return _sign_changes(_family_critical_line(ts, y, opts)).size > 0
+        return _sign_changes(_family_critical_line(ts, y)).size > 0
 
     if not pair_on_line(y_lo) or pair_on_line(y_hi):
         raise ConvergenceError(

@@ -6,6 +6,12 @@ the symmetric xi, the half-sum/half-difference pair built from xi1(2s) and
 xi1(2s-1), the Dirichlet L function of conductor 4 with its completed even
 form, and real-valued restrictions to the critical line.
 
+Every value comes from one Euler-Maclaurin kernel with one fixed accuracy
+policy: N = max(50, ceil(|Im s|/2)) direct terms, taken from the largest
+|Im s| of an array call, the corrections B_2..B_24 of _BERNOULLI, and an
+absolute tail-bound target of _TARGET_ABS_ERROR = 1e-12. A call whose bound
+misses the target doubles N, at most twice, and then raises AccuracyError.
+
 SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
 series form and its circle radius, the default dataset, the smooth zero count
 and the critical-line form, which shares its log-form builder with the
@@ -30,7 +36,6 @@ __all__ = [
     "FunctionId",
     "FunctionSpec",
     "SPECS",
-    "EvalOptions",
     "gamma",
     "log_gamma",
     "riemann_zeta",
@@ -65,7 +70,8 @@ class FunctionId(str, Enum):
     L4_COMPLETED = "l4c"
 
 
-# B_2, B_4, ..., B_28 (float); precomputed once at import.
+# B_2, B_4, ..., B_26 (float): the kernel applies all but the last as
+# corrections, and its tail bound reads the last.
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -80,37 +86,9 @@ _BERNOULLI = (
     854513.0 / 138.0,
     -236364091.0 / 2730.0,
     8553103.0 / 6.0,
-    -23749461029.0 / 870.0,
 )
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Euler-Maclaurin controls.
-
-    euler_maclaurin_cutoff: direct terms N; None selects max(50, ceil(|Im s|/2)),
-        with the largest |Im s| of an array call.
-    bernoulli_order: number of B_{2k} correction terms, at most 13.
-    target_abs_error: absolute accuracy target for zeta/hurwitz.
-    """
-
-    euler_maclaurin_cutoff: int | None = None
-    bernoulli_order: int = 12
-    target_abs_error: float = 1e-12
-
-    def __post_init__(self):
-        if self.euler_maclaurin_cutoff is not None and self.euler_maclaurin_cutoff < 1:
-            raise DomainError("euler_maclaurin_cutoff must be positive")
-        if not 1 <= self.bernoulli_order < len(_BERNOULLI):
-            # the tail bound reads the first omitted B_{2k} from the table
-            raise DomainError(
-                f"bernoulli_order must be between 1 and {len(_BERNOULLI) - 1}"
-            )
-        if not self.target_abs_error > 0:
-            raise DomainError("target_abs_error must be positive")
-
-
-DEFAULT_OPTIONS = EvalOptions()
+# Absolute accuracy target of the Euler-Maclaurin tail bound.
+_TARGET_ABS_ERROR = 1e-12
 
 # Lanczos, g = 607/128, 15 terms (Godfrey coefficients).
 _LANCZOS_G = 607.0 / 128.0
@@ -200,39 +178,25 @@ def gamma(s) -> complex:
     return cmath.exp(lg)
 
 
-def _auto_cutoff(im_max: float, opts: EvalOptions) -> int:
-    if opts.euler_maclaurin_cutoff is not None:
-        n = opts.euler_maclaurin_cutoff
-    else:
-        n = max(50, math.ceil(im_max / 2.0))
-    # accuracy precondition: N must exceed |Im s|/(2 pi) with margin
-    floor = math.ceil(im_max / (2.0 * math.pi)) + 10
-    return max(n, floor)
-
-
-def _hurwitz_em_array(s: np.ndarray, a: float, opts: EvalOptions, step=None) -> np.ndarray:
+def _hurwitz_em_array(s: np.ndarray, a: float, step=None) -> np.ndarray:
     """Euler-Maclaurin Hurwitz zeta on an array of s with a shared cutoff.
 
-    When the cutoff is automatic, doubles it (up to twice) if the tail
-    bound misses the accuracy target; negative Re s needs the headroom.
+    Starts from N = max(50, ceil(|Im s|/2)), with the largest |Im s| of
+    the call, and doubles N, at most twice, while the tail bound misses
+    _TARGET_ABS_ERROR; negative Re s at large |Im s| needs the headroom.
+    Raises AccuracyError if the bound still misses it.
     step: None, or the spacing h of a grid Im s = j h (see _hurwitz_em_once).
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     im_max = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
-    n_direct = _auto_cutoff(im_max, opts)
-    retries = 2 if opts.euler_maclaurin_cutoff is None else 0
-    while True:
-        total, bound = _hurwitz_em_once(flat, a, n_direct, opts, step)
-        if bound <= opts.target_abs_error:
+    n_direct = max(50, math.ceil(im_max / 2.0))
+    for _ in range(3):
+        total, bound = _hurwitz_em_once(flat, a, n_direct, step)
+        if bound <= _TARGET_ABS_ERROR:
             return total.reshape(s.shape)
-        if retries == 0:
-            raise AccuracyError(
-                "Euler-Maclaurin tail bound exceeds target accuracy; "
-                "increase cutoff or bernoulli_order"
-            )
-        retries -= 1
         n_direct *= 2
+    raise AccuracyError("Euler-Maclaurin tail bound exceeds target accuracy")
 
 
 # Largest temporary of the pointwise direct sum.
@@ -241,7 +205,7 @@ _SLAB_BYTES = 1 << 20
 _BLOCK = 32
 
 
-def _hurwitz_em_once(flat, a, n_direct, opts, step=None):
+def _hurwitz_em_once(flat, a, n_direct, step=None):
     """Euler-Maclaurin sum at cutoff n_direct: (values, tail bound).
 
     The direct terms (n+a)^(-s), n < N, are summed pointwise when step is
@@ -253,7 +217,7 @@ def _hurwitz_em_once(flat, a, n_direct, opts, step=None):
     and term. E is rebuilt on every call. The Bernoulli corrections and the
     tail bound stay pointwise.
     """
-    nu = opts.bernoulli_order
+    nu = len(_BERNOULLI) - 1
 
     n = np.arange(n_direct, dtype=float) + a  # a, 1+a, ..., N-1+a
     log_n = -np.log(n)
@@ -301,17 +265,17 @@ def _hurwitz_em_once(flat, a, n_direct, opts, step=None):
     fact *= (2 * k - 1) * (2 * k)
     rising = rising * (flat + (2 * k - 3)) * (flat + (2 * k - 2))
     power = power / (b * b)
-    tail = np.abs((_BERNOULLI[k - 1] / fact) * rising * power)
+    tail = np.abs((_BERNOULLI[-1] / fact) * rising * power)
     ratio = np.abs(flat + 2 * nu + 1) / np.maximum(flat.real + 2 * nu + 1, 1.0)
     bound = float(np.max(tail * ratio, initial=0.0))
     return total, bound
 
 
-def _zeta_reflect(s: complex, opts: EvalOptions) -> complex:
+def _zeta_reflect(s: complex) -> complex:
     """zeta via the functional equation, for Re s < -0.5 at moderate |Im s|."""
     if abs(s.imag) > 350.0:
         raise AccuracyError("reflection formula overflows at large |Im s|")
-    z1 = complex(_hurwitz_em_array(np.array([1.0 - s]), 1.0, opts)[0])
+    z1 = complex(_hurwitz_em_array(np.array([1.0 - s]), 1.0)[0])
     return (
         2.0**s
         * math.pi ** (s.real - 1)
@@ -322,24 +286,30 @@ def _zeta_reflect(s: complex, opts: EvalOptions) -> complex:
     )
 
 
-def riemann_zeta(s, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
+def riemann_zeta(s) -> complex:
     """Riemann zeta at complex s (PoleError at s = 1)."""
     s = complex(s)
     if abs(s - 1.0) < 1e-300:
         raise PoleError("zeta pole at s=1")
     if s.real < -0.5:
-        return _zeta_reflect(s, opts)
-    return complex(_hurwitz_em_array(np.array([s]), 1.0, opts)[0])
+        return _zeta_reflect(s)
+    return complex(_hurwitz_em_array(np.array([s]), 1.0)[0])
 
 
-def hurwitz_zeta(s, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
-    """Hurwitz zeta(s, a) for a in (0, 1] (PoleError at s = 1)."""
+def hurwitz_zeta(s, a: float) -> complex:
+    """Hurwitz zeta(s, a) for a in (0, 1] and Re s >= -1/2 (PoleError at s = 1).
+
+    Below Re s = -1/2 the direct sum cancels like N^(1 - Re s) times the
+    rounding error, which the tail bound does not see: DomainError.
+    """
     s = complex(s)
     if not 0.0 < a <= 1.0:
         raise DomainError("hurwitz_zeta requires a in (0, 1]")
+    if s.real < -0.5:
+        raise DomainError("hurwitz_zeta requires Re s >= -1/2")
     if abs(s - 1.0) < 1e-300:
         raise PoleError("hurwitz zeta pole at s=1")
-    return complex(_hurwitz_em_array(np.array([s]), a, opts)[0])
+    return complex(_hurwitz_em_array(np.array([s]), a)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +320,23 @@ def hurwitz_zeta(s, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> complex:
 # and there Lanczos is in range and Euler-Maclaurin stable at any |Im s|.
 
 
-def _xi1_log_form(s: np.ndarray, opts: EvalOptions, step=None):
+def _xi1_log_form(s: np.ndarray, step=None):
     """(log(pi^(-w/2) Gamma(w/2)), zeta(w)), so that xi1(s) = exp(log) * zeta.
 
     step: None, or the spacing of a grid Im s = j step (_hurwitz_em_once).
     """
     w = np.where(s.real < 0.5, 1.0 - s, s)
-    return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, _hurwitz_em_array(w, 1.0, opts, step)
+    return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, _hurwitz_em_array(w, 1.0, step)
 
 
-def log_xi1(w, opts: EvalOptions = DEFAULT_OPTIONS):
+def log_xi1(w):
     """log xi1(w) with xi1(w) = pi^(-w/2) Gamma(w/2) zeta(w).
 
     Uses the functional equation xi1(w) = xi1(1-w) to stay in Re w >= 1/2,
     so it is stable for arbitrarily large |Im w|. Imaginary part modulo 2*pi.
     """
     w = np.asarray(w, dtype=complex)
-    lg, z = _xi1_log_form(np.atleast_1d(w), opts)
+    lg, z = _xi1_log_form(np.atleast_1d(w))
     out = lg + np.log(z)
     return complex(out[0]) if w.ndim == 0 else out
 
@@ -402,16 +372,16 @@ def _singular(poles=(), removable=(), tol: float = 0.0, radius: float = 0.0):
     8 points on a circle of the given radius, an O(radius^8) limit."""
 
     def wrap(direct):
-        def func(s, opts):
+        def func(s):
             hit = _near(s, poles, 1e-12)
             if hit.any():
                 raise PoleError(f"{direct.__name__[1:]} pole at s={s[hit][0]}")
 
             def limit(z):
                 pts = (z[:, None] + radius * _STENCIL).ravel()
-                return func(pts, opts).reshape(-1, 8).mean(axis=1)
+                return func(pts).reshape(-1, 8).mean(axis=1)
 
-            return _split(s, _near(s, removable, tol), limit, lambda z: direct(z, opts))
+            return _split(s, _near(s, removable, tol), limit, direct)
 
         return func
 
@@ -428,66 +398,66 @@ def _rgamma(z: np.ndarray) -> np.ndarray:
 
 
 @_singular(poles=(0.0, 1.0))
-def _xi1(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    lg, z = _xi1_log_form(s, opts)
+def _xi1(s: np.ndarray) -> np.ndarray:
+    lg, z = _xi1_log_form(s)
     return np.exp(lg) * z
 
 
-def _half_sum(s: np.ndarray, sign: float, opts: EvalOptions) -> np.ndarray:
+def _half_sum(s: np.ndarray, sign: float) -> np.ndarray:
     """(xi1(2s) + sign xi1(2s - 1)) / 4 from one kernel call (the two share |Im|)."""
-    both = _xi1(np.concatenate((2.0 * s, 2.0 * s - 1.0)), opts)
+    both = _xi1(np.concatenate((2.0 * s, 2.0 * s - 1.0)))
     return (both[: s.size] + sign * both[s.size :]) / 4.0
 
 
 # s(s-1)/2 cancels the xi1 poles at 0 and 1, one of which is the zeta pole
 @_singular(removable=(0.0, 1.0), tol=1e-7, radius=1e-3)
-def _xi(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    lg, z = _xi1_log_form(s, opts)
+def _xi(s: np.ndarray) -> np.ndarray:
+    lg, z = _xi1_log_form(s)
     return (s * (s - 1.0) / 2.0) * np.exp(lg) * z
 
 
 # both xi1 poles cancel at 1/2; a wider circle keeps the cancellation noise down
 @_singular(poles=(0.0, 1.0), removable=(0.5,), tol=1e-7, radius=1e-2)
-def _t_plus(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    return _half_sum(s, 1.0, opts)
+def _t_plus(s: np.ndarray) -> np.ndarray:
+    return _half_sum(s, 1.0)
 
 
 @_singular(poles=(0.0, 0.5, 1.0))
-def _t_minus(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    return _half_sum(s, -1.0, opts)
+def _t_minus(s: np.ndarray) -> np.ndarray:
+    return _half_sum(s, -1.0)
 
 
 @_singular(removable=(0.0, 1.0), tol=1e-4, radius=1e-3)
-def _t_plus_tilde(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    return s * (1.0 - s) * _t_plus(s, opts)
+def _t_plus_tilde(s: np.ndarray) -> np.ndarray:
+    return s * (1.0 - s) * _t_plus(s)
 
 
 @_singular(removable=(0.0, 0.5, 1.0), tol=1e-4, radius=1e-3)
-def _t_minus_tilde(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    return s * (1.0 - s) * (s - 0.5) * _t_minus(s, opts)
+def _t_minus_tilde(s: np.ndarray) -> np.ndarray:
+    return s * (1.0 - s) * (s - 0.5) * _t_minus(s)
 
 
-def _l4_sum(z: np.ndarray, opts: EvalOptions, step=None) -> np.ndarray:
+def _l4_sum(z: np.ndarray, step=None) -> np.ndarray:
     """L4 on Re z > 0 away from z = 1, as 4^(-z) (zeta(z, 1/4) - zeta(z, 3/4))."""
     return np.exp(-z * LN_4) * (
-        _hurwitz_em_array(z, 0.25, opts, step) - _hurwitz_em_array(z, 0.75, opts, step)
+        _hurwitz_em_array(z, 0.25, step) - _hurwitz_em_array(z, 0.75, step)
     )
 
 
 # the hurwitz pole residues cancel at 1 in the difference
 @_singular(removable=(1.0,), tol=1e-7, radius=1e-2)
-def _l4(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _l4(s: np.ndarray) -> np.ndarray:
     """Dirichlet L for the non-principal character mod 4."""
 
     def left(z):
         # continue through the even completed form; 1/Gamma keeps trivial zeros exact
         inv_pref = np.exp((1.0 - z) * LN_2 + ((z + 1.0) / 2.0) * LN_PI)
-        return _l4_completed(1.0 - z, opts) * inv_pref * _rgamma((z + 1.0) / 2.0)
+        return _l4_completed(1.0 - z) * inv_pref * _rgamma((z + 1.0) / 2.0)
 
-    return _split(s, s.real > 0.0, lambda z: _l4_sum(z, opts), left)
+    return _split(s, s.real > 0.0, _l4_sum, left)
 
 
-def _l4c_log_form(s: np.ndarray, opts: EvalOptions, step=None):
+def _l4c_log_form(s: np.ndarray, step=None):
     """(log(2^(w-1) pi^(-(w+1)/2) Gamma((w+1)/2)), L4(w)); that prefactor is
     Gamma(w) / (pi^(w/2) Gamma(w/2)) by Legendre duplication.
 
@@ -496,11 +466,11 @@ def _l4c_log_form(s: np.ndarray, opts: EvalOptions, step=None):
     """
     w = np.where(s.real < 0.5, 1.0 - s, s)
     lg = (w - 1.0) * LN_2 - ((w + 1.0) / 2.0) * LN_PI + _lanczos_loggamma_right((w + 1.0) / 2.0)
-    return lg, _l4(w, opts) if step is None else _l4_sum(w, opts, step)
+    return lg, _l4(w) if step is None else _l4_sum(w, step)
 
 
-def _l4_completed(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    lg, l4 = _l4c_log_form(s, opts)
+def _l4_completed(s: np.ndarray) -> np.ndarray:
+    lg, l4 = _l4c_log_form(s)
     return np.exp(lg) * l4
 
 
@@ -518,28 +488,28 @@ def _scaled_real_part(log_scale, phase, values, take_imag=False):
     return np.exp(np.maximum(log_scale, _LOG_FLOOR)) * comp
 
 
-def _xi_line(t: np.ndarray, opts: EvalOptions, step=None) -> np.ndarray:
+def _xi_line(t: np.ndarray, step=None) -> np.ndarray:
     # xi = s(s-1)/2 xi1, and s(s-1)/2 = -(t^2 + 1/4)/2 on the line
-    lg, z = _xi1_log_form(0.5 + 1j * t, opts, step)
+    lg, z = _xi1_log_form(0.5 + 1j * t, step)
     return -_scaled_real_part(np.log(0.5 * (t * t + 0.25)) + lg.real, lg.imag, z)
 
 
-def _t_line(t: np.ndarray, opts: EvalOptions, step=None, take_imag: bool = False) -> np.ndarray:
+def _t_line(t: np.ndarray, step=None, take_imag: bool = False) -> np.ndarray:
     # xi1(2s - 1) = xi1(2 - 2s) = conj xi1(2s) on the line, so T_plus = Re xi1(1 + 2it)/2
     # and T_minus / i = Im xi1(1 + 2it)/2
     tiny = np.abs(t) < 1e-8
     if take_imag and np.any(tiny):
         raise PoleError("T_minus has a pole at s=1/2 (t=0)")
     w = np.where(tiny, 1.0 + 2e-6j, 1.0 + 2j * t)  # dodge the zeta pole at w=1
-    lg, z = _xi1_log_form(w, opts, None if step is None else 2.0 * step)
+    lg, z = _xi1_log_form(w, None if step is None else 2.0 * step)
     out = 0.5 * _scaled_real_part(lg.real, lg.imag, z, take_imag)
     if np.any(tiny):
-        out[tiny] = evaluate(FunctionId.T_PLUS, 0.5, opts).real
+        out[tiny] = evaluate(FunctionId.T_PLUS, 0.5).real
     return out
 
 
-def _l4c_line(t: np.ndarray, opts: EvalOptions, step=None) -> np.ndarray:
-    lg, l4 = _l4c_log_form(0.5 + 1j * t, opts, step)
+def _l4c_line(t: np.ndarray, step=None) -> np.ndarray:
+    lg, l4 = _l4c_log_form(0.5 + 1j * t, step)
     return _scaled_real_part(lg.real, lg.imag, l4)
 
 
@@ -568,7 +538,7 @@ class ZeroCount:
 class FunctionSpec:
     """Every fact the library keeps about one function of zeta type.
 
-    evaluator: (1-d complex array, EvalOptions) -> array of values.
+    evaluator: 1-d complex array -> array of its values.
     series: the form whose log-Taylor series about 0 gives the sum rules
         (pole-free, except xi1, which has no radius).
     radius: default Taylor circle radius, inside the nearest zero.
@@ -618,7 +588,7 @@ SPECS = {
 }
 
 
-def evaluate(f: FunctionId, s, opts: EvalOptions = DEFAULT_OPTIONS):
+def evaluate(f: FunctionId, s):
     """Evaluate the selected function at complex s, a scalar or an array.
 
     Returns a complex for scalar s, else an array of the shape of s. Raises
@@ -627,14 +597,14 @@ def evaluate(f: FunctionId, s, opts: EvalOptions = DEFAULT_OPTIONS):
     """
     f = FunctionId(f)
     z = np.asarray(s, dtype=complex)
-    values = SPECS[f].evaluator(z.ravel(), opts)
+    values = SPECS[f].evaluator(z.ravel())
     bad = ~np.isfinite(values)
     if bad.any():
         raise AccuracyError(f"non-finite value from {f} at s={z.ravel()[bad][0]}")
     return complex(values[0]) if z.ndim == 0 else values.reshape(z.shape)
 
 
-def critical_line_values(f: FunctionId, t, opts: EvalOptions = DEFAULT_OPTIONS, grid_step=None):
+def critical_line_values(f: FunctionId, t, grid_step=None):
     """Vectorised critical-line real form r(t); see critical_line_form.
 
     grid_step: None, or a step h with every t equal to j * h for an integer
@@ -652,11 +622,11 @@ def critical_line_values(f: FunctionId, t, opts: EvalOptions = DEFAULT_OPTIONS, 
             raise DomainError("grid_step must be positive and finite")
         if not np.array_equal(np.rint(t / grid_step) * grid_step, t):
             raise DomainError(f"t is not on the grid of step {grid_step}")
-    out = SPECS[f].line(np.atleast_1d(t), opts, grid_step)
+    out = SPECS[f].line(np.atleast_1d(t), grid_step)
     return float(out[0]) if t.ndim == 0 else out
 
 
-def critical_line_form(f: FunctionId, t: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def critical_line_form(f: FunctionId, t: float) -> float:
     """Real restriction r(t) whose sign changes bracket critical-line zeros.
 
     XI -> xi(1/2+it); T_PLUS -> T_plus(1/2+it); T_MINUS -> T_minus(1/2+it)/i;
@@ -664,19 +634,19 @@ def critical_line_form(f: FunctionId, t: float, opts: EvalOptions = DEFAULT_OPTI
     underflow double precision, the value is rescaled by a continuous
     positive factor (signs and zeros are preserved exactly).
     """
-    return critical_line_values(f, float(t), opts)
+    return critical_line_values(f, float(t))
 
 
-def laurent_check(f: FunctionId, pole, opts: EvalOptions = DEFAULT_OPTIONS,
-                  radius: float = 1e-2, samples: int = 64):
-    """(residue, constant term) at a simple pole, by circle averaging."""
+def laurent_check(f: FunctionId, pole):
+    """(residue, constant term) at a simple pole, by averaging over 64 points
+    on a circle of radius 1e-2 about it."""
     f = FunctionId(f)
     pole = complex(pole)
     if f != FunctionId.T_PLUS or min(abs(pole), abs(pole - 1.0)) > 1e-12:
         raise DomainError("laurent_check supports T_plus at poles 0 and 1 only")
-    theta = 2.0 * math.pi * np.arange(samples) / samples
-    ring = radius * np.exp(1j * theta)
-    vals = _t_plus(pole + ring, opts)
+    theta = 2.0 * math.pi * np.arange(64) / 64
+    ring = 1e-2 * np.exp(1j * theta)
+    vals = _t_plus(pole + ring)
     residue = np.mean(vals * ring)
     constant = np.mean(vals)
     return float(residue.real), float(constant.real)

@@ -18,11 +18,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError, RadiusError
-from .special import DEFAULT_OPTIONS, SPECS, EvalOptions, FunctionId, evaluate
+from .special import SPECS, FunctionId, evaluate
 from .zeros import ZeroDataset
 
 DERIVATIVE_ROUTE = "derivative_route"
 ZERO_ROUTE = "zero_route"
+# Circle points of taylor_log_coeffs's first pass; its check pass doubles them.
+_RESOLUTION = 512
 
 
 @dataclass
@@ -53,9 +55,9 @@ class KeiperCoefficients:
     lam: np.ndarray  # lambda_0..lambda_K
 
 
-def _circle_samples(f: FunctionId, center: complex, radius: float, n: int, opts):
+def _circle_samples(f: FunctionId, center: complex, radius: float, n: int):
     angles = 2.0 * np.pi * np.arange(n) / n
-    return evaluate(f, center + radius * np.exp(1j * angles), opts)
+    return evaluate(f, center + radius * np.exp(1j * angles))
 
 
 def _taylor_from_samples(samples: np.ndarray, radius: float, K: int) -> np.ndarray:
@@ -80,22 +82,20 @@ def taylor_log_coeffs(
     f: FunctionId,
     K: int,
     radius: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
     center: complex = 0.0,
-    resolution: int = 512,
 ) -> PowerSeries:
     """Taylor coefficients c_0..c_K of log(f(s)/f(0)) about the center.
 
-    f is sampled on a circle, Taylor coefficients extracted by discrete
-    Fourier averaging, and the series logarithm applied. The result is
-    self-validated at doubled resolution.
+    f is sampled at _RESOLUTION points of a circle, Taylor coefficients
+    extracted by discrete Fourier averaging, and the series logarithm
+    applied. The result is self-validated at doubled resolution.
     """
     f = FunctionId(f)
     if radius is None:
         radius = SPECS[f].radius
         if radius is None:
             raise DomainError(f"no default radius for {f}; pass one explicitly")
-    samples2 = _circle_samples(f, center, radius, 2 * resolution, opts)
+    samples2 = _circle_samples(f, center, radius, 2 * _RESOLUTION)
     # the even-indexed angles 2 pi (2k) / (2n) are exactly 2 pi k / n
     samples = samples2[::2]
     mags = np.abs(samples)
@@ -114,7 +114,7 @@ def taylor_log_coeffs(
             "doubling the sampling resolution moved the log-Taylor "
             "coefficients by more than 1e-11 relative"
         )
-    return PowerSeries(center=center, coeffs=list(c2), radius_used=radius, resolution_used=2 * resolution)
+    return PowerSeries(center=center, coeffs=list(c2), radius_used=radius, resolution_used=2 * _RESOLUTION)
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +177,12 @@ def sigma_from_zeros(
     return total
 
 
-def sigma_series_from_zeros(
-    ds: ZeroDataset, K: int, include_real_axis: bool = True
-) -> SigmaSeries:
-    vals = np.array(
-        [sigma_from_zeros(ds, m, include_real_axis) for m in range(1, K + 1)]
-    )
-    return SigmaSeries(ds.function, vals, [ZERO_ROUTE] * K, len(ds.records))
-
-
 def sigma_series_derivative(
-    f: FunctionId,
-    K: int,
-    radius: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
+    f: FunctionId, K: int, radius: Optional[float] = None
 ) -> SigmaSeries:
     """sigma_1..sigma_K from log-Taylor coefficients: sigma_m = -m c_m."""
     f = SPECS[FunctionId(f)].series
-    ps = taylor_log_coeffs(f, K, radius, opts)
+    ps = taylor_log_coeffs(f, K, radius)
     vals = np.array([-m * ps.coeffs[m] for m in range(1, K + 1)])
     return SigmaSeries(f, vals, [DERIVATIVE_ROUTE] * K, 0)
 
@@ -204,12 +192,11 @@ def verify_sum_rule(
     ds: ZeroDataset,
     m_range: Sequence[int],
     radius: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> List[Tuple[int, float, float, float]]:
     """Rows (m, lhs, rhs, diff): lhs = c_m of log f, rhs = -sigma_m/m from zeros."""
     f = SPECS[FunctionId(f)].series
     K = max(m_range)
-    ps = taylor_log_coeffs(f, K, radius, opts)
+    ps = taylor_log_coeffs(f, K, radius)
     rows = []
     for m in m_range:
         lhs = complex(ps.coeffs[m]).real
@@ -223,12 +210,11 @@ def crossover_select(
     ds: ZeroDataset,
     K: int,
     radius: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> Tuple[int, float]:
     """k minimizing |derivative-route sigma_k - zero-route sigma_k|."""
     if len(ds.records) == 0:
         raise DomainError("crossover_select needs a nonempty dataset")
-    der = sigma_series_derivative(f, K, radius, opts)
+    der = sigma_series_derivative(f, K, radius)
     diffs = [
         abs(der.sigma(k) - sigma_from_zeros(ds, k)) for k in range(1, K + 1)
     ]
@@ -242,12 +228,11 @@ def sigma_series_hybrid(
     K: int,
     crossover: Optional[int] = None,
     radius: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> SigmaSeries:
     """Derivative route below the crossover order, zero route at and above."""
     if crossover is None:
-        crossover, _ = crossover_select(f, ds, min(K, 12), radius, opts)
-    der = sigma_series_derivative(f, K, radius, opts)
+        crossover, _ = crossover_select(f, ds, min(K, 12), radius)
+    der = sigma_series_derivative(f, K, radius)
     vals = der.values.copy()
     method = list(der.method)
     for k in range(crossover, K + 1):

@@ -24,13 +24,7 @@ from .errors import (
     PoleError,
     RangeMismatchError,
 )
-from .special import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
-    FunctionId,
-    critical_line_form,
-    log_xi1,
-)
+from .special import FunctionId, critical_line_form, log_xi1
 from .sumrules import SigmaSeries, taylor_log_coeffs
 from .zeros import ZeroDataset
 
@@ -125,7 +119,6 @@ def translated_sigma_direct(
     z0: complex,
     m: int,
     radius: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
 ) -> TranslatedSigma:
     """Translated sum via the log-derivative of f expanded about z0.
 
@@ -135,7 +128,7 @@ def translated_sigma_direct(
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    series = taylor_log_coeffs(f, m, radius=radius, opts=opts, center=z0)
+    series = taylor_log_coeffs(f, m, radius=radius, center=z0)
     return TranslatedSigma(
         function=FunctionId(f),
         center=z0,
@@ -245,9 +238,7 @@ def translation_window_search(
     )
 
 
-def ratio_identity_check(
-    t: float, t0: float, opts: EvalOptions = DEFAULT_OPTIONS
-) -> float:
+def ratio_identity_check(t: float, t0: float) -> float:
     """Residual of the shifted ratio identity on the critical line.
 
     At x = t - t0 the ratio T_plus/T_minus at 1/2 + ix equals
@@ -257,10 +248,10 @@ def ratio_identity_check(
     underflow beyond t ~ 450).
     """
     x = t - t0
-    rp = critical_line_form(FunctionId.T_PLUS, x, opts)
-    rm = critical_line_form(FunctionId.T_MINUS, x, opts)
+    rp = critical_line_form(FunctionId.T_PLUS, x)
+    rm = critical_line_form(FunctionId.T_MINUS, x)
     if rm == 0.0:
         raise PoleError(f"T_minus vanishes at t = {x}; the ratio has a pole")
-    arg = log_xi1(1.0 + 2j * x, opts).imag
+    arg = log_xi1(1.0 + 2j * x).imag
     lhs = -1j * (rp / rm)
     return abs(lhs + 1j / math.tan(arg))

@@ -20,14 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import MissedZeroWarning, NoSignChangeError, DomainError
-from .special import (
-    DEFAULT_OPTIONS,
-    SPECS,
-    EvalOptions,
-    FunctionId,
-    critical_line_values,
-    evaluate,
-)
+from .special import SPECS, FunctionId, critical_line_values, evaluate
 
 CRITICAL_LINE = "critical_line"
 REAL_AXIS = "real_axis"
@@ -160,7 +153,6 @@ def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
 def refine_zero(
     f: FunctionId,
     t_bracket: Tuple[float, float],
-    opts: EvalOptions = DEFAULT_OPTIONS,
     index: int = 0,
 ) -> ZeroRecord:
     """Refine a sign-change bracket of the critical-line form to width 1e-11.
@@ -171,7 +163,7 @@ def refine_zero(
     a, b = float(t_bracket[0]), float(t_bracket[1])
     if not a < b:
         raise DomainError("bracket must satisfy a < b")
-    func = lambda t: critical_line_values(f, t, opts)
+    func = lambda t: critical_line_values(f, t)
     grid = np.linspace(a, b, 17)
     vals = func(grid)
     if np.sign(vals[0]) * np.sign(vals[-1]) > 0.0:
@@ -192,7 +184,6 @@ def scan_zeros(
     t_lo: float,
     t_hi: float,
     grid_step: Optional[float] = None,
-    opts: EvalOptions = DEFAULT_OPTIONS,
     check_count: bool = True,
 ) -> ZeroDataset:
     """Scan [t_lo, t_hi] for zeros of the critical-line form of f.
@@ -214,13 +205,13 @@ def scan_zeros(
     i_hi = math.floor(t_hi / grid_step + 1e-9)
     if f == FunctionId.T_MINUS:
         i_lo = max(i_lo, 1)  # pole of T_minus at t=0
-    func = lambda x: critical_line_values(f, x, opts)
+    func = lambda x: critical_line_values(f, x)
     roots: List[np.ndarray] = []
     prev_t = prev_v = None
     for start in range(i_lo, i_hi + 1, _CHUNK):
         stop = min(start + _CHUNK, i_hi + 1)
         t = np.arange(start, stop, dtype=float) * grid_step
-        v = critical_line_values(f, t, opts, grid_step)
+        v = critical_line_values(f, t, grid_step)
         top = t[np.argmax(np.abs(t))]
         if prev_t is not None:
             t = np.concatenate(([prev_t], t))
@@ -269,9 +260,7 @@ def count_check(ds: ZeroDataset) -> Tuple[int, float]:
     return observed, predicted
 
 
-def real_axis_zeros_tminus(
-    opts: EvalOptions = DEFAULT_OPTIONS,
-) -> Tuple[ZeroRecord, ZeroRecord]:
+def real_axis_zeros_tminus() -> Tuple[ZeroRecord, ZeroRecord]:
     """The two real-axis zeros of T_minus, near 3.91231 and -2.91231.
 
     Located on the pole-free modified form (same zeros away from the poles),
@@ -279,7 +268,7 @@ def real_axis_zeros_tminus(
     """
 
     def g(x: np.ndarray) -> np.ndarray:
-        return evaluate(FunctionId.T_MINUS_TILDE, x, opts).real
+        return evaluate(FunctionId.T_MINUS_TILDE, x).real
 
     a, b = np.array([3.5, -3.3]), np.array([4.3, -2.5])
     ends = g(np.concatenate((a, b)))
@@ -290,11 +279,9 @@ def real_axis_zeros_tminus(
     return rec_pos, rec_neg
 
 
-def with_real_axis_records(
-    ds: ZeroDataset, opts: EvalOptions = DEFAULT_OPTIONS
-) -> ZeroDataset:
+def with_real_axis_records(ds: ZeroDataset) -> ZeroDataset:
     """Copy of a T_minus-family dataset with the two real-axis zeros appended."""
-    rec_pos, rec_neg = real_axis_zeros_tminus(opts)
+    rec_pos, rec_neg = real_axis_zeros_tminus()
     n = len(ds.records)
     extra = [
         ZeroRecord(ds.function, n + 1, REAL_AXIS, rec_pos.t_or_x, rec_pos.residual),

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 from zetasums.cli import main
 
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
 
 @pytest.fixture()
 def runner():
@@ -17,16 +19,24 @@ def runner():
 
 
 def test_readme_commands_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = [
         shlex.split(line)[1:]
-        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for block in re.findall(r"```sh\n(.*?)```", _README, re.S)
         for line in block.splitlines()
         if line.startswith("zetasums ")
     ]
     assert len(commands) == len(main.commands)
     for name, *args in commands:
         main.commands[name].make_context(name, args)  # raises a UsageError, runs nothing
+
+
+def test_readme_python_blocks_run(ds_xi, capsys):
+    # ds_xi puts the default xi dataset, which the first block reads, in the cache
+    blocks = re.findall(r"```python\n(.*?)```", _README, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4  # one row per m in 3..6
 
 
 def test_sumrule_table_row(runner):
@@ -78,6 +88,26 @@ def test_translate_json(runner):
 def test_usage_error_exit_2(runner):
     result = runner.invoke(main, ["sumrule", "--function", "nosuch"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ystar", "--format", "csv"],
+        ["translate", "--function", "xi", "--z0", "0.1", "--m", "4", "--format", "csv"],
+        ["interlace", "--pair", "tminus:xihalf", "--format", "csv"],
+        ["bell", "--function", "xi", "--precision-report"],
+        ["translate", "--function", "xi", "--z0", "0.1", "--m", "4", "--precision-report"],
+        ["interlace", "--pair", "tminus:xihalf", "--precision-report"],
+        ["rhscan", "--range", "410..420", "--precision-report"],
+        ["ystar", "--precision-report"],
+    ],
+)
+def test_options_a_command_ignores_are_usage_errors(runner, args):
+    # translate, interlace and ystar always print JSON; these commands write no precision report
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 def test_bad_range_exit_2(runner):

@@ -21,7 +21,7 @@ from zetasums.rhscan import (
     u_func,
     v_func,
 )
-from zetasums.special import DEFAULT_OPTIONS, log_xi1
+from zetasums.special import log_xi1
 from zetasums.zeros import _bracket_roots
 
 
@@ -95,9 +95,9 @@ def test_newton_stays_in_box(ds_tplus, ds_tminus, monkeypatch):
     # ~5e5 terms; searches now stay within 20 of their seeds' ordinates
     seen = []
 
-    def spy(w, opts=DEFAULT_OPTIONS):
+    def spy(w):
         seen.append(float(np.max(np.abs(np.imag(w)), initial=0.0)))
-        return log_xi1(w, opts)
+        return log_xi1(w)
 
     monkeypatch.setattr(rhscan, "log_xi1", spy)
     reports = find_derivative_zeros(191.5, 192.0)
@@ -187,8 +187,8 @@ def test_contour_passes_through_u_zero_and_pole(contour_518):
 def test_family_line_zeros_match_scalar_grid(y):
     # the reference evaluates the grid one point at a time
     ts = np.geomspace(1e-6, 1.5, 400)
-    vals = [_family_critical_line(float(t), y, DEFAULT_OPTIONS) for t in ts]
-    func = lambda t: _family_critical_line(t, y, DEFAULT_OPTIONS)
+    vals = [_family_critical_line(float(t), y) for t in ts]
+    func = lambda t: _family_critical_line(t, y)
     expected = [
         float(_bracket_roots(func, [ts[i]], [ts[i + 1]], [vals[i]], [vals[i + 1]], 1e-8)[0])
         for i in range(len(ts) - 1)

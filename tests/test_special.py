@@ -4,6 +4,7 @@ their symmetries, and the additive linkage identities."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,9 @@ from hypothesis import strategies as st
 
 from zetasums.errors import AccuracyError, DomainError, PoleError
 from zetasums.special import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
     FunctionId,
     _hurwitz_em_array,
+    _hurwitz_em_once,
     critical_line_form,
     critical_line_values,
     evaluate,
@@ -141,26 +141,36 @@ def test_hurwitz_splitting_identity():
     assert abs(lhs - rhs) < 1e-11
 
 
-def test_bernoulli_order_beyond_table_is_a_domain_error():
-    # 13 terms is the most the 14-entry table supports (the tail bound reads one more)
-    assert abs(riemann_zeta(0.5 + 10j, EvalOptions(bernoulli_order=13)) - riemann_zeta(0.5 + 10j)) < 1e-12
+def test_hurwitz_below_minus_half_is_a_domain_error():
+    # the direct sum would cancel like N^(1 - Re s) times rounding, unseen by
+    # the tail bound: it returned 0.0038404 here, mpmath gives 0.0038442
     with pytest.raises(DomainError):
-        EvalOptions(bernoulli_order=14)
+        hurwitz_zeta(-5.0, 0.5)
 
 
-def test_explicit_cutoff_accuracy_error():
-    opts = EvalOptions(euler_maclaurin_cutoff=5, target_abs_error=1e-12)
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.5])
+def test_hurwitz_matches_mpmath(sigma, a):
+    for t in np.linspace(-100.0, 100.0, 21):
+        s = complex(sigma, t)
+        with mpmath.workdps(30):
+            expected = complex(mpmath.zeta(mpmath.mpc(s), a))
+        assert abs(hurwitz_zeta(s, a) - expected) <= 1e-11
+
+
+def test_em_tail_bound_miss_is_an_accuracy_error():
+    # at s = -40 the first omitted Bernoulli term grows with the cutoff, so
+    # doubling it twice cannot meet the target
     with pytest.raises(AccuracyError):
-        riemann_zeta(0.5 + 200.0j, opts)
+        _hurwitz_em_array(np.array([-40 + 0j]), 0.5)
 
 
 def test_em_row_slabs_are_bitwise(rng):
-    # 1,300 points span eight row slabs; a fixed cutoff makes every point's
-    # direct sum the same length in one call and in one-point calls
+    # 1,300 points span eight row slabs; at one cutoff every point's direct
+    # sum is the same in one call and in one-point calls
     s = rng.uniform(0.5, 1.5, 1300) + 1j * rng.uniform(-700.0, 700.0, 1300)
-    opts = EvalOptions(euler_maclaurin_cutoff=400)
-    together = _hurwitz_em_array(s, 1.0, opts)
-    one_by_one = [_hurwitz_em_array(s[i : i + 1], 1.0, opts)[0] for i in range(s.size)]
+    together = _hurwitz_em_once(s, 1.0, 400)[0]
+    one_by_one = [_hurwitz_em_once(s[i : i + 1], 1.0, 400)[0][0] for i in range(s.size)]
     assert all(a == b for a, b in zip(together, one_by_one))
 
 

@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetasums.special import DEFAULT_OPTIONS, SPECS, FunctionId
+from zetasums.special import SPECS, FunctionId
 from zetasums.sumrules import (
+    _RESOLUTION,
     _circle_samples,
     crossover_select,
     inverse_square_modulus_sum,
@@ -95,8 +96,8 @@ _WITH_RADIUS = [f for f, row in SPECS.items() if row.radius is not None]
 
 @pytest.mark.parametrize("f", _WITH_RADIUS)
 def test_circle_samples_match_mpmath(f):
-    n = 1024  # the doubled resolution taylor_log_coeffs samples by default
-    samples = _circle_samples(f, 0.0, SPECS[f].radius, n, DEFAULT_OPTIONS)
+    n = 2 * _RESOLUTION  # the doubled resolution taylor_log_coeffs samples
+    samples = _circle_samples(f, 0.0, SPECS[f].radius, n)
     angles = 2.0 * np.pi * np.arange(n) / n
     # off the real axis, where the mpmath forms meet Gamma poles times trivial zeros
     for k in (1, 77, 300, 700, 1000):

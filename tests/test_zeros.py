@@ -195,7 +195,7 @@ def test_rounding_level_grid_end_keeps_the_pointwise_root(monkeypatch):
     found = scan_zeros(FunctionId.XI, t[0], t[-1], h, check_count=False).ordinates()
     # the same scan with a pointwise grid
     monkeypatch.setattr(
-        zeros, "critical_line_values", lambda f, t, opts, grid_step=None: special.critical_line_values(f, t, opts)
+        zeros, "critical_line_values", lambda f, t, grid_step=None: special.critical_line_values(f, t)
     )
     pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h, check_count=False).ordinates()
     assert found.size == pointwise.size == 2
