@@ -29,45 +29,45 @@ class LinkReport:
     residual: float
 
 
-def bell_eval(x: Sequence, n: int) -> float:
-    """Complete Bell polynomial B_n(x_1..x_n) by the binomial recurrence.
+def bell_table(x: Sequence[float], n: int) -> List[float]:
+    """Complete Bell polynomials B_0..B_n(x_1..x_n), in one pass of the
+    binomial recurrence B_(m+1) = sum_i C(m, i) B_(m-i) x_(i+1).
 
-    Arguments larger than 1e3 in magnitude are routed through extended
-    precision; the recurrence's intermediate products overflow doubles there.
+    The arguments must be real. When some |x_j| exceeds 1e3 the recurrence
+    runs at 60 digits: its terms then cancel to many digits (in doubles,
+    Tm~'s B_23/23! at K = 50 is off by 5e-8 relative).
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if len(x) < n:
         raise DomainError(f"need at least {n} arguments, got {len(x)}")
-    if n and max(abs(complex(v)) for v in x[:n]) > 1e3:
+    x = list(x[:n])
+    if any(isinstance(v, complex) for v in x):
+        raise DomainError("Bell polynomial arguments must be real")
+    if n and max(abs(v) for v in x) > 1e3:
         import mpmath as mp
 
         with mp.workdps(60):
             b = [mp.mpf(1)]
             for m in range(n):
-                b.append(
-                    mp.fsum(
-                        math.comb(m, i) * b[m - i] * x[i]
-                        for i in range(m + 1)
-                    )
-                )
-            return float(b[n])
-    b = [1.0 + 0.0j]
+                b.append(mp.fsum(math.comb(m, i) * b[m - i] * x[i] for i in range(m + 1)))
+            return [float(v) for v in b]
+    b = [1.0]
     for m in range(n):
-        b.append(sum(math.comb(m, i) * b[m - i] * complex(x[i]) for i in range(m + 1)))
-    val = b[n]
-    return val.real if abs(val.imag) < 1e-10 * max(1.0, abs(val)) else val
+        b.append(sum(math.comb(m, i) * b[m - i] * x[i] for i in range(m + 1)))
+    return b
 
 
-def bell_table(x: Sequence, n: int) -> List[float]:
-    """B_0..B_n at the given argument vector."""
-    return [bell_eval(x, m) for m in range(n + 1)]
+def bell_eval(x: Sequence[float], n: int) -> float:
+    """Complete Bell polynomial B_n(x_1..x_n)."""
+    return bell_table(x, n)[n]
 
 
-def _bell_vector_from_sigma(sig: SigmaSeries, K: int) -> List[complex]:
+def _bell_vector_from_sigma(sig: SigmaSeries, K: int) -> List[float]:
     if len(sig.values) < K:
         raise DomainError("need sigma to order K")
-    return [-sig.sigma(j) * math.factorial(j - 1) for j in range(1, K + 1)]
+    # every series form is real on the real axis, so Im sigma_j is FFT rounding noise
+    return [-sig.sigma(j).real * math.factorial(j - 1) for j in range(1, K + 1)]
 
 
 def series_from_sigma(sig: SigmaSeries, K: int) -> PowerSeries:
@@ -75,9 +75,9 @@ def series_from_sigma(sig: SigmaSeries, K: int) -> PowerSeries:
 
     Coefficient k is B_k(x)/k! with x_j = -sigma_j (j-1)!.
     """
-    x = _bell_vector_from_sigma(sig, K)
-    coeffs = [bell_eval(x, k) / math.factorial(k) for k in range(K + 1)]
-    return PowerSeries(center=0.0, coeffs=[complex(c) for c in coeffs], radius_used=0.0, resolution_used=0)
+    b = bell_table(_bell_vector_from_sigma(sig, K), K)
+    coeffs = [complex(b[k] / math.factorial(k)) for k in range(K + 1)]
+    return PowerSeries(center=0.0, coeffs=coeffs, radius_used=0.0, resolution_used=0)
 
 
 def symmetric_sum_check(ds: ZeroDataset, sig: SigmaSeries) -> LinkReport:
@@ -93,35 +93,36 @@ def symmetric_sum_check(ds: ZeroDataset, sig: SigmaSeries) -> LinkReport:
     return LinkReport(2, lhs, rhs, abs(lhs - rhs))
 
 
-def _three_sigma_series(K: int) -> Tuple[SigmaSeries, SigmaSeries, SigmaSeries]:
-    sK = sigma_series_derivative(FunctionId.XI, K + 1)
-    sP = sigma_series_derivative(FunctionId.T_PLUS_TILDE, K + 1)
-    sM = sigma_series_derivative(FunctionId.T_MINUS_TILDE, K + 1)
-    return sK, sP, sM
+def _link_sides(
+    sigK: SigmaSeries, sigP: SigmaSeries, sigM: SigmaSeries, K: int
+) -> Tuple[List[float], List[float]]:
+    """Both sides of 2^(k+1) B_k^xi - 2^k k B_(k-1)^xi = B_k^+ + B_k^- - 2k B_(k-1)^+
+    for k = 0..K, with B^xi, B^+ and B^- rebuilt from the sigma series of xi,
+    Tp~ and Tm~.
 
-
-def verify_link3(
-    K: int,
-    sigmas: Optional[Tuple[SigmaSeries, SigmaSeries, SigmaSeries]] = None,
-) -> List[LinkReport]:
-    """Coefficient comparison of (1-s) xi(2s) = 4[Tm~(s) + (s-1/2) Tp~(s)].
-
-    Both sides are expanded about s=0 through order K from the three sigma
-    series; the xi side carries the 2^k scaling from its 2s argument.
+    Side k is 4 k! times the order-k Taylor coefficient of the linkage
+    identity (1-s) xi(2s) = 4[Tm~(s) + (s-1/2) Tp~(s)]; xi's side carries the
+    2^k scaling from its 2s argument.
     """
-    sK, sP, sM = sigmas if sigmas is not None else _three_sigma_series(K)
-    bK = bell_table(_bell_vector_from_sigma(sK, K), K)
-    bP = bell_table(_bell_vector_from_sigma(sP, K), K)
-    bM = bell_table(_bell_vector_from_sigma(sM, K), K)
+    bK, bP, bM = (bell_table(_bell_vector_from_sigma(s, K), K) for s in (sigK, sigP, sigM))
+    lhs, rhs = [2.0 * bK[0]], [bP[0] + bM[0]]
+    for k in range(1, K + 1):
+        lhs.append(2.0 ** (k + 1) * bK[k] - 2.0**k * k * bK[k - 1])
+        rhs.append(bP[k] + bM[k] - 2.0 * k * bP[k - 1])
+    return lhs, rhs
+
+
+def verify_link3(K: int) -> List[LinkReport]:
+    """Coefficient comparison of (1-s) xi(2s) = 4[Tm~(s) + (s-1/2) Tp~(s)]
+    about s = 0 through order K."""
+    sigmas = (
+        sigma_series_derivative(f, K + 1)
+        for f in (FunctionId.XI, FunctionId.T_PLUS_TILDE, FunctionId.T_MINUS_TILDE)
+    )
     reports = []
-    for k in range(K + 1):
-        lhs = 0.5 * (2.0**k) * bK[k] / math.factorial(k)
-        if k >= 1:
-            lhs -= 0.5 * (2.0 ** (k - 1)) * bK[k - 1] / math.factorial(k - 1)
-        rhs = 0.25 * bM[k] / math.factorial(k) + 0.25 * bP[k] / math.factorial(k)
-        if k >= 1:
-            rhs -= 0.5 * bP[k - 1] / math.factorial(k - 1)
-        reports.append(LinkReport(k, float(lhs), float(rhs), abs(lhs - rhs)))
+    for k, (lhs, rhs) in enumerate(zip(*_link_sides(*sigmas, K))):
+        lhs, rhs = lhs / (4 * math.factorial(k)), rhs / (4 * math.factorial(k))
+        reports.append(LinkReport(k, lhs, rhs, abs(lhs - rhs)))
     return reports
 
 
@@ -132,9 +133,9 @@ def sigma_cross_relations(
 
     Entry 0: first-order relation sigma_1^K = (sigma_1^+ + sigma_1^-)/4.
     Entry 1: the second-order relation expressing sigma_2^K through
-    sigma_{1,2}^{+,-}. Entries 2..: the order-k Bell-polynomial family
-        2^{k+1} B_k^K - 2^k k B_{k-1}^K = B_k^+ + B_k^- - 2k B_{k-1}^+
-    for k = 1..K (whose k=1 case reduces to the first-order relation).
+    sigma_{1,2}^{+,-}. Entries 2..: the order-k Bell-polynomial family of
+    _link_sides for k = 1..K (whose k=1 case reduces to the first-order
+    relation).
     """
     if K is None:
         K = min(len(sigK.values), len(sigP.values), len(sigM.values))
@@ -155,12 +156,5 @@ def sigma_cross_relations(
         )
         / 16.0
     )
-    bK = bell_table(_bell_vector_from_sigma(sigK, K), K)
-    bP = bell_table(_bell_vector_from_sigma(sigP, K), K)
-    bM = bell_table(_bell_vector_from_sigma(sigM, K), K)
-    residuals = [r16, r18]
-    for k in range(1, K + 1):
-        lhs = 2.0 ** (k + 1) * bK[k] - 2.0**k * k * bK[k - 1]
-        rhs = bP[k] + bM[k] - 2.0 * k * bP[k - 1]
-        residuals.append(abs(lhs - rhs))
-    return residuals
+    lhs, rhs = _link_sides(sigK, sigP, sigM, K)
+    return [r16, r18] + [abs(l - r) for l, r in zip(lhs[1:], rhs[1:])]

@@ -15,7 +15,7 @@ import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from . import __version__
 from .errors import CacheWarning, ChecksumError, DomainError, SchemaError
@@ -151,11 +151,7 @@ def load_dataset(path) -> ZeroDataset:
     )
 
 
-def extend_dataset(
-    ds: ZeroDataset,
-    t_new_max: float,
-    grid_step: Optional[float] = None,
-) -> ZeroDataset:
+def extend_dataset(ds: ZeroDataset, t_new_max: float) -> ZeroDataset:
     """Continue the scan of ds up to t_new_max; ordinals continue.
 
     The scan grid is aligned to step multiples, so extending equals a fresh
@@ -167,7 +163,7 @@ def extend_dataset(
         return ds
     cl = [r for r in ds.records if r.location_kind == CRITICAL_LINE]
     ra = [r for r in ds.records if r.location_kind == REAL_AXIS]
-    more = scan_zeros(ds.function, ds.t_max_scanned, t_new_max, grid_step, check_count=False)
+    more = scan_zeros(ds.function, ds.t_max_scanned, t_new_max, check_count=False)
     known = {round(r.t_or_x, 9) for r in cl}
     new_cl = [r for r in more.records if round(r.t_or_x, 9) not in known]
     records = []

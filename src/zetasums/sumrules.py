@@ -6,6 +6,11 @@ density-model tail. The two routes are complementary: the zero route
 converges slowly for small m, the derivative route loses digits as m grows.
 The series form, its circle radius and the density model of each function
 are read from its row of special.SPECS.
+
+Every zero-route quantity (sigma_m, the Keiper tau_k and lambda_m, the sum
+of 1/|rho|^2) is one operation, _zero_sum: a term summed over the conjugate
+pairs 1/2 +- it and the real zeros, plus the anchored density tail above
+the last zero.
 """
 
 from __future__ import annotations
@@ -129,20 +134,42 @@ def zero_density(f: FunctionId, t: float) -> float:
     return zeros.density(t)
 
 
-def _anchored_tail(g, ds: ZeroDataset, n_observed: int) -> float:
-    """Estimate of sum of g(t) over critical-line ordinates above t_max.
+def _anchored_tail(ds: ZeroDataset, term) -> float:
+    """Estimate of the sum of term over the conjugate pairs above t_max.
 
-    Integrates g against the smooth density of the dataset's function, then
-    anchors the boundary t_max = ds.t_max_scanned with the observed
-    fluctuation N_smooth(t_max) - N_observed, which removes the leading error
-    of the density model at the cut.
+    Integrates the pair value 2 Re term(1/2 + it) against the smooth density
+    of the dataset's function, then anchors the boundary t_max =
+    ds.t_max_scanned with the observed fluctuation N_smooth(t_max) -
+    N_observed, which removes the leading error of the density model at the
+    cut. An empty dataset has no anchor and gets no tail.
     """
+    n_observed = len(ds.ordinates())
+    if not n_observed:
+        return 0.0
     t_max = ds.t_max_scanned
+    pair = lambda t: 2.0 * term(0.5 + 1j * t).real
     integral, _ = quad(
-        lambda t: g(t) * zero_density(ds.function, t), t_max, np.inf, limit=200
+        lambda t: pair(t) * zero_density(ds.function, t), t_max, np.inf, limit=200
     )
     fluct = SPECS[ds.function].zeros.count(t_max) - float(n_observed)
-    return integral + g(t_max) * fluct
+    return integral + pair(t_max) * fluct
+
+
+def _zero_sum(ds: ZeroDataset, term, include_real_axis: bool = True, tail: bool = False) -> float:
+    """Sum of term(rho) over the dataset's zeros, the one operation of the zero route.
+
+    Each critical-line record t stands for the conjugate pair 1/2 +- it and
+    adds 2 Re term(1/2 + it); real-axis records x add Re term(x); tail adds
+    the anchored density tail above the last zero. term is applied to
+    arrays and, in the tail, to Python complex numbers, so it uses only
+    arithmetic and .real / .conjugate().
+    """
+    total = math.fsum(2.0 * term(0.5 + 1j * ds.ordinates()).real)
+    if include_real_axis:
+        total += math.fsum(term(ds.real_points()).real)
+    if tail:
+        total += _anchored_tail(ds, term)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -150,71 +177,48 @@ def _anchored_tail(g, ds: ZeroDataset, n_observed: int) -> float:
 
 
 def sigma_from_zeros(
-    ds: ZeroDataset,
-    m: int,
-    include_real_axis: bool = True,
-    tail_correction: Optional[bool] = None,
-) -> complex:
+    ds: ZeroDataset, m: int, tail_correction: Optional[bool] = None
+) -> float:
     """sigma_m = sum of rho^(-m) over all zeros of the dataset's function.
 
-    Each critical-line record t stands for the conjugate pair 1/2 +- it;
-    real-axis records enter individually. For m in {1, 2} the slowly
-    convergent sum gets a mandatory density-model tail.
+    For m in {1, 2} the slowly convergent sum gets a mandatory density-model
+    tail.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
     if tail_correction is None:
         tail_correction = m <= 2
-    ts = ds.ordinates()
-    rho = 0.5 + 1j * ts
-    terms = 2.0 * (rho ** (-m)).real  # pair with the conjugate
-    total = complex(math.fsum(terms))
-    if include_real_axis:
-        for x in ds.real_points():
-            total += complex(x) ** (-m)
-    if tail_correction and len(ts):
-        total += _anchored_tail(lambda t: 2.0 * ((0.5 + 1j * t) ** (-m)).real, ds, len(ts))
-    return total
+    return _zero_sum(ds, lambda rho: rho ** (-m), tail=tail_correction)
 
 
-def sigma_series_derivative(
-    f: FunctionId, K: int, radius: Optional[float] = None
-) -> SigmaSeries:
+def sigma_series_derivative(f: FunctionId, K: int) -> SigmaSeries:
     """sigma_1..sigma_K from log-Taylor coefficients: sigma_m = -m c_m."""
     f = SPECS[FunctionId(f)].series
-    ps = taylor_log_coeffs(f, K, radius)
+    ps = taylor_log_coeffs(f, K)
     vals = np.array([-m * ps.coeffs[m] for m in range(1, K + 1)])
     return SigmaSeries(f, vals, [DERIVATIVE_ROUTE] * K, 0)
 
 
 def verify_sum_rule(
-    f: FunctionId,
-    ds: ZeroDataset,
-    m_range: Sequence[int],
-    radius: Optional[float] = None,
+    f: FunctionId, ds: ZeroDataset, m_range: Sequence[int]
 ) -> List[Tuple[int, float, float, float]]:
     """Rows (m, lhs, rhs, diff): lhs = c_m of log f, rhs = -sigma_m/m from zeros."""
     f = SPECS[FunctionId(f)].series
     K = max(m_range)
-    ps = taylor_log_coeffs(f, K, radius)
+    ps = taylor_log_coeffs(f, K)
     rows = []
     for m in m_range:
         lhs = complex(ps.coeffs[m]).real
-        rhs = (-sigma_from_zeros(ds, m, tail_correction=True) / m).real
+        rhs = -sigma_from_zeros(ds, m, tail_correction=True) / m
         rows.append((m, lhs, rhs, lhs - rhs))
     return rows
 
 
-def crossover_select(
-    f: FunctionId,
-    ds: ZeroDataset,
-    K: int,
-    radius: Optional[float] = None,
-) -> Tuple[int, float]:
+def crossover_select(f: FunctionId, ds: ZeroDataset, K: int) -> Tuple[int, float]:
     """k minimizing |derivative-route sigma_k - zero-route sigma_k|."""
     if len(ds.records) == 0:
         raise DomainError("crossover_select needs a nonempty dataset")
-    der = sigma_series_derivative(f, K, radius)
+    der = sigma_series_derivative(f, K)
     diffs = [
         abs(der.sigma(k) - sigma_from_zeros(ds, k)) for k in range(1, K + 1)
     ]
@@ -222,17 +226,10 @@ def crossover_select(
     return k_star, float(diffs[k_star - 1])
 
 
-def sigma_series_hybrid(
-    f: FunctionId,
-    ds: ZeroDataset,
-    K: int,
-    crossover: Optional[int] = None,
-    radius: Optional[float] = None,
-) -> SigmaSeries:
-    """Derivative route below the crossover order, zero route at and above."""
-    if crossover is None:
-        crossover, _ = crossover_select(f, ds, min(K, 12), radius)
-    der = sigma_series_derivative(f, K, radius)
+def sigma_series_hybrid(f: FunctionId, ds: ZeroDataset, K: int) -> SigmaSeries:
+    """Derivative route below the crossover_select order, zero route at and above."""
+    crossover, _ = crossover_select(f, ds, min(K, 12))
+    der = sigma_series_derivative(f, K)
     vals = der.values.copy()
     method = list(der.method)
     for k in range(crossover, K + 1):
@@ -289,75 +286,35 @@ def tau_lambda_from_sigma(sig: SigmaSeries, K: int) -> KeiperCoefficients:
 
 
 def tau_lambda_from_zeros(
-    ds: ZeroDataset,
-    K: int,
-    include_real_axis: bool = True,
-    tail_correction: bool = True,
+    ds: ZeroDataset, K: int, tail_correction: bool = True
 ) -> KeiperCoefficients:
     """tau and lambda by direct zero sums.
 
     tau_0 = sigma_1; tau_k = -sum_rho (rho/(rho-1))^(k+1) rho^{-2} for k >= 1;
     lambda_m = (1/m) sum_rho [1 - (rho/(rho-1))^m].
-    Conjugate pairs are summed exactly; a density-model tail (anchored at
-    the observed count) supplies the zeros beyond t_max. (The power-sum
-    family disagrees with the expansion coefficient at k=0 by exactly
-    sigma_1, so tau_0 is taken from the sigma sum directly.)
+    A density-model tail (anchored at the observed count) supplies the zeros
+    beyond t_max. (The power-sum family disagrees with the expansion
+    coefficient at k=0 by exactly sigma_1, so tau_0 is taken from the sigma
+    sum directly.)
     """
     if K > 100:
         raise DomainError("powers of rho/(rho-1) lose conditioning past K=100")
-    ts = ds.ordinates()
-    rho = 0.5 + 1j * ts
-    w = rho / (rho - 1.0)
-    xs = ds.real_points() if include_real_axis else np.array([])
-    tau = np.zeros(K, dtype=complex)
-    lam = np.zeros(K + 1, dtype=complex)
-    wm = np.ones_like(w)
-    n_obs = len(ts)
-    for m in range(1, K + 1):
-        wm = wm * w
-        tau_terms = -2.0 * (wm / rho**2).real
-        lam_terms = 2.0 * (1.0 - wm).real / m
-        t_m = complex(math.fsum(tau_terms))
-        l_m = complex(math.fsum(lam_terms))
-        for x in xs:
-            wx = x / (x - 1.0)
-            t_m += -(wx**m) / x**2
-            l_m += (1.0 - wx**m) / m
-        if tail_correction and n_obs:
-            t_m += _anchored_tail(_tau_pair_integrand(m), ds, n_obs)
-            l_m += _anchored_tail(_lambda_pair_integrand(m), ds, n_obs)
-        if m >= 2:
-            tau[m - 1] = t_m
-        lam[m] = l_m
-    tau[0] = sigma_from_zeros(ds, 1, include_real_axis, tail_correction)
-    return KeiperCoefficients(ds.function, tau, lam)
-
-
-def _tau_pair_integrand(m: int):
-    def g(t: float) -> float:
-        rho = 0.5 + 1j * t
-        return -2.0 * ((rho / (rho - 1.0)) ** m / rho**2).real
-
-    return g
-
-
-def _lambda_pair_integrand(m: int):
-    def g(t: float) -> float:
-        rho = 0.5 + 1j * t
-        return 2.0 * (1.0 - (rho / (rho - 1.0)) ** m).real / m
-
-    return g
+    w = lambda rho: rho / (rho - 1.0)
+    tau = [sigma_from_zeros(ds, 1, tail_correction)] + [
+        _zero_sum(ds, lambda rho, k=k: -(w(rho) ** (k + 1)) / rho**2, tail=tail_correction)
+        for k in range(1, K)
+    ]
+    lam = [0.0] + [
+        _zero_sum(ds, lambda rho, m=m: (1.0 - w(rho) ** m) / m, tail=tail_correction)
+        for m in range(1, K + 1)
+    ]
+    return KeiperCoefficients(ds.function, np.array(tau, dtype=complex), np.array(lam, dtype=complex))
 
 
 def inverse_square_modulus_sum(
     ds: ZeroDataset, include_real_axis: bool = True
 ) -> Tuple[float, float]:
     """(raw, tail_corrected) values of sum over zeros of 1/|rho|^2."""
-    ts = ds.ordinates()
-    raw = math.fsum(2.0 / (0.25 + ts * ts))
-    if include_real_axis:
-        raw += float(np.sum(1.0 / ds.real_points() ** 2)) if len(ds.real_points()) else 0.0
-    corrected = raw
-    if len(ts):
-        corrected += _anchored_tail(lambda t: 2.0 / (0.25 + t * t), ds, len(ts))
-    return raw, corrected
+    term = lambda rho: 1.0 / (rho * rho.conjugate())
+    raw = _zero_sum(ds, term, include_real_axis)
+    return raw, raw + _anchored_tail(ds, term)

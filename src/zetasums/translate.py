@@ -11,7 +11,7 @@ searches for the shift window in which interlacing holds without failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -114,12 +114,7 @@ def translated_sigma_series(
     )
 
 
-def translated_sigma_direct(
-    f: FunctionId,
-    z0: complex,
-    m: int,
-    radius: Optional[float] = None,
-) -> TranslatedSigma:
+def translated_sigma_direct(f: FunctionId, z0: complex, m: int) -> TranslatedSigma:
     """Translated sum via the log-derivative of f expanded about z0.
 
     With log f(z) = const - sum_m sigma_m(z0) (z - z0)^m / m over the zeros,
@@ -128,7 +123,7 @@ def translated_sigma_direct(
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    series = taylor_log_coeffs(f, m, radius=radius, center=z0)
+    series = taylor_log_coeffs(f, m, center=z0)
     return TranslatedSigma(
         function=FunctionId(f),
         center=z0,

@@ -150,15 +150,12 @@ def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
     return np.where(np.isnan(roots), 0.5 * (a + b), roots)
 
 
-def refine_zero(
-    f: FunctionId,
-    t_bracket: Tuple[float, float],
-    index: int = 0,
-) -> ZeroRecord:
+def refine_zero(f: FunctionId, t_bracket: Tuple[float, float]) -> ZeroRecord:
     """Refine a sign-change bracket of the critical-line form to width 1e-11.
 
     A bracket holding two zeros (no sign change at the ends) is split by one
-    interior subdivision and the lower zero is returned.
+    interior subdivision and the lower zero is returned. A lone zero has no
+    ordinal, so the record's index is 0.
     """
     a, b = float(t_bracket[0]), float(t_bracket[1])
     if not a < b:
@@ -176,7 +173,7 @@ def refine_zero(
         i = inner[0]
         grid, vals = grid[i : i + 2], vals[i : i + 2]
     root = float(_bracket_roots(func, grid[:1], grid[-1:], vals[:1], vals[-1:], 1e-11)[0])
-    return ZeroRecord(f, index, CRITICAL_LINE, root, abs(float(func(root))))
+    return ZeroRecord(f, 0, CRITICAL_LINE, root, abs(float(func(root))))
 
 
 def scan_zeros(

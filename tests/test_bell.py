@@ -15,6 +15,7 @@ from zetasums.bell import (
     symmetric_sum_check,
     verify_link3,
 )
+from zetasums.errors import DomainError
 from zetasums.special import FunctionId
 from zetasums.sumrules import sigma_series_derivative, taylor_log_coeffs
 
@@ -66,19 +67,25 @@ def test_bell_ones_gives_bell_numbers():
     assert bell_table(x, 7) == [1, 1, 2, 5, 15, 52, 203, 877]
 
 
+def test_bell_rejects_complex_arguments():
+    with pytest.raises(DomainError):
+        bell_eval([1.0, 2j], 2)
+
+
 def test_series_from_sigma_matches_direct_taylor():
-    K = 8
-    sig = sigma_series_derivative(FunctionId.XI, K)
-    rebuilt = series_from_sigma(sig, K)
-    direct = taylor_log_coeffs(FunctionId.XI, K)
-    # exponentiate the log series independently via numpy polynomials
-    logc = np.array(direct.coeffs[: K + 1])
-    expc = np.zeros(K + 1, dtype=complex)
-    expc[0] = 1.0
-    for n in range(1, K + 1):
-        expc[n] = sum(k * logc[k] * expc[n - k] for k in range(1, n + 1)) / n
-    for k in range(K + 1):
-        assert abs(rebuilt.coeffs[k] - expc[k]) < 1e-12 * max(1.0, abs(expc[k]))
+    # order 20 of Tm~ takes the 60-digit branch with sigma that carry FFT noise in Im
+    for f, K in ((FunctionId.XI, 8), (FunctionId.T_MINUS_TILDE, 20)):
+        sig = sigma_series_derivative(f, K)
+        rebuilt = series_from_sigma(sig, K)
+        direct = taylor_log_coeffs(f, K)
+        # exponentiate the log series independently via numpy polynomials
+        logc = np.array(direct.coeffs[: K + 1])
+        expc = np.zeros(K + 1, dtype=complex)
+        expc[0] = 1.0
+        for n in range(1, K + 1):
+            expc[n] = sum(k * logc[k] * expc[n - k] for k in range(1, n + 1)) / n
+        for k in range(K + 1):
+            assert abs(rebuilt.coeffs[k] - expc[k]) < 1e-12 * max(1.0, abs(expc[k]))
 
 
 def test_symmetric_sum_check(ds_xi, sig_der):
@@ -87,9 +94,13 @@ def test_symmetric_sum_check(ds_xi, sig_der):
 
 
 def test_verify_link3_residuals():
-    reports = verify_link3(10)
-    for r in reports:
-        assert r.residual <= 1e-12 * max(1.0, abs(r.lhs_coeff))
+    # from order 13 the Tm~ coefficients take the 60-digit branch
+    for K in (10, 13, 14, 20):
+        reports = verify_link3(K)
+        assert len(reports) == K + 1
+        for r in reports:
+            assert isinstance(r.lhs_coeff, float) and isinstance(r.rhs_coeff, float)
+            assert r.residual <= 1e-12 * max(1.0, abs(r.lhs_coeff))
 
 
 def test_sigma_cross_relations(sig_der):

@@ -18,7 +18,7 @@ def runner():
     return CliRunner()
 
 
-def test_readme_commands_parse():
+def test_readme_commands_run(runner):
     commands = [
         shlex.split(line)[1:]
         for block in re.findall(r"```sh\n(.*?)```", _README, re.S)
@@ -26,8 +26,9 @@ def test_readme_commands_parse():
         if line.startswith("zetasums ")
     ]
     assert len(commands) == len(main.commands)
-    for name, *args in commands:
-        main.commands[name].make_context(name, args)  # raises a UsageError, runs nothing
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
 
 
 def test_readme_python_blocks_run(ds_xi, capsys):
@@ -125,6 +126,19 @@ def test_computation_error_exit_1_with_json(runner):
     assert result.exit_code == 1
     err = json.loads(result.stderr)
     assert "error" in err and "message" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["link", "--order", "14"], ["bell", "--function", "tminus", "--order", "14"]]
+)
+def test_bell_path_past_order_13_prints_real_numbers(runner, args):
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0
+    rows = result.output.strip().splitlines()[1:]
+    assert len(rows) == 15
+    for row in rows:
+        for cell in row.split(",")[1:]:
+            float(cell)
 
 
 def test_rhscan_beyond_datasets_exit_1_with_json(runner):

@@ -22,7 +22,7 @@ from zetasums.sumrules import (
     verify_sum_rule,
     zero_density,
 )
-from zetasums.zeros import CRITICAL_LINE, ZeroDataset, ZeroRecord
+from zetasums.zeros import CRITICAL_LINE, REAL_AXIS, ZeroDataset, ZeroRecord
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,31 @@ def test_lambda_full_plane_identity_on_toy_zeros():
     for m in range(1, 6):
         expected = sum(1.0 - (r / (r - 1.0)) ** m for r in rhos) / m
         assert abs(kz.lam[m] - expected) < 1e-14
+
+
+def test_zero_route_real_axis_terms_match_explicit_sums():
+    # the toy zeros plus two real zeros, 3.5 and -2.5
+    ds = _toy_dataset()
+    ds.records += [
+        ZeroRecord(FunctionId.XI, 3, REAL_AXIS, 3.5, 0.0),
+        ZeroRecord(FunctionId.XI, 4, REAL_AXIS, -2.5, 0.0),
+    ]
+    line = [0.5 + 2j, 0.5 - 2j, 0.5 + 3j, 0.5 - 3j]
+    rhos = line + [3.5, -2.5]
+    close = lambda got, expected: abs(got - expected) < 1e-14 * max(1.0, abs(expected))
+    for m in range(1, 9):
+        assert close(sigma_from_zeros(ds, m, tail_correction=False), sum(r ** (-m) for r in rhos))
+    K = 8
+    kz = tau_lambda_from_zeros(ds, K, tail_correction=False)
+    w = lambda r: r / (r - 1.0)
+    assert close(kz.tau[0], sum(1.0 / r for r in rhos))
+    for k in range(1, K):
+        assert close(kz.tau[k], -sum(w(r) ** (k + 1) / r**2 for r in rhos))
+    for m in range(1, K + 1):
+        assert close(kz.lam[m], sum(1.0 - w(r) ** m for r in rhos) / m)
+    for include_real_axis, zeros in ((True, rhos), (False, line)):
+        raw, _ = inverse_square_modulus_sum(ds, include_real_axis)
+        assert close(raw, sum(1.0 / abs(r) ** 2 for r in zeros))
 
 
 # ---------------------------------------------------------------------------
