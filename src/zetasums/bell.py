@@ -1,7 +1,10 @@
-"""Complete exponential Bell polynomials and the series linkage identities.
+"""Taylor series from zero-power sums, and the series linkage identities.
 
-B_n reconstructs a function's Taylor series from its zero-power sums, which
-ties the series of xi to those of the two modified T functions.
+The Taylor coefficients e_n of F(s)/F(0) follow from the sigma series by
+Newton's identities, e_n = -(1/n) sum_(k=1..n) sigma_k e_(n-k), in doubles;
+e_n is the complete exponential Bell polynomial B_n(x)/n! at
+x_j = -sigma_j (j-1)!. The rebuilt series tie xi to the two modified T
+functions.
 """
 
 from __future__ import annotations
@@ -30,13 +33,8 @@ class LinkReport:
 
 
 def bell_table(x: Sequence[float], n: int) -> List[float]:
-    """Complete Bell polynomials B_0..B_n(x_1..x_n), in one pass of the
-    binomial recurrence B_(m+1) = sum_i C(m, i) B_(m-i) x_(i+1).
-
-    The arguments must be real. When some |x_j| exceeds 1e3 the recurrence
-    runs at 60 digits: its terms then cancel to many digits (in doubles,
-    Tm~'s B_23/23! at K = 50 is off by 5e-8 relative).
-    """
+    """Complete Bell polynomials B_0..B_n(x_1..x_n) of real arguments, in one
+    pass of the binomial recurrence B_(m+1) = sum_i C(m, i) B_(m-i) x_(i+1)."""
     if n < 0:
         raise DomainError("n must be >= 0")
     if len(x) < n:
@@ -44,14 +42,6 @@ def bell_table(x: Sequence[float], n: int) -> List[float]:
     x = list(x[:n])
     if any(isinstance(v, complex) for v in x):
         raise DomainError("Bell polynomial arguments must be real")
-    if n and max(abs(v) for v in x) > 1e3:
-        import mpmath as mp
-
-        with mp.workdps(60):
-            b = [mp.mpf(1)]
-            for m in range(n):
-                b.append(mp.fsum(math.comb(m, i) * b[m - i] * x[i] for i in range(m + 1)))
-            return [float(v) for v in b]
     b = [1.0]
     for m in range(n):
         b.append(sum(math.comb(m, i) * b[m - i] * x[i] for i in range(m + 1)))
@@ -63,20 +53,21 @@ def bell_eval(x: Sequence[float], n: int) -> float:
     return bell_table(x, n)[n]
 
 
-def _bell_vector_from_sigma(sig: SigmaSeries, K: int) -> List[float]:
-    if len(sig.values) < K:
+def _newton_coeffs(sig: SigmaSeries, K: int) -> List[float]:
+    """e_0..e_K of F(s)/F(0) from sigma_1..sigma_K by Newton's identities."""
+    if not 0 <= K <= len(sig.values):
         raise DomainError("need sigma to order K")
     # every series form is real on the real axis, so Im sigma_j is FFT rounding noise
-    return [-sig.sigma(j).real * math.factorial(j - 1) for j in range(1, K + 1)]
+    sigma = sig.values[:K].real.tolist()
+    e = [1.0]
+    for n in range(1, K + 1):
+        e.append(-sum(sigma[k] * e[n - 1 - k] for k in range(n)) / n)
+    return e
 
 
 def series_from_sigma(sig: SigmaSeries, K: int) -> PowerSeries:
-    """Taylor coefficients of F(s)/F(0) rebuilt from the sigma series.
-
-    Coefficient k is B_k(x)/k! with x_j = -sigma_j (j-1)!.
-    """
-    b = bell_table(_bell_vector_from_sigma(sig, K), K)
-    coeffs = [complex(b[k] / math.factorial(k)) for k in range(K + 1)]
+    """Taylor coefficients e_0..e_K of F(s)/F(0) rebuilt from the sigma series."""
+    coeffs = [complex(e) for e in _newton_coeffs(sig, K)]
     return PowerSeries(center=0.0, coeffs=coeffs, radius_used=0.0, resolution_used=0)
 
 
@@ -96,19 +87,19 @@ def symmetric_sum_check(ds: ZeroDataset, sig: SigmaSeries) -> LinkReport:
 def _link_sides(
     sigK: SigmaSeries, sigP: SigmaSeries, sigM: SigmaSeries, K: int
 ) -> Tuple[List[float], List[float]]:
-    """Both sides of 2^(k+1) B_k^xi - 2^k k B_(k-1)^xi = B_k^+ + B_k^- - 2k B_(k-1)^+
-    for k = 0..K, with B^xi, B^+ and B^- rebuilt from the sigma series of xi,
+    """Both sides of 2^(k+1) e_k^xi - 2^k e_(k-1)^xi = e_k^+ + e_k^- - 2 e_(k-1)^+
+    for k = 0..K, with e^xi, e^+ and e^- rebuilt from the sigma series of xi,
     Tp~ and Tm~.
 
-    Side k is 4 k! times the order-k Taylor coefficient of the linkage
-    identity (1-s) xi(2s) = 4[Tm~(s) + (s-1/2) Tp~(s)]; xi's side carries the
-    2^k scaling from its 2s argument.
+    Side k is 4 times the order-k Taylor coefficient of the linkage identity
+    (1-s) xi(2s) = 4[Tm~(s) + (s-1/2) Tp~(s)]; xi's side carries the 2^k
+    scaling from its 2s argument.
     """
-    bK, bP, bM = (bell_table(_bell_vector_from_sigma(s, K), K) for s in (sigK, sigP, sigM))
-    lhs, rhs = [2.0 * bK[0]], [bP[0] + bM[0]]
+    eK, eP, eM = (_newton_coeffs(s, K) for s in (sigK, sigP, sigM))
+    lhs, rhs = [2.0 * eK[0]], [eP[0] + eM[0]]
     for k in range(1, K + 1):
-        lhs.append(2.0 ** (k + 1) * bK[k] - 2.0**k * k * bK[k - 1])
-        rhs.append(bP[k] + bM[k] - 2.0 * k * bP[k - 1])
+        lhs.append(2.0 ** (k + 1) * eK[k] - 2.0**k * eK[k - 1])
+        rhs.append(eP[k] + eM[k] - 2.0 * eP[k - 1])
     return lhs, rhs
 
 
@@ -121,7 +112,7 @@ def verify_link3(K: int) -> List[LinkReport]:
     )
     reports = []
     for k, (lhs, rhs) in enumerate(zip(*_link_sides(*sigmas, K))):
-        lhs, rhs = lhs / (4 * math.factorial(k)), rhs / (4 * math.factorial(k))
+        lhs, rhs = lhs / 4.0, rhs / 4.0
         reports.append(LinkReport(k, lhs, rhs, abs(lhs - rhs)))
     return reports
 
@@ -133,9 +124,10 @@ def sigma_cross_relations(
 
     Entry 0: first-order relation sigma_1^K = (sigma_1^+ + sigma_1^-)/4.
     Entry 1: the second-order relation expressing sigma_2^K through
-    sigma_{1,2}^{+,-}. Entries 2..: the order-k Bell-polynomial family of
-    _link_sides for k = 1..K (whose k=1 case reduces to the first-order
-    relation).
+    sigma_{1,2}^{+,-}. Entries 2..: the order-k coefficient identities of
+    _link_sides for k = 1..K, on the Newton coefficients e_k, so each entry
+    is 4 times a Taylor-coefficient residual of the linkage identity (the
+    k=1 case reduces to the first-order relation).
     """
     if K is None:
         K = min(len(sigK.values), len(sigP.values), len(sigM.values))

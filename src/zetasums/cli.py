@@ -2,8 +2,10 @@
 
 Every subcommand validates its request, computes through the library
 modules, and writes a deterministic CSV or JSON artifact to the requested
-output (stdout by default). Computation failures exit with status 1 and a
-machine-readable JSON error on stderr; usage errors exit with status 2.
+output (stdout by default). Every number in a table is a float written with
+all its digits (repr), so it reads back exactly. Computation failures exit
+with status 1 and a machine-readable JSON error on stderr; usage errors exit
+with status 2.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def zeros(f, t_max, grid_step, include_real_axis, fmt, output, precision_report)
         t_max = SPECS[f].t_max
     ds = cached_dataset(f, t_max, grid_step, include_real_axis)
     rows = [
-        (r.function.value, r.index, r.location_kind, repr(r.t_or_x), repr(r.residual))
+        (r.function.value, r.index, r.location_kind, float(r.t_or_x), float(r.residual))
         for r in ds.records
     ]
     extra = (
@@ -158,9 +160,7 @@ def sumrule(f, m_text, fmt, output, precision_report):
     m_range = _parse_range(m_text)
     ds = default_dataset(f)
     table = sr.verify_sum_rule(f, ds, m_range)
-    rows = [
-        (m, f"{lhs:.10f}", f"{rhs:.10f}", f"{diff:.3e}") for m, lhs, rhs, diff in table
-    ]
+    rows = [(m, float(lhs), float(rhs), float(diff)) for m, lhs, rhs, diff in table]
     extra = (
         [f"max |difference| {max(abs(d) for *_, d in table):.3e}"]
         if precision_report
@@ -178,9 +178,7 @@ def keiper(f, order, fmt, output, precision_report):
     """tau and lambda coefficients from the sigma series."""
     sig = sr.sigma_series_derivative(f, order + 1)
     kc = sr.tau_lambda_from_sigma(sig, order)
-    rows = [
-        (k, repr(kc.tau[k].real), repr(kc.lam[k + 1].real)) for k in range(order)
-    ]
+    rows = [(k, float(kc.tau[k].real), float(kc.lam[k + 1].real)) for k in range(order)]
     extra = None
     if precision_report:
         r1, r2, r3 = sr.keiper_identity_residuals(sig)
@@ -194,10 +192,10 @@ def keiper(f, order, fmt, output, precision_report):
 @_common(precision=False)
 @_computation_guard
 def bell(f, order, fmt, output):
-    """Taylor coefficients rebuilt from the sigma series via Bell polynomials."""
+    """Taylor coefficients rebuilt from the sigma series by Newton's identities."""
     sig = sr.sigma_series_derivative(f, order)
     ps = bell_mod.series_from_sigma(sig, order)
-    rows = [(k, repr(ps.coeffs[k].real)) for k in range(order + 1)]
+    rows = [(k, float(ps.coeffs[k].real)) for k in range(order + 1)]
     _emit(rows, ["k", "coefficient"], fmt, output)
 
 
@@ -208,10 +206,7 @@ def bell(f, order, fmt, output):
 def link(order, fmt, output, precision_report):
     """Cross-function linkage residuals (xi vs T-tilde pair)."""
     reports = bell_mod.verify_link3(order)
-    rows = [
-        (r.order, repr(r.lhs_coeff), repr(r.rhs_coeff), f"{r.residual:.3e}")
-        for r in reports
-    ]
+    rows = [(r.order, float(r.lhs_coeff), float(r.rhs_coeff), float(r.residual)) for r in reports]
     extra = (
         [f"max residual {max(r.residual for r in reports):.3e}"]
         if precision_report
@@ -287,10 +282,10 @@ def rhscan(range_text, fmt, output):
     reports = rhscan_mod.find_derivative_zeros(t_lo, t_hi)
     rows = [
         (
-            f"{r.centroid_t:.6f}",
-            f"{r.s_d.real:.6f}",
-            f"{r.s_d.imag:.6f}",
-            f"{r.modulus:.6f}",
+            float(r.centroid_t),
+            float(r.s_d.real),
+            float(r.s_d.imag),
+            float(r.modulus),
             r.triplet_kind,
             r.condition_met,
         )

@@ -140,7 +140,7 @@ def _log_sin_pi(z):
         out[big] = (
             -1j * np.pi * zb * sign
             + np.log1p(-np.exp(2j * np.pi * zb * sign))
-            - np.log(2j * sign)
+            - np.log(-2j * sign)
         )
     return out
 
@@ -271,28 +271,18 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     return total, bound
 
 
-def _zeta_reflect(s: complex) -> complex:
-    """zeta via the functional equation, for Re s < -0.5 at moderate |Im s|."""
-    if abs(s.imag) > 350.0:
-        raise AccuracyError("reflection formula overflows at large |Im s|")
-    z1 = complex(_hurwitz_em_array(np.array([1.0 - s]), 1.0)[0])
-    return (
-        2.0**s
-        * math.pi ** (s.real - 1)
-        * cmath.exp(1j * s.imag * LN_PI)
-        * cmath.sin(cmath.pi * s / 2.0)
-        * gamma(1.0 - s)
-        * z1
-    )
-
-
 def riemann_zeta(s) -> complex:
-    """Riemann zeta at complex s (PoleError at s = 1)."""
+    """Riemann zeta at complex s (PoleError at s = 1).
+
+    Below Re s = -1/2 it continues through xi1(s) = xi1(1 - s) in logs,
+    zeta(s) = pi^(s/2) xi1(1 - s) / Gamma(s/2), at any |Im s|.
+    """
     s = complex(s)
     if abs(s - 1.0) < 1e-300:
         raise PoleError("zeta pole at s=1")
     if s.real < -0.5:
-        return _zeta_reflect(s)
+        lg, z = _xi1_log_form(np.array([s]))
+        return complex(_rgamma(np.array([s / 2.0]), lg + (s / 2.0) * LN_PI)[0] * z[0])
     return complex(_hurwitz_em_array(np.array([s]), 1.0)[0])
 
 
@@ -388,12 +378,14 @@ def _singular(poles=(), removable=(), tol: float = 0.0, radius: float = 0.0):
     return wrap
 
 
-def _rgamma(z: np.ndarray) -> np.ndarray:
-    """1/Gamma(z), entire (exact zero at non-positive integers)."""
+def _rgamma(z: np.ndarray, log_scale=0.0) -> np.ndarray:
+    """exp(log_scale)/Gamma(z), entire in z (exact zero at non-positive
+    integers). The scale joins the exponent, so a huge 1/Gamma times a tiny
+    scale at large |Im z| neither overflows nor underflows."""
     n = np.round(z.real)
     pole = (np.abs(z.imag) < 1e-13) & (np.abs(z.real - n) < 1e-13) & (n <= 0)
     out = np.zeros(z.shape, dtype=complex)
-    out[~pole] = np.exp(-log_gamma(z[~pole]))
+    out[~pole] = np.exp(np.broadcast_to(log_scale, z.shape)[~pole] - log_gamma(z[~pole]))
     return out
 
 
@@ -451,8 +443,8 @@ def _l4(s: np.ndarray) -> np.ndarray:
 
     def left(z):
         # continue through the even completed form; 1/Gamma keeps trivial zeros exact
-        inv_pref = np.exp((1.0 - z) * LN_2 + ((z + 1.0) / 2.0) * LN_PI)
-        return _l4_completed(1.0 - z) * inv_pref * _rgamma((z + 1.0) / 2.0)
+        lg, l4 = _l4c_log_form(1.0 - z)
+        return _rgamma((z + 1.0) / 2.0, lg + (1.0 - z) * LN_2 + ((z + 1.0) / 2.0) * LN_PI) * l4
 
     return _split(s, s.real > 0.0, _l4_sum, left)
 

@@ -383,4 +383,8 @@ def test_cli_sumrule_printed_row():
     runner = CliRunner()
     result = runner.invoke(cli_main, ["sumrule", "--function", "xi", "--m", "1..6"])
     assert result.exit_code == 0
-    assert "0.0000370527,0.0000370527" in result.output
+    # the cells carry every digit; rounded to the paper's ten decimals both
+    # routes give its printed value
+    m3 = next(line for line in result.output.splitlines() if line.startswith("3,"))
+    lhs, rhs = (float(cell) for cell in m3.split(",")[1:3])
+    assert f"{lhs:.10f}" == f"{rhs:.10f}" == "0.0000370527"

@@ -1,12 +1,15 @@
 """Bell polynomials: recurrence vs set-partition and explicit-form oracles,
 series reconstruction, and the cross-function linkage residuals."""
 
-import math
-from itertools import combinations
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zetasums
 from zetasums.bell import (
     bell_eval,
     bell_table,
@@ -17,7 +20,7 @@ from zetasums.bell import (
 )
 from zetasums.errors import DomainError
 from zetasums.special import FunctionId
-from zetasums.sumrules import sigma_series_derivative, taylor_log_coeffs
+from zetasums.sumrules import taylor_log_coeffs
 
 
 def _set_partitions(items):
@@ -72,10 +75,10 @@ def test_bell_rejects_complex_arguments():
         bell_eval([1.0, 2j], 2)
 
 
-def test_series_from_sigma_matches_direct_taylor():
-    # order 20 of Tm~ takes the 60-digit branch with sigma that carry FFT noise in Im
-    for f, K in ((FunctionId.XI, 8), (FunctionId.T_MINUS_TILDE, 20)):
-        sig = sigma_series_derivative(f, K)
+def test_series_from_sigma_matches_direct_taylor(sig_der):
+    # the sigma carry FFT noise in Im, which the Newton recurrence drops
+    K = 50
+    for f, sig in sig_der.items():
         rebuilt = series_from_sigma(sig, K)
         direct = taylor_log_coeffs(f, K)
         # exponentiate the log series independently via numpy polynomials
@@ -94,8 +97,7 @@ def test_symmetric_sum_check(ds_xi, sig_der):
 
 
 def test_verify_link3_residuals():
-    # from order 13 the Tm~ coefficients take the 60-digit branch
-    for K in (10, 13, 14, 20):
+    for K in (10, 13, 14, 20, 50):
         reports = verify_link3(K)
         assert len(reports) == K + 1
         for r in reports:
@@ -110,4 +112,32 @@ def test_sigma_cross_relations(sig_der):
         sig_der[FunctionId.T_MINUS_TILDE],
         K=10,
     )
-    assert max(residuals) < 1e-10
+    assert max(residuals) < 1e-14
+
+
+def test_series_from_sigma_needs_sigma_to_order_k(sig_der):
+    sig = sig_der[FunctionId.XI]
+    for K in (-1, len(sig.values) + 1):
+        with pytest.raises(DomainError):
+            series_from_sigma(sig, K)
+
+
+def test_runtime_needs_no_mpmath():
+    # a blocked import raises ImportError: the library and the CLI run without mpmath
+    code = """
+import sys
+sys.modules["mpmath"] = None
+import zetasums.cli
+from zetasums.bell import series_from_sigma, verify_link3
+from zetasums.special import FunctionId, riemann_zeta
+from zetasums.sumrules import sigma_series_derivative
+assert len(verify_link3(40)) == 41
+sig = sigma_series_derivative(FunctionId.T_MINUS_TILDE, 50)
+assert len(series_from_sigma(sig, 50).coeffs) == 51
+assert riemann_zeta(-1 + 400j) != 0
+"""
+    src = str(Path(zetasums.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 """CLI: artifact formats, exit codes, and determinism."""
 
+import csv
 import json
 import re
 import shlex
@@ -9,8 +10,33 @@ import pytest
 from click.testing import CliRunner
 
 from zetasums.cli import main
+from zetasums.special import FunctionId
+from zetasums.sumrules import verify_sum_rule
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# the fields that hold text or flags; every other cell or value is a number
+_TEXT_FIELDS = {"function", "kind", "condition_met", "pair", "mode"}
+
+
+def _assert_numbers(output, fmt="csv"):
+    """Every cell of a CSV table, or every value of a JSON table or object,
+    outside _TEXT_FIELDS reads back as a number; returns the number of rows."""
+    if fmt == "json":
+        payload = json.loads(output)
+        rows = payload.get("rows", [payload])
+        for row in rows:
+            for key, value in row.items():
+                if key not in _TEXT_FIELDS:
+                    for v in value if isinstance(value, list) else [value]:
+                        assert type(v) in (int, float), (key, v)
+        return len(rows)
+    header, *rows = list(csv.reader(line for line in output.splitlines() if line[:1] != "#"))
+    for row in rows:
+        assert len(row) == len(header)
+        for key, cell in zip(header, row):
+            if key not in _TEXT_FIELDS:
+                float(cell)
+    return len(rows)
 
 
 @pytest.fixture()
@@ -29,6 +55,12 @@ def test_readme_commands_run(runner):
     for args in commands:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args, result.output)
+        table = any("--format" in p.opts for p in main.commands[args[0]].params)
+        _assert_numbers(result.output, "csv" if table else "json")
+        if table:
+            result = runner.invoke(main, args + ["--format", "json"])
+            assert result.exit_code == 0, (args, result.output)
+            _assert_numbers(result.output, "json")
 
 
 def test_readme_python_blocks_run(ds_xi, capsys):
@@ -40,14 +72,15 @@ def test_readme_python_blocks_run(ds_xi, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4  # one row per m in 3..6
 
 
-def test_sumrule_table_row(runner):
+def test_sumrule_table_row(runner, ds_xi):
     result = runner.invoke(main, ["sumrule", "--function", "xi", "--m", "1..6"])
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     m3 = [l for l in lines if l.startswith("3,")][0]
-    cells = m3.split(",")
-    assert cells[1] == "0.0000370527"
-    assert cells[2] == "0.0000370527"
+    cells = [float(c) for c in m3.split(",")]
+    # every digit is printed, so the cells read back exactly
+    assert cells == list(verify_sum_rule(FunctionId.XI, ds_xi, [3])[0])
+    assert f"{cells[1]:.10f}" == f"{cells[2]:.10f}" == "0.0000370527"
 
 
 def test_sumrule_deterministic(runner):
@@ -129,16 +162,20 @@ def test_computation_error_exit_1_with_json(runner):
 
 
 @pytest.mark.parametrize(
-    "args", [["link", "--order", "14"], ["bell", "--function", "tminus", "--order", "14"]]
+    "args",
+    [
+        ["link", "--order", "14"],
+        ["bell", "--function", "tminus", "--order", "14"],
+        ["bell", "--function", "xi", "--order", "200"],
+        ["bell", "--function", "tminus", "--order", "200"],
+        ["link", "--order", "300"],
+    ],
 )
 def test_bell_path_past_order_13_prints_real_numbers(runner, args):
+    # the Newton recurrence carries no factorial, so no order overflows
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0
-    rows = result.output.strip().splitlines()[1:]
-    assert len(rows) == 15
-    for row in rows:
-        for cell in row.split(",")[1:]:
-            float(cell)
+    assert _assert_numbers(result.output) == int(args[-1]) + 1
 
 
 def test_rhscan_beyond_datasets_exit_1_with_json(runner):
@@ -161,7 +198,7 @@ def test_keiper_csv(runner):
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert lines[0] == "k,tau_k,lambda_k_plus_1"
-    assert len(lines) == 11
+    assert _assert_numbers(result.output) == 10
 
 
 def test_precision_report_appended(runner):

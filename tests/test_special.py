@@ -90,6 +90,30 @@ def test_log_gamma_recurrence():
     assert abs(log_gamma(s + 1) - (log_gamma(s) + cmath.log(s))) < 1e-12
 
 
+# the reflection branch of log_gamma switches its form of log sin(pi z) at |Im z| = 8
+@pytest.mark.parametrize(
+    "s", [-0.5 + 7.9j, -0.5 + 8.1j, 0.2 + 8.1j, 0.2 - 8.1j, -1.5 - 7.9j, -2.3 + 30.0j]
+)
+def test_gamma_matches_mpmath_across_im_8(s):
+    with mpmath.workdps(30):
+        expected = complex(mpmath.gamma(s))
+    assert abs(gamma(s) - expected) <= 1e-12 * abs(expected)
+
+
+# L4 left of Re s = 0 takes 1/Gamma((s+1)/2), which crosses |Im| = 8 at |Im s| = 16;
+# past |Im s| = 1800 that factor alone overflows a double
+@pytest.mark.parametrize(
+    "s",
+    [-0.6 + 15.0j, -0.6 + 17.0j, -1.0 + 40.0j, -2.0 - 25.0j, -2.0 - 15.5j, -3.0 + 300.0j,
+     -1.0 + 2000.0j],
+)
+def test_l4_matches_mpmath_across_im_16(s):
+    with mpmath.workdps(30):
+        expected = complex(mpmath.dirichlet(s, [0, 1, 0, -1]))
+    # the phase of each log factor is ~|Im s| log|Im s| large, so its rounding grows with height
+    assert abs(evaluate(FunctionId.L4, s) - expected) <= 1e-11 * abs(expected)
+
+
 # ---------------------------------------------------------------------------
 # zeta / Hurwitz: brute-force partial-sum oracle and exact values
 
@@ -117,6 +141,16 @@ def test_zeta_exact_values():
 def test_zeta_pole():
     with pytest.raises(PoleError):
         riemann_zeta(1.0)
+
+
+def test_zeta_left_of_minus_half_matches_mpmath():
+    # the functional equation in logs holds at every height the datasets reach
+    for sigma in (-3.0, -2.2, -1.5, -0.75, -0.51):
+        for t in np.linspace(-2520.0, 2520.0, 29):
+            s = complex(sigma, t)
+            with mpmath.workdps(30):
+                expected = complex(mpmath.zeta(s))
+            assert abs(riemann_zeta(s) - expected) <= 1e-11 * abs(expected), s
 
 
 def test_hurwitz_vs_brute_force():
