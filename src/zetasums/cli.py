@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from functools import wraps
 from typing import List, Optional, Sequence
@@ -33,6 +34,26 @@ _function_option = click.option(
     "--function", "f", required=True, callback=lambda ctx, param, value: FunctionId(value),
     type=click.Choice([f.value for f, row in SPECS.items() if row.t_max is not None]),
 )
+
+
+class _FloatRange(click.FloatRange):
+    """click.FloatRange that also refuses nan, which passes every comparison."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if math.isnan(value):
+            self.fail("nan is not a number", param, ctx)
+        return value
+
+
+# Highest Taylor order of the circle samples behind every sigma series
+# (sumrules._RESOLUTION - 1); a command that needs one more order than
+# its option exits 1 with the library's DomainError.
+_MAX_ORDER = 511
+# Highest zero scan. Its cost grows about as t^2 (the Euler-Maclaurin
+# cutoff is t/2 and the grid grows with t): xi to 1e4, 10,142 zeros, takes
+# about 11 s on one AMD EPYC core.
+_MAX_T = 1e4
 
 
 def _parse_range(text: str) -> List[int]:
@@ -128,7 +149,10 @@ def main() -> None:
 
 @main.command()
 @_function_option
-@click.option("--t-max", type=float, default=None, help="scan height (default per function)")
+@click.option(
+    "--t-max", type=_FloatRange(min=0.0, max=_MAX_T, min_open=True), default=None,
+    help="scan height (default per function)",
+)
 @click.option("--grid-step", type=float, default=None)
 @click.option("--include-real-axis", is_flag=True, default=False)
 @_common()
@@ -171,7 +195,7 @@ def sumrule(f, m_text, fmt, output, precision_report):
 
 @main.command()
 @_function_option
-@click.option("--order", type=int, default=30, show_default=True)
+@click.option("--order", type=click.IntRange(1, _MAX_ORDER), default=30, show_default=True)
 @_common()
 @_computation_guard
 def keiper(f, order, fmt, output, precision_report):
@@ -188,7 +212,7 @@ def keiper(f, order, fmt, output, precision_report):
 
 @main.command()
 @_function_option
-@click.option("--order", type=int, default=8, show_default=True)
+@click.option("--order", type=click.IntRange(0, _MAX_ORDER), default=8, show_default=True)
 @_common(precision=False)
 @_computation_guard
 def bell(f, order, fmt, output):
@@ -200,7 +224,7 @@ def bell(f, order, fmt, output):
 
 
 @main.command()
-@click.option("--order", type=int, default=10, show_default=True)
+@click.option("--order", type=click.IntRange(0, _MAX_ORDER), default=10, show_default=True)
 @_common()
 @_computation_guard
 def link(order, fmt, output, precision_report):
@@ -218,8 +242,8 @@ def link(order, fmt, output, precision_report):
 @main.command()
 @_function_option
 @click.option("--z0", type=str, required=True, help="complex center, e.g. 0.1+0.05j")
-@click.option("--m", type=int, required=True)
-@click.option("--terms", type=int, default=40, show_default=True)
+@click.option("--m", type=click.IntRange(1, _MAX_ORDER), required=True)
+@click.option("--terms", type=click.IntRange(1, _MAX_ORDER), default=40, show_default=True)
 @_common(table=False, precision=False)
 @_computation_guard
 def translate(f, z0, m, terms, output):
@@ -249,7 +273,7 @@ def translate(f, z0, m, terms, output):
     required=True,
 )
 @click.option("--mode", type=click.Choice(["between", "after"]), default=None)
-@click.option("--n", "n_check", type=int, default=1500, show_default=True)
+@click.option("--n", "n_check", type=click.IntRange(min=1), default=1500, show_default=True)
 @click.option("--t0", type=float, default=0.0, show_default=True)
 @_common(table=False, precision=False)
 @_computation_guard
@@ -279,6 +303,8 @@ def rhscan(range_text, fmt, output):
         t_lo, t_hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise click.UsageError(f"cannot parse range {range_text!r}")
+    if not -math.inf < t_lo < t_hi < math.inf:
+        raise click.UsageError(f"range {range_text!r} is not finite and increasing")
     reports = rhscan_mod.find_derivative_zeros(t_lo, t_hi)
     rows = [
         (
@@ -300,7 +326,9 @@ def rhscan(range_text, fmt, output):
 
 
 @main.command()
-@click.option("--resolution", type=float, default=1e-4, show_default=True)
+@click.option(
+    "--resolution", type=_FloatRange(min=0.0, min_open=True), default=1e-4, show_default=True
+)
 @_common(table=False, precision=False)
 @_computation_guard
 def ystar(resolution, output):

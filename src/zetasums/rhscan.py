@@ -183,8 +183,11 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     the triplet centroid pushed 0.15 off the critical line; alternative
     seeds are tried before a NonConvergenceWarning is issued. Each search
     stays within 20 in Im of its seed, and each of its steps makes one
-    log_xi1 call for V'' and one per line-search trial for V'.
+    log_xi1 call for V'' and one per line-search trial for V'. Raises
+    DomainError for a bound that is not finite.
     """
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise DomainError(f"scan bounds must be finite, got [{t_lo}, {t_hi}]")
     triplets = _merged_triplets(t_lo, t_hi)
     if not triplets:
         return []
@@ -330,8 +333,11 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     +/- i t1(y) with t1 shrinking to 0 as y grows; at y* the pair collides
     at the centre point and leaves the line. y* is found by bisection on
     the presence of a sign change below t = 1.5 (the next zero of the
-    family stays above 2 throughout the bracket).
+    family stays above 2 throughout the bracket). Raises DomainError
+    unless the resolution is positive and finite.
     """
+    if not 0.0 < resolution < math.inf:
+        raise DomainError(f"resolution must be positive and finite, got {resolution}")
     ts = np.geomspace(1e-6, 1.5, _FAMILY_GRID)  # the grid of family_line_zeros(y, 1.5)
     y_lo, y_hi = 6.0, 8.0
 

@@ -93,9 +93,12 @@ def taylor_log_coeffs(
 
     f is sampled at _RESOLUTION points of a circle, Taylor coefficients
     extracted by discrete Fourier averaging, and the series logarithm
-    applied. The result is self-validated at doubled resolution.
+    applied. The result is self-validated at doubled resolution. Raises
+    DomainError unless 0 <= K < _RESOLUTION.
     """
     f = FunctionId(f)
+    if not 0 <= K < _RESOLUTION:
+        raise DomainError(f"Taylor order K must lie in 0..{_RESOLUTION - 1}, got {K}")
     if radius is None:
         radius = SPECS[f].radius
         if radius is None:

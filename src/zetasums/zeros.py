@@ -194,6 +194,8 @@ def scan_zeros(
     those of a scan with a pointwise grid.
     """
     f = FunctionId(f)
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise DomainError(f"scan bounds must be finite, got [{t_lo}, {t_hi}]")
     if grid_step is None:
         grid_step = default_grid_step(t_hi)
     if not grid_step > 0:

@@ -144,6 +144,37 @@ def test_options_a_command_ignores_are_usage_errors(runner, args):
     assert "No such option" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["zeros", "--function", "xi", "--t-max", "nan"],
+        ["zeros", "--function", "xi", "--t-max", "inf"],
+        ["zeros", "--function", "xi", "--t-max", "-5"],
+        ["keiper", "--function", "xi", "--order", "0"],
+        ["bell", "--function", "xi", "--order", "-1"],
+        ["rhscan", "--range", "5..1"],
+        ["rhscan", "--range", "nan..5"],
+        ["interlace", "--pair", "tminus:xihalf", "--n", "0"],
+        ["translate", "--function", "xi", "--z0", "0.1", "--m", "4", "--terms", "0"],
+        ["ystar", "--resolution", "0"],
+        ["ystar", "--resolution", "-1"],
+        ["ystar", "--resolution", "nan"],
+    ],
+)
+def test_bad_options_are_usage_errors(runner, args):
+    # refused before any computation: exit 2 with click's message
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+
+
+def test_order_past_the_circle_exit_1_with_json(runner):
+    # sigma_512 needs more Taylor orders than the 512-point circle holds
+    result = runner.invoke(main, ["keiper", "--function", "xi", "--order", "511"])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr)["error"] == "DomainError"
+
+
 def test_bad_range_exit_2(runner):
     result = runner.invoke(main, ["sumrule", "--function", "xi", "--m", "6..3"])
     assert result.exit_code == 2

@@ -204,6 +204,23 @@ def test_y_star_unchanged(resolution, expected):
     assert lagarias_suzuki_y_star(resolution) == expected
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+def test_y_star_refuses_a_bad_resolution(resolution, monkeypatch):
+    # a resolution <= 0 used to bisect forever, and nan returned 7.0 unchecked;
+    # both are refused before the family is evaluated at all
+    def unreachable(ts, y):
+        raise AssertionError("the family was evaluated")
+
+    monkeypatch.setattr(rhscan, "_family_critical_line", unreachable)
+    with pytest.raises(DomainError):
+        lagarias_suzuki_y_star(resolution)
+
+
+def test_derivative_zero_bounds_must_be_finite():
+    with pytest.raises(DomainError):
+        find_derivative_zeros(math.nan, 420.0)
+
+
 
 def test_merged_triplets_reuse_the_dataset_reads(ds_tplus, ds_tminus, monkeypatch):
     loads = []

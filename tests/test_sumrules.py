@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from zetasums.errors import DomainError
 from zetasums.special import SPECS, FunctionId
 from zetasums.sumrules import (
     _RESOLUTION,
@@ -140,6 +141,12 @@ def test_taylor_log_coeffs_stable_under_radius_change():
     b = taylor_log_coeffs(FunctionId.XI, 10, radius=5.0)
     for k in range(1, 11):
         assert abs(a.coeffs[k] - b.coeffs[k]) < 1e-11 * max(1.0, abs(a.coeffs[k]))
+
+
+@pytest.mark.parametrize("K", [-1, 512])
+def test_taylor_order_outside_the_circle_is_a_domain_error(K):
+    with pytest.raises(DomainError):
+        taylor_log_coeffs(FunctionId.XI, K)
 
 
 def test_sigma_derivative_first_values_xi():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zetasums import special, zeros
-from zetasums.errors import NoSignChangeError
+from zetasums.errors import DomainError, NoSignChangeError
 from zetasums.special import FunctionId, critical_line_form, critical_line_values
 from zetasums.zeros import (
     CRITICAL_LINE,
@@ -102,6 +102,12 @@ def test_bracket_roots_flat_crossing_within_bisection_bound():
 def test_refine_requires_sign_change():
     with pytest.raises(NoSignChangeError):
         refine_zero(FunctionId.XI, (15.0, 16.0))
+
+
+@pytest.mark.parametrize("t_hi", [math.nan, math.inf])
+def test_scan_bounds_must_be_finite(t_hi):
+    with pytest.raises(DomainError):
+        scan_zeros(FunctionId.XI, 0.0, t_hi)
 
 
 def test_scan_small_range_xi():
