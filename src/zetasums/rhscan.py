@@ -77,8 +77,9 @@ def u_func(s):
 def v_func(s):
     """V(s) = (1 + U(s)) / (1 - U(s)), for scalar or array s."""
     u = u_func(s)
-    if np.any(np.abs(u - 1.0) < 1e-300):
-        raise PoleError(f"V(s) has a pole at s={s} (U = 1)")
+    hit = np.ravel(np.abs(u - 1.0) < 1e-300)
+    if hit.any():
+        raise PoleError(f"V(s) has a pole at s={np.ravel(s)[hit][0]} (U = 1)")
     return (1.0 + u) / (1.0 - u)
 
 
@@ -99,31 +100,38 @@ def asymptotic_check(sigma: float, t: float) -> Tuple[float, float]:
     return mod_err, arg_err
 
 
-def _v_derivative(s: np.ndarray, order: int) -> np.ndarray:
-    """Central differences of V of the given order at the points s, from one
-    v_func call; the step is 1e-5 * max(1, |x|) at each stencil point x."""
-    if order == 0:
-        return v_func(s)
-    hs = 1e-5 * np.maximum(1.0, np.abs(s))
-    inner = _v_derivative(np.concatenate((s + hs, s - hs)), order - 1)
-    return (inner[: s.size] - inner[s.size :]) / (2.0 * hs)
+def _v_derivatives(s: complex) -> Tuple[complex, complex]:
+    """(V'(s), V''(s)) by central differences, from one v_func call on six
+    points: s +- h, then (s +- h) +- h', the step 1e-5 * max(1, |x|) at each
+    stencil point x. The steps are real, so all six points share Im s and
+    with it the Euler-Maclaurin cutoff: each value is bitwise the one of
+    separate first- and second-order calls."""
+    x = np.array([s])
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    outer = np.concatenate((x + h, x - h))
+    hh = 1e-5 * np.maximum(1.0, np.abs(outer))
+    v = v_func(np.concatenate((outer, outer + hh, outer - hh)))
+    first = (v[2:4] - v[4:]) / (2.0 * hh)  # V' at s +- h
+    return (
+        complex(((v[:1] - v[1:2]) / (2.0 * h))[0]),
+        complex(((first[:1] - first[1:]) / (2.0 * h))[0]),
+    )
 
 
 def _newton_vprime(seed: complex) -> Optional[complex]:
     """Damped Newton iteration on V', at most 40 steps, bounded to Im within
     20 of the seed.
 
-    A line-search trial further from the seed's Im fails without evaluating
-    V there, which keeps the Euler-Maclaurin cutoff (about Im/2) small.
+    Every evaluation gives V' and V'' together, so a line-search trial that
+    is accepted needs no second call. A trial further from the seed's Im
+    fails without evaluating V there, which keeps the Euler-Maclaurin
+    cutoff (about Im/2) small.
     """
-    def deriv(x: complex, order: int) -> complex:
-        return complex(_v_derivative(np.array([x]), order)[0])
     s = seed
-    g = deriv(s, 1)
+    g, gp = _v_derivatives(s)
     for _ in range(40):
         if abs(g) <= 1e-8:
             return s
-        gp = deriv(s, 2)
         if gp == 0:
             return None
         step = g / gp
@@ -131,9 +139,9 @@ def _newton_vprime(seed: complex) -> Optional[complex]:
         for _ in range(8):
             s_new = s - lam * step
             if abs(s_new.imag - seed.imag) <= 20.0:
-                g_new = deriv(s_new, 1)
+                g_new, gp_new = _v_derivatives(s_new)
                 if abs(g_new) < abs(g):
-                    s, g = s_new, g_new
+                    s, g, gp = s_new, g_new, gp_new
                     break
             lam *= 0.5
         else:
@@ -182,9 +190,10 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     sequence anchors one derivative zero, found by damped Newton seeded at
     the triplet centroid pushed 0.15 off the critical line; alternative
     seeds are tried before a NonConvergenceWarning is issued. Each search
-    stays within 20 in Im of its seed, and each of its steps makes one
-    log_xi1 call for V'' and one per line-search trial for V'. Raises
-    DomainError for a bound that is not finite.
+    stays within 20 in Im of its seed and makes one log_xi1 call, on 12
+    points, per line-search trial, which gives V' and V'' together; each
+    report adds one 2-point call for |V(s_d)|. Raises DomainError for a
+    bound that is not finite.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise DomainError(f"scan bounds must be finite, got [{t_lo}, {t_hi}]")

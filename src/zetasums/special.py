@@ -15,7 +15,10 @@ The Bernoulli corrections and the Lanczos sum are (terms x points) tables
 with a few whole-table operations each, in blocks of _COLUMNS points, and
 every step is elementwise in the points: a point's corrections and Gamma
 are the same bitwise whatever else its call holds, and a small call pays
-a few whole-table operations plus one row product per term.
+a few whole-table operations plus one row product per term. The direct sum
+of a call whose points share one ordinate |Im s| computes the phase row
+n^(-i|Im s|) once; the C cexp forms exp(x) cos y and exp(x) sin y, so its
+terms are bitwise those of one complex exp per point and term.
 
 SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
 series form and its circle radius, the default dataset, the smooth zero count
@@ -255,16 +258,31 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     """Euler-Maclaurin sum at cutoff n_direct: (values, tail bound).
 
     The direct terms (n+a)^(-s), n < N, are summed pointwise when step is
-    None. When every entry lies on a grid Im s = j h, h = step, the sum
+    None. If the call has more than one entry and all share one ordinate
+    |Im s| = t > 0 (the V' stencil, the two arguments of U), the phase row
+    (n+a)^(-it) is computed once and each term is the complex exp of the
+    real -Re s log(n+a) times it; entries below the real axis take the
+    conjugate sum, whose every addition mirrors the one above. The C cexp
+    forms exp(x) cos y and exp(x) sin y, so this is bitwise the one-exp
+    term, and no value depends on the path. Other calls keep one complex
+    exp per entry and term: for one entry, or many ordinates, factoring
+    costs more than it saves; on the real axis the two paths could differ
+    in the sign of a zero imaginary part.
+
+    When every entry lies on a grid Im s = j h, h = step, the sum
     separates: with j = K b + k, K = _BLOCK, b = j // K global,
     (n+a)^(-s) = (n+a)^(-Re s - i h K b) e^(-i h k log(n+a)), so the sums
     of all entries are the entries of A (blocks x N) @ E (N x K): one exp
     per block and term for A, K per term for E, in place of one per entry
-    and term. E is rebuilt on every call. The Bernoulli corrections and the
-    tail bound stay pointwise: the nu = 12 corrections and the first
-    omitted term form one (13 x points) table per block of _COLUMNS points,
-    built by whole-table operations and 12 row products, and summed by
-    _row_sum, so each point's value is the same bitwise in any batch.
+    and term. E is rebuilt on every call.
+
+    The Bernoulli corrections and the tail bound stay pointwise: the
+    nu = 12 corrections and the first omitted term form one (13 x points)
+    table per block of _COLUMNS points, built by whole-table operations and
+    12 row products, and summed by _row_sum, so each point's value is the
+    same bitwise in any batch. No row product is in place: numpy runs an
+    in-place product of one entry as a reduction, with a scalar complex
+    product that can differ by 1 ulp from the array loop's.
     """
     n = np.arange(n_direct, dtype=float) + a  # a, 1+a, ..., N-1+a
     log_n = -np.log(n)
@@ -276,11 +294,23 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
         rows = max(_SLAB_BYTES // (16 * n_direct), 1)
         total = np.empty_like(flat)
         buffer = np.empty((min(flat.size, rows), n_direct), dtype=complex)
+        im = flat.imag
+        t = abs(float(im[0])) if flat.size > 1 else 0.0
+        # the last entry first: it turns most calls of many ordinates away
+        shared = t > 0.0 and abs(im[-1]) == t and bool((np.abs(im) == t).all())
+        if shared:
+            phase = np.exp(log_n * complex(0.0, t))  # (n+a)^(-it)
         for i in range(0, flat.size, rows):
             terms = buffer[: flat.size - i]
-            np.multiply.outer(flat[i : i + rows], log_n, out=terms)
+            # shared: the real products, cast to complex so that the exp is
+            # the complex one (numpy's float exp may differ by 1 ulp)
+            np.multiply.outer((flat.real if shared else flat)[i : i + rows], log_n, out=terms)
             np.exp(terms, out=terms)
+            if shared:
+                terms *= phase
             total[i : i + rows] = terms.sum(axis=1)
+        if shared:
+            np.conjugate(total, out=total, where=im < 0.0)
     else:
         block, k = np.divmod(np.rint(flat.imag / step), _BLOCK)
         bases, which = np.unique(flat.real + 1j * (step * _BLOCK) * block, return_inverse=True)
@@ -300,13 +330,15 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     total = total + power / (flat - 1.0) + 0.5 * bs
     scale = (_EM_COEFF * b ** (-2.0 * _EM_K))[:, None]
     omitted = np.empty(flat.shape)
-    for cols, block, rows in _tables(flat, _EM_K.size):
+    for cols, block, table in _tables(flat, _EM_K.size + 1):
+        rows = table[:-1]
         np.multiply(block, power[cols], out=rows[0])
-        factors = np.add.outer(_EM_MIDPOINTS, block, out=rows[1:])
+        # the factor of row k waits in row k + 1, so no product is in place
+        factors = np.add.outer(_EM_MIDPOINTS, block, out=table[2:])
         np.square(factors, out=factors)
         factors -= 0.25
         for k in range(1, _EM_K.size):
-            rows[k] *= rows[k - 1]
+            np.multiply(table[k + 1], rows[k - 1], out=rows[k])
         rows *= scale
         omitted[cols] = np.abs(rows[-1])
         total[cols] += _row_sum(rows[:-1])

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from zetasums import datasets, rhscan
-from zetasums.errors import DomainError, NonConvergenceWarning
+from zetasums.errors import DomainError, NonConvergenceWarning, PoleError
 from zetasums.rhscan import (
     _family_critical_line,
     _merged_triplets,
+    _v_derivatives,
     asymptotic_check,
     family_line_zeros,
     find_derivative_zeros,
@@ -90,20 +91,51 @@ def test_triplet_kinds_alternate_labels(rhscan_417):
         assert r.condition_met
 
 
+def test_v_pole_names_the_point(monkeypatch):
+    s = np.array([0.5 + 10j, 0.7 + 10j, 0.9 + 10j])
+    monkeypatch.setattr(rhscan, "u_func", lambda w: np.where(w == s[1], 1.0 + 0j, 0.5 + 0j))
+    with pytest.raises(PoleError, match=r"pole at s=\(0\.7\+10j\) \(U = 1\)$"):
+        v_func(s)
+    with pytest.raises(PoleError, match=r"pole at s=\(0\.7\+10j\) \(U = 1\)$"):
+        v_func(s[1])
+
+
+def _v_derivative_nested(s, order):
+    # the nested central differences the search used before: V' from one
+    # v_func call on 2 points, V'' from another on 4
+    if order == 0:
+        return v_func(s)
+    hs = 1e-5 * np.maximum(1.0, np.abs(s))
+    inner = _v_derivative_nested(np.concatenate((s + hs, s - hs)), order - 1)
+    return (inner[: s.size] - inner[s.size :]) / (2.0 * hs)
+
+
+def test_v_derivatives_match_the_nested_differences(rng):
+    s = rng.uniform(-0.5, 1.5, 200) + 1j * rng.uniform(5.0, 1000.0, 200)
+    for p in s:
+        first, second = (complex(_v_derivative_nested(np.array([p]), k)[0]) for k in (1, 2))
+        assert _v_derivatives(p) == (first, second)
+
+
 def test_newton_stays_in_box(ds_tplus, ds_tminus, monkeypatch):
     # a search that wandered to |Im s| ~ 5e5 made every kernel call there cost
     # ~5e5 terms; searches now stay within 20 of their seeds' ordinates
     seen = []
 
     def spy(w):
-        seen.append(float(np.max(np.abs(np.imag(w)), initial=0.0)))
+        seen.append((np.size(w), float(np.max(np.abs(np.imag(w)), initial=0.0))))
         return log_xi1(w)
 
     monkeypatch.setattr(rhscan, "log_xi1", spy)
     reports = find_derivative_zeros(191.5, 192.0)
     assert len(reports) == 1
-    assert max(seen) <= 2.0 * (192.0 + 20.0) + 1.0
-    assert len(seen) < 300  # the unbounded scalar search made 2,214
+    assert max(im for _, im in seen) <= 2.0 * (192.0 + 20.0) + 1.0
+    # one call of 12 points per Newton trial (V' and V'' together), and one
+    # of 2 points for each report's modulus
+    sizes = [size for size, _ in seen]
+    assert sizes.count(2) == len(reports)
+    assert sizes.count(12) == len(sizes) - len(reports)
+    assert len(seen) < 150  # 242 with separate V' and V'' calls; 2,214 unbounded
 
 
 @pytest.mark.parametrize(

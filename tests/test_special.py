@@ -206,6 +206,17 @@ def test_em_row_slabs_are_bitwise(rng):
     together = _hurwitz_em_once(s, 1.0, 400)[0]
     one_by_one = [_hurwitz_em_once(s[i : i + 1], 1.0, 400)[0][0] for i in range(s.size)]
     assert all(a == b for a, b in zip(together, one_by_one))
+    # points of one ordinate |Im s| = t share the phase row of the direct
+    # sum; one-point calls do not, and their correction tables are one
+    # column wide, so a 1-ulp drift of either path shows. This rests on the
+    # C library's cexp forming exp(x) cos y and exp(x) sin y.
+    for a in (1.0, 0.25, 0.75):
+        for n_direct in (50, 400, 1260):
+            t = rng.uniform(n_direct, 2.0 * n_direct)  # a height the cutoff serves
+            s = rng.uniform(-0.5, 3.0, 1300) + 1j * t * rng.choice([-1.0, 1.0], 1300)
+            together = _hurwitz_em_once(s, a, n_direct)[0]
+            one_by_one = [_hurwitz_em_once(s[i : i + 1], a, n_direct)[0][0] for i in range(s.size)]
+            assert all(x == y for x, y in zip(together, one_by_one)), (a, n_direct)
 
 
 # ---------------------------------------------------------------------------
