@@ -10,6 +10,7 @@ with status 2.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -37,12 +38,13 @@ _function_option = click.option(
 
 
 class _FloatRange(click.FloatRange):
-    """click.FloatRange that also refuses nan, which passes every comparison."""
+    """click.FloatRange that also refuses nan, which passes every comparison,
+    and +-inf."""
 
     def convert(self, value, param, ctx):
         value = super().convert(value, param, ctx)
-        if math.isnan(value):
-            self.fail("nan is not a number", param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number", param, ctx)
         return value
 
 
@@ -153,15 +155,13 @@ def main() -> None:
     "--t-max", type=_FloatRange(min=0.0, max=_MAX_T, min_open=True), default=None,
     help="scan height (default per function)",
 )
-@click.option("--grid-step", type=float, default=None)
-@click.option("--include-real-axis", is_flag=True, default=False)
 @_common()
 @_computation_guard
-def zeros(f, t_max, grid_step, include_real_axis, fmt, output, precision_report):
-    """Critical-line (and optional real-axis) zero dataset."""
+def zeros(f, t_max, fmt, output, precision_report):
+    """Critical-line zero dataset, with the real-axis zeros of a function that has them."""
     if t_max is None:
         t_max = SPECS[f].t_max
-    ds = cached_dataset(f, t_max, grid_step, include_real_axis)
+    ds = cached_dataset(f, t_max, None, SPECS[f].real_axis)
     rows = [
         (r.function.value, r.index, r.location_kind, float(r.t_or_x), float(r.residual))
         for r in ds.records
@@ -250,8 +250,10 @@ def translate(f, z0, m, terms, output):
     """Translated zero-power sum at z0, both routes."""
     try:
         center = complex(z0)
+        if not cmath.isfinite(center):
+            raise ValueError
     except ValueError:
-        raise click.UsageError(f"cannot parse complex number {z0!r}")
+        raise click.UsageError(f"{z0!r} is not a finite complex number")
     sig = sr.sigma_series_derivative(f, m + terms)
     via_series = tr.translated_sigma_series(sig, center, m, terms)
     via_direct = tr.translated_sigma_direct(SPECS[f].series, center, m)
@@ -272,16 +274,15 @@ def translate(f, z0, m, terms, output):
     type=click.Choice(["tminus:xihalf", "tplus:xihalf"]),
     required=True,
 )
-@click.option("--mode", type=click.Choice(["between", "after"]), default=None)
 @click.option("--n", "n_check", type=click.IntRange(min=1), default=1500, show_default=True)
-@click.option("--t0", type=float, default=0.0, show_default=True)
+@click.option("--t0", type=_FloatRange(), default=0.0, show_default=True)
 @_common(table=False, precision=False)
 @_computation_guard
-def interlace(pair, mode, n_check, t0, output):
-    """Interlacing failures between a zero sequence and half-shifted xi zeros."""
+def interlace(pair, n_check, t0, output):
+    """Interlacing failures between a zero sequence and half-shifted xi zeros:
+    T_minus zeros between them, T_plus zeros after them."""
     a_name = pair.split(":")[0]
-    if mode is None:
-        mode = "between" if a_name == "tminus" else "after"
+    mode = "between" if a_name == "tminus" else "after"
     a = default_dataset(FunctionId(a_name)).ordinates()
     b = tr.xi_halfshift_ordinates(default_dataset(FunctionId.XI))
     report = tr.interlacing_report(

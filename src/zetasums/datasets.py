@@ -164,7 +164,7 @@ def extend_dataset(ds: ZeroDataset, t_new_max: float) -> ZeroDataset:
         return ds
     cl = [r for r in ds.records if r.location_kind == CRITICAL_LINE]
     ra = [r for r in ds.records if r.location_kind == REAL_AXIS]
-    more = scan_zeros(ds.function, ds.t_max_scanned, t_new_max, check_count=False)
+    more = scan_zeros(ds.function, ds.t_max_scanned, t_new_max)
     known = {round(r.t_or_x, 9) for r in cl}
     new_cl = [r for r in more.records if round(r.t_or_x, 9) not in known]
     records = []
@@ -209,8 +209,11 @@ def cached_dataset(
 ) -> ZeroDataset:
     """Scan-once-then-reuse helper keyed by the whole request: function, t_max,
     step, flag, and the kernel. A cache file that fails its checks warns
-    CacheWarning and is rebuilt."""
+    CacheWarning and is rebuilt. include_real_axis for a function with no
+    real-axis zeros raises DomainError before any file is read or written."""
     f = FunctionId(f)
+    if include_real_axis and not SPECS[f].real_axis:
+        raise DomainError(f"{f.value} has no real-axis zeros")
     path = _cache_path(f, t_max, grid_step, include_real_axis)
     if path.exists():
         try:

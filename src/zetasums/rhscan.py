@@ -343,7 +343,8 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     at the centre point and leaves the line. y* is found by bisection on
     the presence of a sign change below t = 1.5 (the next zero of the
     family stays above 2 throughout the bracket). Raises DomainError
-    unless the resolution is positive and finite.
+    unless the resolution is positive and finite; a resolution below the
+    float spacing at y* stops at adjacent doubles.
     """
     if not 0.0 < resolution < math.inf:
         raise DomainError(f"resolution must be positive and finite, got {resolution}")
@@ -358,10 +359,9 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
         raise ConvergenceError(
             f"collision not bracketed in y between {y_lo} and {y_hi}"
         )
-    while y_hi - y_lo > resolution:
+    y_mid = 0.5 * (y_lo + y_hi)
+    # once the ends are adjacent doubles the midpoint is one of them
+    while y_hi - y_lo > resolution and y_lo < y_mid < y_hi:
+        y_lo, y_hi = (y_mid, y_hi) if pair_on_line(y_mid) else (y_lo, y_mid)
         y_mid = 0.5 * (y_lo + y_hi)
-        if pair_on_line(y_mid):
-            y_lo = y_mid
-        else:
-            y_hi = y_mid
-    return 0.5 * (y_lo + y_hi)
+    return y_mid

@@ -191,7 +191,8 @@ def sigma_from_zeros(
         raise DomainError("m must be >= 1")
     if tail_correction is None:
         tail_correction = m <= 2
-    return _zero_sum(ds, lambda rho: rho ** (-m), tail=tail_correction)
+    # 1/rho first: rho^m overflows in the tail for m of about 90 and more
+    return _zero_sum(ds, lambda rho: (1.0 / rho) ** m, tail=tail_correction)
 
 
 def sigma_series_derivative(f: FunctionId, K: int) -> SigmaSeries:

@@ -5,7 +5,7 @@ turns each sigma_m into a translated sum over the same zeros. Two routes are
 implemented: a binomial resummation of the centred sigma series, and a direct
 log-derivative extraction about z0. The module also compares half-shifted xi
 zero ordinates against the T_plus / T_minus ordinates (interlacing) and
-searches for the shift window in which interlacing holds without failures.
+gives the exact shift window in which interlacing holds without failures.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def translated_sigma_series(
         total += term
         term_mags.append(abs(term))
         zp *= z0
-    if z0 != 0 and term_mags[-1] >= term_mags[-2]:
+    if z0 != 0 and not term_mags[-1] < term_mags[-2]:  # nan when z0^p overflows
         raise ConvergenceError(
             f"translated series for m={m} at z0={z0} is not decreasing "
             f"at the final retained term ({term_mags[-2]:.3e} -> {term_mags[-1]:.3e})"
@@ -141,6 +141,34 @@ def xi_halfshift_ordinates(xi_ds: ZeroDataset) -> np.ndarray:
     return xi_ds.ordinates() / 2.0
 
 
+def _aligned(
+    a: np.ndarray, b: np.ndarray, mode: str, n_check: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, upper, x) for ordinals 1..n_check: the b ordinate x that
+    interlacing compares, and the bounds it must lie strictly between.
+
+    mode "after": x = b_i above a_i (upper = inf). mode "between": x = b_{i+1}
+    inside (a_i, a_{i+1}); the first b ordinate sits below the first a
+    ordinate, so the b sequence runs one index ahead.
+    """
+    if mode not in ("after", "between"):
+        raise DomainError(f"unknown interlacing mode {mode!r}")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ahead = int(mode == "between")
+    if n_check is None:
+        n_check = max(len(a) - ahead, 0)
+    if n_check < 0:
+        raise DomainError(f"n_check must be >= 0, got {n_check}")
+    need = n_check + ahead
+    if len(a) < need or len(b) < need:
+        raise RangeMismatchError(
+            f"need {need} ordinates in both sequences (have {len(a)} and {len(b)})"
+        )
+    upper = a[1:need] if ahead else np.full(n_check, np.inf)
+    return a[:n_check], upper, b[ahead:need]
+
+
 def interlacing_report(
     a: np.ndarray,
     b: np.ndarray,
@@ -153,84 +181,40 @@ def interlacing_report(
 
     mode "after": failure at ordinal i when b_i + t0 does not lie strictly
     above a_i. mode "between": failure at ordinal i when b_{i+1} + t0 does
-    not lie strictly inside (a_i, a_{i+1}); the first b ordinate sits below
-    the first a ordinate, so the b sequence runs one index ahead. A
-    coincidence closer than 1e-9 to an interval endpoint counts as a
-    failure. Ordinals are 1-based over the a sequence.
+    not lie strictly inside (a_i, a_{i+1}). A coincidence closer than 1e-9
+    to an interval endpoint counts as a failure. Ordinals are 1-based over
+    the a sequence. Raises DomainError for a shift that is not finite.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float) + t0
-    if mode not in ("after", "between"):
-        raise DomainError(f"unknown interlacing mode {mode!r}")
-    if n_check is None:
-        n_check = len(a) if mode == "after" else len(a) - 1
-    failures: List[int] = []
-    if mode == "after":
-        if len(a) < n_check or len(b) < n_check:
-            raise RangeMismatchError(
-                f"need {n_check} ordinates in both sequences "
-                f"(have {len(a)} and {len(b)})"
-            )
-        for i in range(n_check):
-            if not b[i] > a[i] + _COINCIDENCE_TOL:
-                failures.append(i + 1)
-    else:
-        if len(a) < n_check + 1 or len(b) < n_check + 1:
-            raise RangeMismatchError(
-                f"need {n_check + 1} ordinates in both sequences "
-                f"(have {len(a)} and {len(b)})"
-            )
-        inside = (a[:n_check] + _COINCIDENCE_TOL < b[1 : n_check + 1]) & (
-            b[1 : n_check + 1] < a[1 : n_check + 1] - _COINCIDENCE_TOL
-        )
-        failures = [i + 1 for i in range(n_check) if not inside[i]]
-    return InterlacingReport(
-        mode=mode, pair=pair, t0=t0, checked=n_check, failures=failures
-    )
+    if not math.isfinite(t0):
+        raise DomainError(f"shift t0 must be finite, got {t0}")
+    lower, upper, x = _aligned(a, b, mode, n_check)
+    x = x + t0
+    inside = (lower + _COINCIDENCE_TOL < x) & (x < upper - _COINCIDENCE_TOL)
+    failures = (np.nonzero(~inside)[0] + 1).tolist()
+    return InterlacingReport(mode=mode, pair=pair, t0=t0, checked=len(x), failures=failures)
 
 
 def translation_window_search(
     a: np.ndarray,
     b: np.ndarray,
     mode: str = "between",
-    t_range: Tuple[float, float] = (-0.2, 0.2),
-    step: float = 0.002,
     n_check: Optional[int] = None,
-    pair: Tuple[str, str] = ("a", "b"),
-) -> Tuple[float, float, List[InterlacingReport]]:
-    """Largest contiguous t0 window with no interlacing failures.
+) -> Tuple[float, float]:
+    """The open window (lo, hi) of shifts t0 for which interlacing_report
+    finds no failure.
 
-    Scans t0 over t_range at the given step, shifting the b ordinates,
-    and returns (lo, hi) bounds of the widest run of failure-free shifts
-    together with the per-shift reports.
+    Ordinal i holds for lower_i + 1e-9 < x_i + t0 < upper_i - 1e-9, with x_i
+    the b ordinate it compares and lower_i, upper_i its a bounds (upper = inf
+    in mode "after"). That is an open interval of t0, so the window is their
+    intersection, in closed form: lo = max(lower - x) + 1e-9 and
+    hi = min(upper - x) - 1e-9. Raises EmptyWindowError when lo >= hi.
     """
-    lo_t, hi_t = t_range
-    grid = np.arange(lo_t, hi_t + 0.5 * step, step)
-    reports = [
-        interlacing_report(a, b, mode, t0=float(t0), n_check=n_check, pair=pair)
-        for t0 in grid
-    ]
-    ok = np.array([not r.failures for r in reports])
-    if not ok.any():
-        raise EmptyWindowError(
-            f"no failure-free shift in [{lo_t}, {hi_t}] at step {step}"
-        )
-    best_len, best_start = 0, 0
-    run_len, run_start = 0, 0
-    for i, good in enumerate(ok):
-        if good:
-            if run_len == 0:
-                run_start = i
-            run_len += 1
-            if run_len > best_len:
-                best_len, best_start = run_len, run_start
-        else:
-            run_len = 0
-    return (
-        float(grid[best_start]),
-        float(grid[best_start + best_len - 1]),
-        reports,
-    )
+    lower, upper, x = _aligned(a, b, mode, n_check)
+    lo = float(np.max(lower + _COINCIDENCE_TOL - x, initial=-np.inf))
+    hi = float(np.min(upper - _COINCIDENCE_TOL - x, initial=np.inf))
+    if not lo < hi:
+        raise EmptyWindowError(f"no shift interlaces the sequences: lo {lo} >= hi {hi}")
+    return lo, hi
 
 
 def ratio_identity_check(t: float, t0: float) -> float:

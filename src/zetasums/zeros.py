@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -181,7 +181,6 @@ def scan_zeros(
     t_lo: float,
     t_hi: float,
     grid_step: Optional[float] = None,
-    check_count: bool = True,
 ) -> ZeroDataset:
     """Scan [t_lo, t_hi] for zeros of the critical-line form of f.
 
@@ -191,7 +190,10 @@ def scan_zeros(
     critical_line_values. The ends of its sign changes are read again
     pointwise (_read_ends), and the sign changes are refined together, at
     most _BATCH at a time, to brackets of width 1e-11: the ordinates are
-    those of a scan with a pointwise grid.
+    those of a scan with a pointwise grid. grid_step defaults to
+    default_grid_step(t_hi). A scan from the origin (t_lo <= grid_step)
+    holds every zero up to its top, so its count is checked against the
+    density model (count_check); a scan that starts higher is not.
     """
     f = FunctionId(f)
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
@@ -234,7 +236,7 @@ def scan_zeros(
         t_max_scanned=float(i_hi) * grid_step,
         generator_metadata=f"scan t in [{t_lo}, {t_hi}] step {grid_step}",
     )
-    if check_count and t_lo <= grid_step:
+    if t_lo <= grid_step:
         count_check(ds)
     return ds
 
@@ -279,13 +281,14 @@ def real_axis_zeros_tminus() -> Tuple[ZeroRecord, ZeroRecord]:
 
 
 def with_real_axis_records(ds: ZeroDataset) -> ZeroDataset:
-    """Copy of a T_minus-family dataset with the two real-axis zeros appended."""
-    rec_pos, rec_neg = real_axis_zeros_tminus()
+    """Copy of a T_minus dataset with the two real-axis zeros appended.
+
+    Raises DomainError for a function whose SPECS row has no real-axis zeros.
+    """
+    if not SPECS[ds.function].real_axis:
+        raise DomainError(f"{ds.function.value} has no real-axis zeros")
     n = len(ds.records)
-    extra = [
-        ZeroRecord(ds.function, n + 1, REAL_AXIS, rec_pos.t_or_x, rec_pos.residual),
-        ZeroRecord(ds.function, n + 2, REAL_AXIS, rec_neg.t_or_x, rec_neg.residual),
-    ]
+    extra = [replace(r, index=n + i) for i, r in enumerate(real_axis_zeros_tminus(), 1)]
     return ZeroDataset(
         function=ds.function,
         records=list(ds.records) + extra,

@@ -226,9 +226,7 @@ def test_criterion_12_interlacing(ds_tminus, ds_tplus, ds_xi):
 
 def test_criterion_12_translation_window(ds_tminus, ds_xi):
     b = xi_halfshift_ordinates(ds_xi)
-    lo, hi, _ = translation_window_search(
-        ds_tminus.ordinates(), b, n_check=1500, step=0.002
-    )
+    lo, hi = translation_window_search(ds_tminus.ordinates(), b, n_check=1500)
     assert abs(lo - (-0.080)) <= 0.005
     assert abs(hi - (-0.036)) <= 0.005
 

@@ -14,7 +14,7 @@ from zetasums.datasets import (
     load_dataset,
     save_dataset,
 )
-from zetasums.errors import CacheWarning, ChecksumError, SchemaError
+from zetasums.errors import CacheWarning, ChecksumError, DomainError, SchemaError
 from zetasums.special import FunctionId
 from zetasums.zeros import ZeroDataset, scan_zeros, with_real_axis_records
 
@@ -112,6 +112,16 @@ def test_cached_ordinates_reload_only_changed_files(tmp_path, monkeypatch, small
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "b"))
     assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n - 2
     assert len(loads) == 3
+
+
+def test_real_axis_zeros_only_for_a_function_that_has_them(tmp_path, monkeypatch):
+    # T_minus's real zeros used to be appended to any dataset, and cached
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    with pytest.raises(DomainError):
+        cached_dataset(FunctionId.XI, 20.0, include_real_axis=True)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(DomainError):
+        with_real_axis_records(scan_zeros(FunctionId.T_PLUS, 0.0, 20.0))
 
 
 def test_cache_never_serves_another_kernel(tmp_path, monkeypatch):

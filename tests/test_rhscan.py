@@ -248,6 +248,12 @@ def test_y_star_refuses_a_bad_resolution(resolution, monkeypatch):
         lagarias_suzuki_y_star(resolution)
 
 
+def test_y_star_below_the_float_spacing_returns():
+    # past adjacent doubles the midpoint equals an end; the loop used to spin there
+    y = lagarias_suzuki_y_star(1e-20)
+    assert abs(y - 4.0 * math.pi * math.exp(-np.euler_gamma)) <= 1e-9
+
+
 def test_derivative_zero_bounds_must_be_finite():
     with pytest.raises(DomainError):
         find_derivative_zeros(math.nan, 420.0)

@@ -6,6 +6,7 @@ import pytest
 
 from zetasums.errors import (
     ConvergenceError,
+    DomainError,
     EmptyWindowError,
     RangeMismatchError,
 )
@@ -69,6 +70,12 @@ def test_convergence_error_outside_radius(sig_xi):
         translated_sigma_series(sig_xi, 12.0, 3, terms=40)
 
 
+def test_convergence_error_when_the_terms_overflow(sig_xi):
+    # z0^p overflows to a nan term, which no comparison of sizes used to catch
+    with pytest.raises(ConvergenceError):
+        translated_sigma_series(sig_xi, 1e300j, 1, terms=2)
+
+
 def test_interlacing_degenerate_identical_sequences():
     a = np.array([1.0, 2.0, 3.0, 4.0])
     report = interlacing_report(a, a, "between")
@@ -97,8 +104,8 @@ def test_interlacing_after_count(ds_tplus, ds_xi):
 def test_window_monotone_in_dataset_size(ds_tminus, ds_xi):
     b = xi_halfshift_ordinates(ds_xi)
     a = ds_tminus.ordinates()
-    lo_1500, hi_1500, _ = translation_window_search(a, b, n_check=1500, step=0.004)
-    lo_1000, hi_1000, _ = translation_window_search(a, b, n_check=1000, step=0.004)
+    lo_1500, hi_1500 = translation_window_search(a, b, n_check=1500)
+    lo_1000, hi_1000 = translation_window_search(a, b, n_check=1000)
     assert lo_1000 <= lo_1500 and hi_1500 <= hi_1000
 
 
@@ -106,7 +113,39 @@ def test_window_empty_when_impossible():
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([10.0, 20.0, 30.0])
     with pytest.raises((EmptyWindowError, RangeMismatchError)):
-        translation_window_search(a, b, t_range=(-0.1, 0.1), step=0.05)
+        translation_window_search(a, b)
+
+
+@pytest.mark.parametrize(
+    "pair, mode, n, window, outside",
+    [
+        ("tminus", "between", 1500, (-0.0799726, -0.0312213), (1496, 1495)),
+        ("tminus", "between", 1000, (-0.0867280, -0.0139881), (922, 995)),
+        ("tplus", "after", 1500, (0.1143141, np.inf), (871, None)),
+    ],
+)
+def test_window_is_exact(ds_tminus, ds_tplus, ds_xi, pair, mode, n, window, outside):
+    # the closed form against the report: no failure inside each finite end
+    # by 1e-9, one failure outside it
+    a = (ds_tminus if pair == "tminus" else ds_tplus).ordinates()
+    b = xi_halfshift_ordinates(ds_xi)
+    lo, hi = translation_window_search(a, b, mode, n_check=n)
+    assert lo == pytest.approx(window[0], abs=1e-7)
+    assert hi == pytest.approx(window[1], abs=1e-7)
+    for end, sign, ordinal in ((lo, 1, outside[0]), (hi, -1, outside[1])):
+        if np.isfinite(end):
+            assert interlacing_report(a, b, mode, end + sign * 1e-9, n).failures == []
+            assert interlacing_report(a, b, mode, end - sign * 1e-9, n).failures == [ordinal]
+
+
+def test_window_of_no_ordinals_is_every_shift():
+    assert translation_window_search(np.arange(3.0), np.arange(3.0), n_check=0) == (-np.inf, np.inf)
+
+
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_interlacing_shift_must_be_finite(t0):
+    with pytest.raises(DomainError):
+        interlacing_report(np.arange(3.0), np.arange(3.0), "after", t0=t0)
 
 
 def test_ratio_identity_spot_values():

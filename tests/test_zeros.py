@@ -182,7 +182,7 @@ def test_real_axis_records_present(ds_tminus):
 
 @pytest.mark.parametrize("lo", [12.0, 997.0, 2498.0])
 def test_xi_window_matches_mpmath(lo):
-    ts = scan_zeros(FunctionId.XI, lo, lo + 5.0, check_count=False).ordinates()
+    ts = scan_zeros(FunctionId.XI, lo, lo + 5.0).ordinates()
     first = int(mpmath.nzeros(lo))
     assert len(ts) == int(mpmath.nzeros(lo + 5.0)) - first
     for n, t in enumerate(ts, start=first + 1):
@@ -198,12 +198,12 @@ def test_rounding_level_grid_end_keeps_the_pointwise_root(monkeypatch):
     point = critical_line_values(FunctionId.XI, t)
     assert np.sign(grid[100]) != np.sign(point[100])
     assert abs(point[100]) <= 1e-12 * np.max(np.abs(point))
-    found = scan_zeros(FunctionId.XI, t[0], t[-1], h, check_count=False).ordinates()
+    found = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
     # the same scan with a pointwise grid
     monkeypatch.setattr(
         zeros, "critical_line_values", lambda f, t, grid_step=None: special.critical_line_values(f, t)
     )
-    pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h, check_count=False).ordinates()
+    pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
     assert found.size == pointwise.size == 2
     # the ends are read again pointwise, so every bracket refines as in the
     # pointwise scan; from the grid ends the root moved by 9.1e-12
@@ -226,6 +226,6 @@ def _mpmath_form(f, t):
     "f, lo", [(FunctionId.T_PLUS, 702.0), (FunctionId.T_MINUS, 403.0), (FunctionId.L4_COMPLETED, 1101.0)]
 )
 def test_ordinate_brackets_mpmath_sign_change(f, lo):
-    ts = scan_zeros(f, lo, lo + 2.0, check_count=False).ordinates()
+    ts = scan_zeros(f, lo, lo + 2.0).ordinates()
     t = float(ts[len(ts) // 2])
     assert _mpmath_form(f, t - 1e-9) * _mpmath_form(f, t + 1e-9) < 0
