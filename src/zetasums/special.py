@@ -102,6 +102,10 @@ _EM_COEFF = _BERNOULLI / np.cumprod((2.0 * _EM_K - 1.0) * (2.0 * _EM_K))  # B_2k
 _EM_MIDPOINTS = (2.0 * _EM_K[1:] - 2.5).astype(complex)
 # Absolute accuracy target of the Euler-Maclaurin tail bound.
 _TARGET_ABS_ERROR = 1e-12
+# Highest |Im s| the kernel takes. The pointwise direct sum holds at least
+# one row of N = |Im s|/2 complex terms, 80 MB at 1e7 (320 MB once the tail
+# bound has doubled N twice); nan and inf are refused with it.
+_IM_LIMIT = 1e7
 
 # Lanczos, g = 607/128, 15 terms (Godfrey coefficients).
 _LANCZOS_G = 607.0 / 128.0
@@ -233,12 +237,15 @@ def _hurwitz_em_array(s: np.ndarray, a: float, step=None) -> np.ndarray:
     Starts from N = max(50, ceil(|Im s|/2)), with the largest |Im s| of
     the call, and doubles N, at most twice, while the tail bound misses
     _TARGET_ABS_ERROR; negative Re s at large |Im s| needs the headroom.
-    Raises AccuracyError if the bound still misses it.
+    Raises AccuracyError if the bound still misses it, and DomainError for
+    |Im s| above _IM_LIMIT or not a number.
     step: None, or the spacing h of a grid Im s = j h (see _hurwitz_em_once).
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     im_max = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
+    if not im_max <= _IM_LIMIT:
+        raise DomainError(f"|Im s| must be at most {_IM_LIMIT:g}, got {im_max!r}")
     n_direct = max(50, math.ceil(im_max / 2.0))
     for _ in range(3):
         total, bound = _hurwitz_em_once(flat, a, n_direct, step)
@@ -600,8 +607,9 @@ class ZeroCount:
         x = t / self.h
         return x * math.log(t / self.h_log) - x + self.c
 
-    def density(self, t: float) -> float:
-        return math.log(t / self.h_log) / self.h
+    def density(self, t):
+        """dN/dT at t, a float or an array."""
+        return np.log(t / self.h_log) / self.h
 
 
 @dataclass(frozen=True)
@@ -662,11 +670,15 @@ def evaluate(f: FunctionId, s):
     """Evaluate the selected function at complex s, a scalar or an array.
 
     Returns a complex for scalar s, else an array of the shape of s. Raises
+    DomainError if any entry is not finite or has |Im s| > _IM_LIMIT,
     PoleError if any entry is a genuine pole and AccuracyError if any value
     is non-finite; removable singularities are filled by a limit stencil.
     """
     f = FunctionId(f)
     z = np.asarray(s, dtype=complex)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise DomainError(f"{f.value} needs finite points, got {z[~finite][0]}")
     values = SPECS[f].evaluator(z.ravel())
     bad = ~np.isfinite(values)
     if bad.any():
@@ -687,6 +699,9 @@ def critical_line_values(f: FunctionId, t, grid_step=None):
     if SPECS[f].line is None:
         raise DomainError(f"no critical-line real form for {f}")
     t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise DomainError(f"{f.value} needs finite ordinates, got {t[~finite][0]}")
     if grid_step is not None:
         if not 0.0 < grid_step < math.inf:
             raise DomainError("grid_step must be positive and finite")

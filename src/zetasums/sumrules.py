@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError, RadiusError
 from .special import SPECS, FunctionId, evaluate
@@ -30,6 +29,12 @@ DERIVATIVE_ROUTE = "derivative_route"
 ZERO_ROUTE = "zero_route"
 # Circle points of taylor_log_coeffs's first pass; its check pass doubles them.
 _RESOLUTION = 512
+# quad's rule for a = 1: 16-point Gauss-Legendre on each of the 64 panels
+# [2^k, 2^(k+1)]; past 2^64 a, a term decaying like t^-2 log t is below rounding.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_PANELS = 2.0 ** np.arange(64)[:, None]
+_QUAD_T = (_PANELS * (1.5 + 0.5 * _GL_X)).ravel()
+_QUAD_W = (_PANELS * (0.5 * _GL_W)).ravel()
 
 
 @dataclass
@@ -137,6 +142,11 @@ def zero_density(f: FunctionId, t: float) -> float:
     return zeros.density(t)
 
 
+def quad(g, a: float) -> float:
+    """Integral of g over (a, inf), a > 0; g is called once, on all 1,024 nodes."""
+    return a * math.fsum(_QUAD_W * g(a * _QUAD_T))
+
+
 def _anchored_tail(ds: ZeroDataset, term) -> float:
     """Estimate of the sum of term over the conjugate pairs above t_max.
 
@@ -151,11 +161,9 @@ def _anchored_tail(ds: ZeroDataset, term) -> float:
         return 0.0
     t_max = ds.t_max_scanned
     pair = lambda t: 2.0 * term(0.5 + 1j * t).real
-    integral, _ = quad(
-        lambda t: pair(t) * zero_density(ds.function, t), t_max, np.inf, limit=200
-    )
+    integral = quad(lambda t: pair(t) * zero_density(ds.function, t), t_max)
     fluct = SPECS[ds.function].zeros.count(t_max) - float(n_observed)
-    return integral + pair(t_max) * fluct
+    return integral + float(pair(t_max)) * fluct
 
 
 def _zero_sum(ds: ZeroDataset, term, include_real_axis: bool = True, tail: bool = False) -> float:
@@ -164,8 +172,8 @@ def _zero_sum(ds: ZeroDataset, term, include_real_axis: bool = True, tail: bool 
     Each critical-line record t stands for the conjugate pair 1/2 +- it and
     adds 2 Re term(1/2 + it); real-axis records x add Re term(x); tail adds
     the anchored density tail above the last zero. term is applied to
-    arrays and, in the tail, to Python complex numbers, so it uses only
-    arithmetic and .real / .conjugate().
+    numpy arrays, and to one scalar at the tail's anchor, so it may use
+    numpy arithmetic and ufuncs.
     """
     total = math.fsum(2.0 * term(0.5 + 1j * ds.ordinates()).real)
     if include_real_axis:
@@ -179,18 +187,13 @@ def _zero_sum(ds: ZeroDataset, term, include_real_axis: bool = True, tail: bool 
 # sigma by the zero route
 
 
-def sigma_from_zeros(
-    ds: ZeroDataset, m: int, tail_correction: Optional[bool] = None
-) -> float:
+def sigma_from_zeros(ds: ZeroDataset, m: int, tail_correction: bool = True) -> float:
     """sigma_m = sum of rho^(-m) over all zeros of the dataset's function.
 
-    For m in {1, 2} the slowly convergent sum gets a mandatory density-model
-    tail.
+    tail_correction adds the anchored density tail above the last zero.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    if tail_correction is None:
-        tail_correction = m <= 2
     # 1/rho first: rho^m overflows in the tail for m of about 90 and more
     return _zero_sum(ds, lambda rho: (1.0 / rho) ** m, tail=tail_correction)
 
@@ -208,20 +211,19 @@ def verify_sum_rule(
 ) -> List[Tuple[int, float, float, float]]:
     """Rows (m, lhs, rhs, diff): lhs = c_m of log f, rhs = -sigma_m/m from zeros."""
     f = SPECS[FunctionId(f)].series
-    K = max(m_range)
-    ps = taylor_log_coeffs(f, K)
+    ps = taylor_log_coeffs(f, max(m_range, default=0))
     rows = []
     for m in m_range:
         lhs = complex(ps.coeffs[m]).real
-        rhs = -sigma_from_zeros(ds, m, tail_correction=True) / m
+        rhs = -sigma_from_zeros(ds, m) / m
         rows.append((m, lhs, rhs, lhs - rhs))
     return rows
 
 
 def crossover_select(f: FunctionId, ds: ZeroDataset, K: int) -> Tuple[int, float]:
     """k minimizing |derivative-route sigma_k - zero-route sigma_k|."""
-    if len(ds.records) == 0:
-        raise DomainError("crossover_select needs a nonempty dataset")
+    if len(ds.records) == 0 or K < 1:
+        raise DomainError("crossover_select needs a nonempty dataset and K >= 1")
     der = sigma_series_derivative(f, K)
     diffs = [
         abs(der.sigma(k) - sigma_from_zeros(ds, k)) for k in range(1, K + 1)
@@ -271,6 +273,8 @@ def tau_lambda_from_sigma(sig: SigmaSeries, K: int) -> KeiperCoefficients:
     tau_0 = sigma_1; tau_k = sum_{j=1..k} C(k-1, j-1) (-1)^j sigma_{j+1};
     lambda_0 = 0;     lambda_m = (1/m) sum_{j=1..m} C(m, j) (-1)^{j+1} sigma_j.
     """
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
     if len(sig.values) < K + 1:
         raise DomainError("need sigma to order K+1")
     tau = np.zeros(K, dtype=complex)
@@ -289,6 +293,11 @@ def tau_lambda_from_sigma(sig: SigmaSeries, K: int) -> KeiperCoefficients:
     return KeiperCoefficients(sig.function, tau, lam)
 
 
+def _lambda_term(rho, m: int):
+    """(1 - w^m)/m, w = rho/(rho-1), by expm1 and log1p: no cancellation at |rho| >> m."""
+    return -np.expm1(-m * np.log1p(-1.0 / rho)) / m
+
+
 def tau_lambda_from_zeros(
     ds: ZeroDataset, K: int, tail_correction: bool = True
 ) -> KeiperCoefficients:
@@ -301,15 +310,16 @@ def tau_lambda_from_zeros(
     coefficient at k=0 by exactly sigma_1, so tau_0 is taken from the sigma
     sum directly.)
     """
-    if K > 100:
-        raise DomainError("powers of rho/(rho-1) lose conditioning past K=100")
+    if not 1 <= K <= 100:
+        # powers of rho/(rho-1) lose conditioning past K = 100
+        raise DomainError(f"K must lie in 1..100, got {K}")
     w = lambda rho: rho / (rho - 1.0)
     tau = [sigma_from_zeros(ds, 1, tail_correction)] + [
         _zero_sum(ds, lambda rho, k=k: -(w(rho) ** (k + 1)) / rho**2, tail=tail_correction)
         for k in range(1, K)
     ]
     lam = [0.0] + [
-        _zero_sum(ds, lambda rho, m=m: (1.0 - w(rho) ** m) / m, tail=tail_correction)
+        _zero_sum(ds, lambda rho, m=m: _lambda_term(rho, m), tail=tail_correction)
         for m in range(1, K + 1)
     ]
     return KeiperCoefficients(ds.function, np.array(tau, dtype=complex), np.array(lam, dtype=complex))

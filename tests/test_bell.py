@@ -123,15 +123,21 @@ def test_series_from_sigma_needs_sigma_to_order_k(sig_der):
 
 
 def test_runtime_needs_no_mpmath():
-    # a blocked import raises ImportError: the library and the CLI run without mpmath
+    # a blocked import raises ImportError: the library and the CLI run without
+    # mpmath or scipy, tailed zero sums included
     code = """
 import sys
 sys.modules["mpmath"] = None
+sys.modules["scipy"] = None
 import zetasums.cli
 from zetasums.bell import series_from_sigma, verify_link3
 from zetasums.special import FunctionId, riemann_zeta
-from zetasums.sumrules import sigma_series_derivative
+from zetasums.sumrules import sigma_from_zeros, sigma_series_derivative
+from zetasums.zeros import CRITICAL_LINE, ZeroDataset, ZeroRecord
 assert len(verify_link3(40)) == 41
+first = ZeroRecord(FunctionId.XI, 1, CRITICAL_LINE, 14.134725, 0.0)
+ds = ZeroDataset(FunctionId.XI, [first], 20.0)
+assert sigma_from_zeros(ds, 1) > sigma_from_zeros(ds, 1, tail_correction=False) > 0
 sig = sigma_series_derivative(FunctionId.T_MINUS_TILDE, 50)
 assert len(series_from_sigma(sig, 50).coeffs) == 51
 assert riemann_zeta(-1 + 400j) != 0
