@@ -325,8 +325,11 @@ def family_line_zeros(y: float, t_hi: float) -> List[float]:
 
     The grid of _FAMILY_GRID points is geometric so that a zero descending
     toward t = 0 (the collision point of the lowest conjugate pair) is
-    still bracketed.
+    still bracketed. Raises DomainError unless y > 0 and t_hi > 1e-6 are
+    finite.
     """
+    if not (0.0 < y < math.inf and 1e-6 < t_hi < math.inf):
+        raise DomainError(f"need finite y > 0 and t_hi > 1e-6, got y = {y!r}, t_hi = {t_hi!r}")
     ts = np.geomspace(1e-6, t_hi, _FAMILY_GRID)
     vals = _family_critical_line(ts, y)
     i = _sign_changes(vals)
@@ -349,11 +352,13 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     if not 0.0 < resolution < math.inf:
         raise DomainError(f"resolution must be positive and finite, got {resolution}")
     ts = np.geomspace(1e-6, 1.5, _FAMILY_GRID)  # the grid of family_line_zeros(y, 1.5)
+    # the y-free part of _family_critical_line, so xi_1 is evaluated once
+    phase = log_xi1(1.0 + 2j * ts).imag
     y_lo, y_hi = 6.0, 8.0
 
     def pair_on_line(y: float) -> bool:
         # a sign change on the grid is a zero; no need to refine it
-        return _sign_changes(_family_critical_line(ts, y)).size > 0
+        return _sign_changes(np.cos(ts * math.log(y) + phase)).size > 0
 
     if not pair_on_line(y_lo) or pair_on_line(y_hi):
         raise ConvergenceError(

@@ -357,12 +357,16 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
 
 
 def riemann_zeta(s) -> complex:
-    """Riemann zeta at complex s (PoleError at s = 1).
+    """Riemann zeta at complex s (PoleError at s = 1, DomainError unless finite).
 
     Below Re s = -1/2 it continues through xi1(s) = xi1(1 - s) in logs,
     zeta(s) = pi^(s/2) xi1(1 - s) / Gamma(s/2), at any |Im s|.
     """
     s = complex(s)
+    # before abs(s - 1): at a nan part CPython's complex abs reads a stale
+    # errno, and raises OverflowError after any earlier libm overflow
+    if not cmath.isfinite(s):
+        raise DomainError(f"riemann_zeta needs a finite point, got {s!r}")
     if abs(s - 1.0) < 1e-300:
         raise PoleError("zeta pole at s=1")
     if s.real < -0.5:
@@ -375,9 +379,12 @@ def hurwitz_zeta(s, a: float) -> complex:
     """Hurwitz zeta(s, a) for a in (0, 1] and Re s >= -1/2 (PoleError at s = 1).
 
     Below Re s = -1/2 the direct sum cancels like N^(1 - Re s) times the
-    rounding error, which the tail bound does not see: DomainError.
+    rounding error, which the tail bound does not see: DomainError, as for
+    a non-finite s.
     """
     s = complex(s)
+    if not cmath.isfinite(s):  # see riemann_zeta
+        raise DomainError(f"hurwitz_zeta needs a finite point, got {s!r}")
     if not 0.0 < a <= 1.0:
         raise DomainError("hurwitz_zeta requires a in (0, 1]")
     if s.real < -0.5:

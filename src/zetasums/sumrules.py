@@ -15,6 +15,7 @@ the last zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -29,6 +30,9 @@ DERIVATIVE_ROUTE = "derivative_route"
 ZERO_ROUTE = "zero_route"
 # Circle points of taylor_log_coeffs's first pass; its check pass doubles them.
 _RESOLUTION = 512
+# Smallest circle radius: samples vary by about radius |f'/f| relative, so at
+# 1e-20 they round to f(center) and every coefficient reads 0, unflagged.
+_MIN_RADIUS = 1e-8
 # quad's rule for a = 1: 16-point Gauss-Legendre on each of the 64 panels
 # [2^k, 2^(k+1)]; past 2^64 a, a term decaying like t^-2 log t is below rounding.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -65,9 +69,17 @@ class KeiperCoefficients:
     lam: np.ndarray  # lambda_0..lambda_K
 
 
+@functools.lru_cache(maxsize=32)  # 32 circles of 1,024 samples: 512 KB
 def _circle_samples(f: FunctionId, center: complex, radius: float, n: int):
+    """f at n equally spaced points of a circle, memoized per process.
+
+    Callers pass (FunctionId, complex, float, int), the key. The array is
+    read-only, as every caller of the circle shares it; errors are not kept.
+    """
     angles = 2.0 * np.pi * np.arange(n) / n
-    return evaluate(f, center + radius * np.exp(1j * angles))
+    samples = evaluate(f, center + radius * np.exp(1j * angles))
+    samples.flags.writeable = False
+    return samples
 
 
 def _taylor_from_samples(samples: np.ndarray, radius: float, K: int) -> np.ndarray:
@@ -98,8 +110,10 @@ def taylor_log_coeffs(
 
     f is sampled at _RESOLUTION points of a circle, Taylor coefficients
     extracted by discrete Fourier averaging, and the series logarithm
-    applied. The result is self-validated at doubled resolution. Raises
-    DomainError unless 0 <= K < _RESOLUTION.
+    applied. The result is self-validated at doubled resolution. The
+    samples of a circle are computed once per process (_circle_samples).
+    Raises DomainError unless 0 <= K < _RESOLUTION and _MIN_RADIUS <=
+    radius < inf.
     """
     f = FunctionId(f)
     if not 0 <= K < _RESOLUTION:
@@ -108,7 +122,9 @@ def taylor_log_coeffs(
         radius = SPECS[f].radius
         if radius is None:
             raise DomainError(f"no default radius for {f}; pass one explicitly")
-    samples2 = _circle_samples(f, center, radius, 2 * _RESOLUTION)
+    if not _MIN_RADIUS <= radius < math.inf:
+        raise DomainError(f"radius must lie in [{_MIN_RADIUS:g}, inf), got {radius!r}")
+    samples2 = _circle_samples(f, complex(center), float(radius), 2 * _RESOLUTION)
     # the even-indexed angles 2 pi (2k) / (2n) are exactly 2 pi k / n
     samples = samples2[::2]
     mags = np.abs(samples)
@@ -277,18 +293,19 @@ def tau_lambda_from_sigma(sig: SigmaSeries, K: int) -> KeiperCoefficients:
         raise DomainError(f"K must be >= 1, got {K}")
     if len(sig.values) < K + 1:
         raise DomainError("need sigma to order K+1")
+    sigma = [0j] + [complex(v) for v in sig.values]  # sigma[j] = sigma_j
     tau = np.zeros(K, dtype=complex)
-    tau[0] = sig.sigma(1)
+    tau[0] = sigma[1]
     for k in range(1, K):
         acc = 0.0 + 0.0j
         for j in range(1, k + 1):
-            acc += math.comb(k - 1, j - 1) * (-1) ** j * sig.sigma(j + 1)
+            acc += math.comb(k - 1, j - 1) * (-1) ** j * sigma[j + 1]
         tau[k] = acc
     lam = np.zeros(K + 1, dtype=complex)
     for m in range(1, K + 1):
         acc = 0.0 + 0.0j
         for j in range(1, m + 1):
-            acc += math.comb(m, j) * (-1) ** (j + 1) * sig.sigma(j)
+            acc += math.comb(m, j) * (-1) ** (j + 1) * sigma[j]
         lam[m] = acc / m
     return KeiperCoefficients(sig.function, tau, lam)
 

@@ -240,12 +240,37 @@ def test_y_star_unchanged(resolution, expected):
 def test_y_star_refuses_a_bad_resolution(resolution, monkeypatch):
     # a resolution <= 0 used to bisect forever, and nan returned 7.0 unchecked;
     # both are refused before the family is evaluated at all
-    def unreachable(ts, y):
+    def unreachable(w):
         raise AssertionError("the family was evaluated")
 
-    monkeypatch.setattr(rhscan, "_family_critical_line", unreachable)
+    monkeypatch.setattr(rhscan, "log_xi1", unreachable)
     with pytest.raises(DomainError):
         lagarias_suzuki_y_star(resolution)
+
+
+def test_y_star_evaluates_xi1_once(monkeypatch):
+    # the family's y-free phase is computed once, not at every bisection step
+    calls = []
+
+    def spy(w):
+        calls.append(np.size(w))
+        return log_xi1(w)
+
+    monkeypatch.setattr(rhscan, "log_xi1", spy)
+    lagarias_suzuki_y_star(1e-4)
+    assert calls == [rhscan._FAMILY_GRID]  # one call, on the whole grid
+
+
+@pytest.mark.parametrize(
+    "y, t_hi",
+    [(0.0, 1.5), (-1.0, 1.5), (math.nan, 1.5), (math.inf, 1.5),
+     (7.0, -1.0), (7.0, 1e-6), (7.0, math.nan), (7.0, math.inf)],
+)
+def test_family_line_zeros_refuses_bad_arguments(y, t_hi):
+    # y <= 0 raised a builtin ValueError, y = nan returned [] and t_hi = -1
+    # a DomainError about a nan |Im s|
+    with pytest.raises(DomainError):
+        family_line_zeros(y, t_hi)
 
 
 def test_y_star_below_the_float_spacing_returns():

@@ -143,6 +143,17 @@ def test_zeta_pole():
         riemann_zeta(1.0)
 
 
+@pytest.mark.parametrize("call", [riemann_zeta, lambda s: hurwitz_zeta(s, 0.25)])
+@pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(0.5, math.nan), math.inf, complex(0.5, -math.inf)])
+def test_zeta_refuses_a_non_finite_point_after_a_stale_overflow(call, s):
+    # an earlier libm overflow leaves errno at ERANGE; abs(s - 1) at a nan
+    # part then raised OverflowError("absolute value too large")
+    with pytest.raises(OverflowError):
+        math.exp(1000.0)
+    with pytest.raises(DomainError):
+        call(s)
+
+
 def test_zeta_left_of_minus_half_matches_mpmath():
     # the functional equation in logs holds at every height the datasets reach
     for sigma in (-3.0, -2.2, -1.5, -0.75, -0.51):

@@ -5,10 +5,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zetasums import sumrules
 from zetasums.errors import DomainError, ZetasumsError
+from zetasums.rhscan import family_line_zeros
 from zetasums.special import (
     SPECS,
     FunctionId,
@@ -144,6 +146,71 @@ def test_circle_samples_match_mpmath(f):
 
 
 # ---------------------------------------------------------------------------
+# the circle-sample memo
+
+
+@pytest.fixture
+def evaluate_spy(monkeypatch):
+    """The function of every evaluate call taylor_log_coeffs makes, from an empty memo."""
+    _circle_samples.cache_clear()
+    calls = []
+
+    def spy(f, s):
+        calls.append(f)
+        return evaluate(f, s)
+
+    monkeypatch.setattr(sumrules, "evaluate", spy)
+    return calls
+
+
+def test_a_circle_is_sampled_once(evaluate_spy):
+    first = taylor_log_coeffs(FunctionId.XI, 30)
+    for K in (0, 5, 30):
+        again = taylor_log_coeffs(FunctionId.XI, K)
+        assert again.coeffs == first.coeffs[: K + 1]
+    assert len(evaluate_spy) == 1
+    # another function, centre or radius is another circle
+    taylor_log_coeffs(FunctionId.L4_COMPLETED, 5)
+    taylor_log_coeffs(FunctionId.XI, 5, center=0.1j)
+    taylor_log_coeffs(FunctionId.XI, 5, radius=3.0)
+    assert len(evaluate_spy) == 4
+    # the memo is keyed on values: an int centre and radius reach the same circles
+    taylor_log_coeffs(FunctionId.XI, 5, center=0, radius=3)
+    assert len(evaluate_spy) == 4
+
+
+def test_another_resolution_is_another_circle(evaluate_spy):
+    _circle_samples(FunctionId.XI, 0j, 3.0, 256)
+    _circle_samples(FunctionId.XI, 0j, 3.0, 512)
+    _circle_samples(FunctionId.XI, 0j, 3.0, 256)
+    assert len(evaluate_spy) == 2
+
+
+def test_a_failed_circle_is_not_memoized(evaluate_spy):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            taylor_log_coeffs(FunctionId.XI, 5, center=complex(math.nan, 0.0))
+    assert len(evaluate_spy) == 2
+
+
+def test_memoized_samples_are_read_only_and_bitwise(evaluate_spy):
+    args = (FunctionId.T_PLUS_TILDE, 0.05 + 0.1j, SPECS[FunctionId.T_PLUS_TILDE].radius, 2 * _RESOLUTION)
+    samples = _circle_samples(*args)
+    with pytest.raises(ValueError):
+        samples[0] = 0.0
+    assert _circle_samples(*args) is samples
+    assert samples.tobytes() == _circle_samples.__wrapped__(*args).tobytes()
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, 1e-300, 1e-20, math.nan, math.inf])
+def test_taylor_radius_outside_the_domain_is_a_domain_error(radius, evaluate_spy):
+    # radius 0 gave nan coefficients and 1e-300 gave c_1 = 0, with no error
+    with pytest.raises(DomainError):
+        taylor_log_coeffs(FunctionId.XI, 5, radius=radius)
+    assert evaluate_spy == []
+
+
+# ---------------------------------------------------------------------------
 # derivative route self-consistency
 
 
@@ -190,6 +257,33 @@ def test_crossover_and_hybrid(ds_xi):
 def test_keiper_residuals_xi(sig_der):
     r1, r2, r3 = keiper_identity_residuals(sig_der[FunctionId.XI])
     assert max(r1, r2, r3) < 1e-10
+
+
+def _tau_lambda_by_method_calls(sig, K):
+    """The binomial sums as they read sigma before: one sig.sigma call per term."""
+    tau = np.zeros(K, dtype=complex)
+    tau[0] = sig.sigma(1)
+    for k in range(1, K):
+        acc = 0.0 + 0.0j
+        for j in range(1, k + 1):
+            acc += math.comb(k - 1, j - 1) * (-1) ** j * sig.sigma(j + 1)
+        tau[k] = acc
+    lam = np.zeros(K + 1, dtype=complex)
+    for m in range(1, K + 1):
+        acc = 0.0 + 0.0j
+        for j in range(1, m + 1):
+            acc += math.comb(m, j) * (-1) ** (j + 1) * sig.sigma(j)
+        lam[m] = acc / m
+    return tau, lam
+
+
+@pytest.mark.parametrize("f", _WITH_RADIUS)  # the four series forms
+def test_tau_lambda_from_sigma_is_bitwise_unchanged(f, sig_der):
+    K = 40
+    got = tau_lambda_from_sigma(sig_der[f], K)
+    tau, lam = _tau_lambda_by_method_calls(sig_der[f], K)
+    assert got.tau.tobytes() == tau.tobytes()
+    assert got.lam.tobytes() == lam.tobytes()
 
 
 def test_tau_lambda_route_agreement_xi(ds_xi, sig_der):
@@ -315,8 +409,11 @@ _edge_point = st.one_of(
     st.lists(_edge_point, min_size=1, max_size=4),
     st.one_of(st.sampled_from(_EDGE_T), st.floats(0.0, 50.0)),
     st.integers(-3, 3),
+    st.one_of(st.sampled_from([0.0, -1.0, 1e-300] + _EDGE_T), st.floats(0.5, 8.0)),
 )
-def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K):
+# an overflow at 1e300 left errno stale, and riemann_zeta(nan) then raised OverflowError
+@example(FunctionId.XI, [math.nan, 1e300], math.nan, 0, 4.0)
+def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
     sigma = np.array([_toy_sigma(m) for m in range(1, 6)])
     toy = SigmaSeries(FunctionId.XI, sigma, ["exact"] * 5, 4)
     calls = [
@@ -329,6 +426,8 @@ def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K):
         lambda: riemann_zeta(pts[0]),
         lambda: hurwitz_zeta(pts[0], 0.25),
         lambda: taylor_log_coeffs(f, K, center=pts[0]),
+        lambda: taylor_log_coeffs(f, K, radius=r),
+        lambda: family_line_zeros(r, t),
         lambda: verify_sum_rule(f, _toy_dataset(), range(K, K + 2)),
         lambda: sigma_series_hybrid(f, _toy_dataset(), K),
         lambda: tau_lambda_from_sigma(toy, K),
