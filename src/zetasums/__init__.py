@@ -30,7 +30,6 @@ from .special import (
 
 from .zeros import (
     ZeroDataset,
-    ZeroRecord,
     count_check,
     real_axis_zeros_tminus,
     refine_zero,

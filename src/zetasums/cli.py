@@ -25,7 +25,7 @@ from . import bell as bell_mod
 from . import rhscan as rhscan_mod
 from . import sumrules as sr
 from . import translate as tr
-from .datasets import cached_dataset, default_dataset
+from .datasets import HEADER, cached_dataset, dataset_rows, default_dataset
 from .errors import ZetasumsError
 from .special import SPECS, FunctionId
 
@@ -162,16 +162,8 @@ def zeros(f, t_max, fmt, output, precision_report):
     if t_max is None:
         t_max = SPECS[f].t_max
     ds = cached_dataset(f, t_max, None, SPECS[f].real_axis)
-    rows = [
-        (r.function.value, r.index, r.location_kind, float(r.t_or_x), float(r.residual))
-        for r in ds.records
-    ]
-    extra = (
-        [f"max residual {max((r.residual for r in ds.records), default=0.0):.3e}"]
-        if precision_report
-        else None
-    )
-    _emit(rows, ["function", "index", "kind", "t_or_x", "residual"], fmt, output, extra)
+    extra = [f"max residual {ds.residuals.max(initial=0.0):.3e}"] if precision_report else None
+    _emit(dataset_rows(ds), HEADER, fmt, output, extra)
 
 
 @main.command()

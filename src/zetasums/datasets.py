@@ -1,9 +1,10 @@
 """Persistence, caching, and integrity of zero datasets.
 
-A dataset is a CSV of records plus a JSON sidecar manifest carrying a
-checksum of the record stream. Floats are written in shortest round-trip
-form so save/load is bit-identical. Both files are written whole or not at
-all, and cache file names carry the kernel that wrote them.
+A dataset is a CSV with one row per zero (dataset_rows, the only producer
+of the row format) plus a JSON sidecar manifest carrying a checksum of the
+function, the scanned height and the rows. Floats are written in shortest
+round-trip form so save/load is bit-identical. Both files are written whole
+or not at all, and cache file names carry the kernel that wrote them.
 """
 
 from __future__ import annotations
@@ -15,22 +16,20 @@ import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from . import __version__
 from .errors import CacheWarning, ChecksumError, DomainError, SchemaError
 from .special import SPECS, FunctionId
-from .zeros import (
-    CRITICAL_LINE,
-    REAL_AXIS,
-    ZeroDataset,
-    ZeroRecord,
-    scan_zeros,
-    with_real_axis_records,
-)
+from .zeros import ZeroDataset, scan_zeros, with_real_axis_records
 
-SCHEMA_VERSION = 1
-_HEADER = ["function", "index", "kind", "t_or_x", "residual"]
+# 2: the checksum covers the function and t_max as well as the rows
+SCHEMA_VERSION = 2
+HEADER = ("function", "index", "kind", "t_or_x", "residual")
+CRITICAL_LINE = "critical_line"
+REAL_AXIS = "real_axis"
 CACHE_ENV = "ZETASUMS_CACHE_DIR"
 # Zero-finding kernel number, in every cache file name with the package
 # version: a change that can move a written ordinate bumps it, so that no
@@ -53,13 +52,16 @@ def _manifest_path(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".manifest.json")
 
 
-def _record_rows(ds: ZeroDataset):
-    for r in ds.records:
-        yield [ds.function.value, str(r.index), r.location_kind, repr(r.t_or_x), repr(r.residual)]
+def dataset_rows(ds: ZeroDataset) -> List[Tuple[str, int, str, float, float]]:
+    """The rows of ds under HEADER: line zeros, then real-axis zeros, with
+    1-based ordinals."""
+    kinds = [CRITICAL_LINE] * ds.line.size + [REAL_AXIS] * ds.real.size
+    columns = zip(kinds, np.concatenate((ds.line, ds.real)).tolist(), ds.residuals.tolist())
+    return [(ds.function.value, i, *row) for i, row in enumerate(columns, 1)]
 
 
-def _stream_checksum(rows) -> str:
-    h = hashlib.sha256()
+def _checksum(function: str, t_max: float, rows) -> str:
+    h = hashlib.sha256(f"{function},{float(t_max)!r}\n".encode())
     for row in rows:
         h.update(",".join(row).encode())
         h.update(b"\n")
@@ -75,12 +77,12 @@ def save_dataset(ds: ZeroDataset, path) -> DatasetManifest:
     """
     path = Path(path)
     mpath = _manifest_path(path)
-    rows = list(_record_rows(ds))
+    rows = [[str(v) for v in row] for row in dataset_rows(ds)]
     manifest = DatasetManifest(
         function=ds.function,
         count=len(rows),
         t_max=ds.t_max_scanned,
-        checksum=_stream_checksum(rows),
+        checksum=_checksum(ds.function.value, ds.t_max_scanned, rows),
         generator_metadata=ds.generator_metadata,
         schema_version=SCHEMA_VERSION,
     )
@@ -88,7 +90,7 @@ def save_dataset(ds: ZeroDataset, path) -> DatasetManifest:
     try:
         with open(temps[0], "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(_HEADER)
+            w.writerow(HEADER)
             w.writerows(rows)
         with open(temps[1], "w") as fh:
             json.dump({**asdict(manifest), "function": manifest.function.value}, fh, indent=2)
@@ -104,8 +106,9 @@ def save_dataset(ds: ZeroDataset, path) -> DatasetManifest:
 def load_dataset(path) -> ZeroDataset:
     """Load and validate a dataset written by save_dataset.
 
-    Raises SchemaError for a missing/mismatched manifest, out-of-order or
-    duplicate records; ChecksumError if the record stream was modified.
+    Raises SchemaError for a missing or mismatched manifest or rows out of
+    order (ordinals, kinds or ordinates); ChecksumError if the function, the
+    height or the rows were modified.
     """
     path = Path(path)
     mpath = _manifest_path(path)
@@ -120,40 +123,38 @@ def load_dataset(path) -> ZeroDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != _HEADER:
+        if header != list(HEADER):
             raise SchemaError(f"unexpected CSV header {header}")
         rows = list(reader)
-    if _stream_checksum(rows) != meta["checksum"]:
+    if _checksum(meta["function"], meta["t_max"], rows) != meta["checksum"]:
         raise ChecksumError(f"checksum mismatch for {path}")
     if len(rows) != meta["count"]:
-        raise SchemaError("manifest count does not match record count")
+        raise SchemaError("manifest count does not match the row count")
     function = FunctionId(meta["function"])
-    records = []
-    prev_t = None
-    for row in rows:
-        if len(row) != 5 or row[0] != function.value:
-            raise SchemaError(f"malformed row {row}")
-        rec = ZeroRecord(function, int(row[1]), row[2], float(row[3]), float(row[4]))
-        if rec.location_kind not in (CRITICAL_LINE, REAL_AXIS):
-            raise SchemaError(f"unknown location kind {rec.location_kind}")
-        if rec.location_kind == CRITICAL_LINE:
-            if prev_t is not None and rec.t_or_x <= prev_t:
-                raise SchemaError("critical-line ordinates out of order")
-            prev_t = rec.t_or_x
-        records.append(rec)
-    indices = [r.index for r in records]
-    if indices != list(range(1, len(records) + 1)):
-        raise SchemaError("record ordinals must be consecutive starting at 1")
+    if any(len(row) != len(HEADER) or row[0] != function.value for row in rows):
+        raise SchemaError(f"malformed row, or a row of another function than {function.value}")
+    _, ordinals, kinds, points, residuals = zip(*rows) if rows else [()] * len(HEADER)
+    if ordinals != tuple(map(str, range(1, len(rows) + 1))):
+        raise SchemaError("row ordinals must be consecutive starting at 1")
+    n = kinds.count(CRITICAL_LINE)
+    if kinds != (CRITICAL_LINE,) * n + (REAL_AXIS,) * (len(rows) - n):
+        raise SchemaError(f"rows must be {CRITICAL_LINE} rows, then {REAL_AXIS} rows")
+    points = np.array(points, dtype=float)
+    if not np.all(np.diff(points[:n]) > 0.0):
+        raise SchemaError("critical-line ordinates out of order")
     return ZeroDataset(
-        function=function,
-        records=records,
+        function,
+        line=points[:n],
+        real=points[n:],
+        residuals=np.array(residuals, dtype=float),
         t_max_scanned=float(meta["t_max"]),
         generator_metadata=meta["generator_metadata"],
     )
 
 
 def extend_dataset(ds: ZeroDataset, t_new_max: float) -> ZeroDataset:
-    """Continue the scan of ds up to t_new_max; ordinals continue.
+    """Continue the scan of ds up to t_new_max: the new scan's ordinates
+    above the last old one follow the old ones, before the real-axis zeros.
 
     The scan grid is aligned to step multiples, so extending equals a fresh
     scan over the union range.
@@ -162,22 +163,14 @@ def extend_dataset(ds: ZeroDataset, t_new_max: float) -> ZeroDataset:
         raise DomainError("t_new_max must not be below the scanned range")
     if t_new_max == ds.t_max_scanned:
         return ds
-    cl = [r for r in ds.records if r.location_kind == CRITICAL_LINE]
-    ra = [r for r in ds.records if r.location_kind == REAL_AXIS]
     more = scan_zeros(ds.function, ds.t_max_scanned, t_new_max)
-    known = {round(r.t_or_x, 9) for r in cl}
-    new_cl = [r for r in more.records if round(r.t_or_x, 9) not in known]
-    records = []
-    idx = 0
-    for r in cl + new_cl:
-        idx += 1
-        records.append(ZeroRecord(ds.function, idx, CRITICAL_LINE, r.t_or_x, r.residual))
-    for r in ra:
-        idx += 1
-        records.append(ZeroRecord(ds.function, idx, REAL_AXIS, r.t_or_x, r.residual))
+    n = ds.line.size
+    keep = more.line > (ds.line[-1] if n else -np.inf)
     return ZeroDataset(
-        function=ds.function,
-        records=records,
+        ds.function,
+        line=np.concatenate((ds.line, more.line[keep])),
+        real=ds.real,
+        residuals=np.concatenate((ds.residuals[:n], more.residuals[keep], ds.residuals[n:])),
         t_max_scanned=more.t_max_scanned,
         generator_metadata=ds.generator_metadata + f" extended to {t_new_max}",
     )
@@ -210,8 +203,11 @@ def cached_dataset(
     """Scan-once-then-reuse helper keyed by the whole request: function, t_max,
     step, flag, and the kernel. A cache file that fails its checks warns
     CacheWarning and is rebuilt. include_real_axis for a function with no
-    real-axis zeros raises DomainError before any file is read or written."""
+    real-axis zeros, or a t_max that is not positive and finite, raises
+    DomainError before any file is read or written."""
     f = FunctionId(f)
+    if not 0.0 < t_max < np.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
     if include_real_axis and not SPECS[f].real_axis:
         raise DomainError(f"{f.value} has no real-axis zeros")
     path = _cache_path(f, t_max, grid_step, include_real_axis)
@@ -254,7 +250,5 @@ def cached_ordinates(f: FunctionId, t_max: float, include_real_axis: bool = Fals
     memo = _ORDINATES.get(path)
     if before is None or memo is None or memo[0] != before:
         ds = cached_dataset(f, t_max, None, include_real_axis)
-        ordinates = ds.ordinates()
-        ordinates.flags.writeable = False  # every caller shares this array
-        memo = _ORDINATES[path] = (before or stamp(), (ordinates, ds.t_max_scanned))
+        memo = _ORDINATES[path] = (before or stamp(), (ds.ordinates(), ds.t_max_scanned))
     return memo[1]

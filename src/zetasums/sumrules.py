@@ -185,8 +185,8 @@ def _anchored_tail(ds: ZeroDataset, term) -> float:
 def _zero_sum(ds: ZeroDataset, term, include_real_axis: bool = True, tail: bool = False) -> float:
     """Sum of term(rho) over the dataset's zeros, the one operation of the zero route.
 
-    Each critical-line record t stands for the conjugate pair 1/2 +- it and
-    adds 2 Re term(1/2 + it); real-axis records x add Re term(x); tail adds
+    Each critical-line ordinate t stands for the conjugate pair 1/2 +- it
+    and adds 2 Re term(1/2 + it); each real-axis zero x adds Re term(x); tail adds
     the anchored density tail above the last zero. term is applied to
     numpy arrays, and to one scalar at the tail's anchor, so it may use
     numpy arithmetic and ufuncs.
@@ -238,7 +238,7 @@ def verify_sum_rule(
 
 def crossover_select(f: FunctionId, ds: ZeroDataset, K: int) -> Tuple[int, float]:
     """k minimizing |derivative-route sigma_k - zero-route sigma_k|."""
-    if len(ds.records) == 0 or K < 1:
+    if len(ds) == 0 or K < 1:
         raise DomainError("crossover_select needs a nonempty dataset and K >= 1")
     der = sigma_series_derivative(f, K)
     diffs = [
@@ -257,7 +257,7 @@ def sigma_series_hybrid(f: FunctionId, ds: ZeroDataset, K: int) -> SigmaSeries:
     for k in range(crossover, K + 1):
         vals[k - 1] = sigma_from_zeros(ds, k)
         method[k - 1] = ZERO_ROUTE
-    return SigmaSeries(der.function, vals, method, len(ds.records))
+    return SigmaSeries(der.function, vals, method, len(ds))
 
 
 # ---------------------------------------------------------------------------

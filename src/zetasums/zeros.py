@@ -3,7 +3,7 @@
 Zeros are found as sign changes of the rescaled critical-line real form on
 a grid, refined together by one bracketed solver (Illinois steps with a
 bisection point at every step, one array call per step), and returned as
-ordered datasets with 1-based ordinals. The grid is aligned to multiples of
+datasets of read-only arrays. The grid is aligned to multiples of
 its step, so each chunk is read with the separable kernel: its
 Euler-Maclaurin direct sums are one product of a block-phase matrix and a
 step-phase matrix (special._hurwitz_em_once). The bracket ends, the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,44 +22,49 @@ import numpy as np
 from .errors import MissedZeroWarning, NoSignChangeError, DomainError
 from .special import SPECS, FunctionId, critical_line_values, evaluate
 
-CRITICAL_LINE = "critical_line"
-REAL_AXIS = "real_axis"
-
 _CHUNK = 4096
 # Brackets refined together by scan_zeros. Small probe arrays keep the
 # refiner's temporaries out of the heap that the grid chunks leave behind.
 _BATCH = 32
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
-    function: FunctionId
-    index: int
-    location_kind: str
-    t_or_x: float
-    residual: float
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ZeroDataset:
+    """The zeros of one function, as read-only float arrays.
+
+    line holds the critical-line ordinates t, increasing, each standing for
+    the pair 1/2 +- it; real holds the real-axis zeros x; residuals holds
+    |f| at each zero, line zeros first (zeros when not given). Every array
+    is copied once, so a caller's later edits do not reach the dataset.
+    """
+
     function: FunctionId
-    records: List[ZeroRecord] = field(default_factory=list)
+    _: KW_ONLY
+    line: np.ndarray = ()
+    real: np.ndarray = ()
+    residuals: Optional[np.ndarray] = None
     t_max_scanned: float = 0.0
     generator_metadata: str = ""
 
+    def __post_init__(self):
+        n = np.size(self.line) + np.size(self.real)
+        residuals = np.zeros(n) if self.residuals is None else self.residuals
+        for name, values in (("line", self.line), ("real", self.real), ("residuals", residuals)):
+            values = np.array(values, dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.line.ndim != 1 or self.real.ndim != 1 or self.residuals.shape != (n,):
+            raise DomainError(f"need two 1-d arrays of zeros and {n} residuals")
+
     def ordinates(self) -> np.ndarray:
         """Critical-line ordinates t, in increasing order."""
-        return np.array(
-            [r.t_or_x for r in self.records if r.location_kind == CRITICAL_LINE]
-        )
+        return self.line
 
     def real_points(self) -> np.ndarray:
-        return np.array(
-            [r.t_or_x for r in self.records if r.location_kind == REAL_AXIS]
-        )
+        return self.real
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.line.size + self.real.size
 
 
 def default_grid_step(t_hi: float) -> float:
@@ -150,12 +155,12 @@ def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
     return np.where(np.isnan(roots), 0.5 * (a + b), roots)
 
 
-def refine_zero(f: FunctionId, t_bracket: Tuple[float, float]) -> ZeroRecord:
-    """Refine a sign-change bracket of the critical-line form to width 1e-11.
+def refine_zero(f: FunctionId, t_bracket: Tuple[float, float]) -> float:
+    """Refine a sign-change bracket of the critical-line form to width 1e-11
+    and return the ordinate.
 
     A bracket holding two zeros (no sign change at the ends) is split by one
-    interior subdivision and the lower zero is returned. A lone zero has no
-    ordinal, so the record's index is 0.
+    interior subdivision and the lower zero is returned.
     """
     a, b = float(t_bracket[0]), float(t_bracket[1])
     if not a < b:
@@ -172,8 +177,7 @@ def refine_zero(f: FunctionId, t_bracket: Tuple[float, float]) -> ZeroRecord:
             )
         i = inner[0]
         grid, vals = grid[i : i + 2], vals[i : i + 2]
-    root = float(_bracket_roots(func, grid[:1], grid[-1:], vals[:1], vals[-1:], 1e-11)[0])
-    return ZeroRecord(f, 0, CRITICAL_LINE, root, abs(float(func(root))))
+    return float(_bracket_roots(func, grid[:1], grid[-1:], vals[:1], vals[-1:], 1e-11)[0])
 
 
 def scan_zeros(
@@ -196,8 +200,8 @@ def scan_zeros(
     density model (count_check); a scan that starts higher is not.
     """
     f = FunctionId(f)
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise DomainError(f"scan bounds must be finite, got [{t_lo}, {t_hi}]")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+        raise DomainError(f"scan bounds must be finite with t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if grid_step is None:
         grid_step = default_grid_step(t_hi)
     if not grid_step > 0:
@@ -225,14 +229,10 @@ def scan_zeros(
         roots.append(t[v == 0.0])
         prev_t, prev_v = float(t[-1]), float(v[-1])
     found = np.unique(np.concatenate(roots)) if roots else np.empty(0)
-    residuals = np.abs(func(found)) if found.size else found
-    records = [
-        ZeroRecord(f, i + 1, CRITICAL_LINE, float(r), float(res))
-        for i, (r, res) in enumerate(zip(found, residuals))
-    ]
     ds = ZeroDataset(
-        function=f,
-        records=records,
+        f,
+        line=found,
+        residuals=np.abs(func(found)) if found.size else found,
         t_max_scanned=float(i_hi) * grid_step,
         generator_metadata=f"scan t in [{t_lo}, {t_hi}] step {grid_step}",
     )
@@ -261,37 +261,34 @@ def count_check(ds: ZeroDataset) -> Tuple[int, float]:
     return observed, predicted
 
 
-def real_axis_zeros_tminus() -> Tuple[ZeroRecord, ZeroRecord]:
-    """The two real-axis zeros of T_minus, near 3.91231 and -2.91231.
+def _tminus_real(x: np.ndarray) -> np.ndarray:
+    return evaluate(FunctionId.T_MINUS_TILDE, x).real
+
+
+def real_axis_zeros_tminus() -> np.ndarray:
+    """The two real-axis zeros of T_minus, [3.91231..., -2.91231...].
 
     Located on the pole-free modified form (same zeros away from the poles),
     which is real on the real axis.
     """
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return evaluate(FunctionId.T_MINUS_TILDE, x).real
-
     a, b = np.array([3.5, -3.3]), np.array([4.3, -2.5])
-    ends = g(np.concatenate((a, b)))
-    x_pos, x_neg = _bracket_roots(g, a, b, ends[:2], ends[2:], 1e-11)
-    res_pos, res_neg = np.abs(g(np.array([x_pos, x_neg])))
-    rec_pos = ZeroRecord(FunctionId.T_MINUS, 1, REAL_AXIS, float(x_pos), float(res_pos))
-    rec_neg = ZeroRecord(FunctionId.T_MINUS, 2, REAL_AXIS, float(x_neg), float(res_neg))
-    return rec_pos, rec_neg
+    ends = _tminus_real(np.concatenate((a, b)))
+    return _bracket_roots(_tminus_real, a, b, ends[:2], ends[2:], 1e-11)
 
 
 def with_real_axis_records(ds: ZeroDataset) -> ZeroDataset:
-    """Copy of a T_minus dataset with the two real-axis zeros appended.
+    """Copy of a T_minus dataset with its two real-axis zeros, which replace any it had.
 
     Raises DomainError for a function whose SPECS row has no real-axis zeros.
     """
     if not SPECS[ds.function].real_axis:
         raise DomainError(f"{ds.function.value} has no real-axis zeros")
-    n = len(ds.records)
-    extra = [replace(r, index=n + i) for i, r in enumerate(real_axis_zeros_tminus(), 1)]
+    x = real_axis_zeros_tminus()
     return ZeroDataset(
-        function=ds.function,
-        records=list(ds.records) + extra,
+        ds.function,
+        line=ds.line,
+        real=x,
+        residuals=np.concatenate((ds.residuals[: ds.line.size], np.abs(_tminus_real(x)))),
         t_max_scanned=ds.t_max_scanned,
         generator_metadata=ds.generator_metadata + " + real-axis zeros",
     )

@@ -201,8 +201,7 @@ def test_criterion_10_symmetric_constants(sig_der):
 
 
 def test_criterion_11_real_zeros():
-    recs = real_axis_zeros_tminus()
-    xs = sorted(r.t_or_x for r in recs)
+    xs = sorted(real_axis_zeros_tminus())
     assert xs[1] == pytest.approx(3.91231, abs=1e-5)
     assert xs[0] == pytest.approx(-2.91231, abs=1e-5)
     assert xs[0] + xs[1] == pytest.approx(1.0, abs=1e-9)

@@ -133,10 +133,9 @@ import zetasums.cli
 from zetasums.bell import series_from_sigma, verify_link3
 from zetasums.special import FunctionId, riemann_zeta
 from zetasums.sumrules import sigma_from_zeros, sigma_series_derivative
-from zetasums.zeros import CRITICAL_LINE, ZeroDataset, ZeroRecord
+from zetasums.zeros import ZeroDataset
 assert len(verify_link3(40)) == 41
-first = ZeroRecord(FunctionId.XI, 1, CRITICAL_LINE, 14.134725, 0.0)
-ds = ZeroDataset(FunctionId.XI, [first], 20.0)
+ds = ZeroDataset(FunctionId.XI, line=[14.134725], t_max_scanned=20.0)
 assert sigma_from_zeros(ds, 1) > sigma_from_zeros(ds, 1, tail_correction=False) > 0
 sig = sigma_series_derivative(FunctionId.T_MINUS_TILDE, 50)
 assert len(series_from_sigma(sig, 50).coeffs) == 51

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetasums.cli import main
+from zetasums.datasets import dataset_rows
 from zetasums.special import FunctionId
 from zetasums.sumrules import verify_sum_rule
 
@@ -114,7 +115,7 @@ def test_zeros_prints_the_default_dataset(runner, ds_xi, ds_tplus, ds_tminus, ds
     assert result.exit_code == 0
     _, *rows = csv.reader(result.stdout.splitlines())
     assert [(int(r[1]), r[2], float(r[3])) for r in rows] == [
-        (r.index, r.location_kind, r.t_or_x) for r in ds.records
+        (index, kind, t) for _, index, kind, t, _ in dataset_rows(ds)
     ]
     assert sum(r[2] == "real_axis" for r in rows) == (2 if f == "tminus" else 0)
 

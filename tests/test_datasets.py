@@ -1,7 +1,9 @@
 """Dataset persistence: round-trip, checksums, schema validation, extension."""
 
-import dataclasses
+import json
+import warnings
 
+import numpy as np
 import pytest
 
 import zetasums
@@ -10,6 +12,7 @@ from zetasums.datasets import (
     cache_dir,
     cached_dataset,
     cached_ordinates,
+    dataset_rows,
     extend_dataset,
     load_dataset,
     save_dataset,
@@ -31,10 +34,10 @@ def test_round_trip(tmp_path, small_ds):
     back = load_dataset(path)
     assert back.function is small_ds.function
     assert back.t_max_scanned == small_ds.t_max_scanned
-    assert len(back.records) == len(small_ds.records)
-    for a, b in zip(back.records, small_ds.records):
-        assert a.t_or_x == b.t_or_x  # exact: repr round-trips binary floats
-        assert a.location_kind == b.location_kind
+    assert len(back) == len(small_ds)
+    for a, b in zip(dataset_rows(back), dataset_rows(small_ds)):
+        assert a[3] == b[3]  # exact: repr round-trips binary floats
+        assert a[2] == b[2]
 
 
 def test_checksum_tamper(tmp_path, small_ds):
@@ -56,13 +59,13 @@ def test_missing_manifest(tmp_path, small_ds):
 
 def test_extend_noop_at_same_height(small_ds):
     same = extend_dataset(small_ds, small_ds.t_max_scanned)
-    assert len(same.records) == len(small_ds.records)
+    assert len(same) == len(small_ds)
 
 
 def test_extend_matches_fresh_scan(small_ds):
     extended = extend_dataset(small_ds, 80.0)
     fresh = with_real_axis_records(scan_zeros(FunctionId.T_MINUS, 0.0, 80.0))
-    assert len(extended.records) == len(fresh.records)
+    assert len(extended) == len(fresh)
     for a, b in zip(extended.ordinates(), fresh.ordinates()):
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -71,10 +74,10 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "cachetest"))
     assert str(cache_dir()) == str(tmp_path / "cachetest")
     ds = cached_dataset(FunctionId.XI, 30.0)
-    assert len(ds.records) == 3  # zeros at 14.13, 21.02, 25.01
+    assert len(ds) == 3  # zeros at 14.13, 21.02, 25.01
     # two calls hit the same file and agree exactly
     ds2 = cached_dataset(FunctionId.XI, 30.0)
-    assert [r.t_or_x for r in ds.records] == [r.t_or_x for r in ds2.records]
+    assert [r[3] for r in dataset_rows(ds)] == [r[3] for r in dataset_rows(ds2)]
 
 
 def test_cache_key_keeps_every_digit_of_t_max(tmp_path, monkeypatch):
@@ -90,9 +93,11 @@ def test_cached_ordinates_reload_only_changed_files(tmp_path, monkeypatch, small
     monkeypatch.setattr(datasets, "load_dataset", lambda p: loads.append(p) or real(p))
 
     def rewrite(path, drop):
-        cut = small_ds.records[:-2 - drop] + small_ds.records[-2:]  # keep the real-axis records
-        cut = [dataclasses.replace(r, index=i + 1) for i, r in enumerate(cut)]
-        save_dataset(ZeroDataset(small_ds.function, cut, small_ds.t_max_scanned), path)
+        n = small_ds.line.size - drop  # keep the real-axis zeros
+        residuals = np.concatenate((small_ds.residuals[:n], small_ds.residuals[-2:]))
+        cut = ZeroDataset(small_ds.function, line=small_ds.line[:n], real=small_ds.real,
+                          residuals=residuals, t_max_scanned=small_ds.t_max_scanned)
+        save_dataset(cut, path)
 
     n = len(small_ds.ordinates())
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "a"))
@@ -126,15 +131,15 @@ def test_real_axis_zeros_only_for_a_function_that_has_them(tmp_path, monkeypatch
 
 def test_cache_never_serves_another_kernel(tmp_path, monkeypatch):
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
-    stale = ZeroDataset(FunctionId.XI, [], 30.0)
+    stale = ZeroDataset(FunctionId.XI, t_max_scanned=30.0)
     save_dataset(stale, tmp_path / "xi_t30.0_sauto_cl.csv")  # the name before kernels were tagged
     with monkeypatch.context() as m:
         m.setattr(datasets, "KERNEL", datasets.KERNEL - 1)
         save_dataset(stale, datasets._cache_path(FunctionId.XI, 30.0, None, False))
     path = datasets._cache_path(FunctionId.XI, 30.0, None, False)
     assert path.name.endswith(f"_v{zetasums.__version__}k{datasets.KERNEL}.csv")
-    assert len(cached_dataset(FunctionId.XI, 30.0).records) == 3
-    assert len(load_dataset(path).records) == 3
+    assert len(cached_dataset(FunctionId.XI, 30.0)) == 3
+    assert len(load_dataset(path)) == 3
 
 
 def test_corrupt_cache_file_warns_and_is_rebuilt(tmp_path, monkeypatch):
@@ -144,8 +149,8 @@ def test_corrupt_cache_file_warns_and_is_rebuilt(tmp_path, monkeypatch):
     path.write_text(path.read_text().replace("14.13", "14.14", 1))
     with pytest.warns(CacheWarning, match="checksum mismatch"):
         again = cached_dataset(FunctionId.XI, 30.0)
-    assert [r.t_or_x for r in again.records] == [r.t_or_x for r in ds.records]
-    assert len(load_dataset(path).records) == 3  # the rebuild was saved
+    assert [r[3] for r in dataset_rows(again)] == [r[3] for r in dataset_rows(ds)]
+    assert len(load_dataset(path)) == 3  # the rebuild was saved
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, small_ds):
@@ -165,5 +170,58 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, small_ds):
     before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
     monkeypatch.setattr(datasets.json, "dump", disk_full)
     with pytest.raises(OSError):
-        save_dataset(ZeroDataset(small_ds.function, [], 1.0), path)
+        save_dataset(ZeroDataset(small_ds.function, t_max_scanned=1.0), path)
     assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+def test_rows_out_of_kind_order_are_refused(tmp_path, small_ds):
+    path = tmp_path / "tm.csv"
+    manifest = save_dataset(small_ds, path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows = [rows[-1]] + rows[:-1]  # a real-axis row first
+    for i, row in enumerate(rows, 1):
+        row[1] = str(i)
+    path.write_text("\r\n".join(",".join(r) for r in [header] + rows) + "\r\n")
+    mpath = path.with_suffix(".csv.manifest.json")
+    meta = json.loads(mpath.read_text())
+    meta["checksum"] = datasets._checksum(meta["function"], meta["t_max"], rows)
+    mpath.write_text(json.dumps(meta))
+    assert meta["count"] == manifest.count
+    with pytest.raises(SchemaError, match="rows must be"):
+        load_dataset(path)
+
+
+def test_manifest_height_is_checksummed(tmp_path, monkeypatch):
+    # a t_max edited from 100 to 30 used to load, and moved the anchored tail
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    ds = cached_dataset(FunctionId.XI, 100.0)
+    (mpath,) = tmp_path.glob("*.manifest.json")
+    mpath.write_text(mpath.read_text().replace('"t_max": 100.0', '"t_max": 30.0'))
+    with pytest.raises(ChecksumError):
+        load_dataset(mpath.with_name(mpath.name.removesuffix(".manifest.json")))
+    with pytest.warns(CacheWarning, match="checksum mismatch"):
+        again = cached_dataset(FunctionId.XI, 100.0)
+    assert again.t_max_scanned == ds.t_max_scanned == 100.0
+    assert json.loads(mpath.read_text())["t_max"] == 100.0  # the rebuild was saved
+
+
+def test_old_schema_cache_file_warns_once_and_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    ds = cached_dataset(FunctionId.XI, 30.0)
+    (mpath,) = tmp_path.glob("*.manifest.json")
+    meta = json.loads(mpath.read_text())
+    mpath.write_text(json.dumps({**meta, "schema_version": 1}))
+    with pytest.warns(CacheWarning, match="unsupported schema_version 1"):
+        again = cached_dataset(FunctionId.XI, 30.0)
+    assert again.ordinates().tolist() == ds.ordinates().tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cached_dataset(FunctionId.XI, 30.0)
+
+
+@pytest.mark.parametrize("t_max", [0.0, -5.0])
+def test_empty_height_writes_no_cache_file(tmp_path, monkeypatch, t_max):
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    with pytest.raises(DomainError):
+        cached_dataset(FunctionId.XI, t_max)
+    assert list(tmp_path.iterdir()) == []

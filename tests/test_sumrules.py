@@ -38,7 +38,7 @@ from zetasums.sumrules import (
     verify_sum_rule,
     zero_density,
 )
-from zetasums.zeros import CRITICAL_LINE, REAL_AXIS, ZeroDataset, ZeroRecord, scan_zeros
+from zetasums.zeros import ZeroDataset, scan_zeros
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +46,7 @@ from zetasums.zeros import CRITICAL_LINE, REAL_AXIS, ZeroDataset, ZeroRecord, sc
 
 
 def _toy_dataset():
-    recs = [
-        ZeroRecord(FunctionId.XI, 1, CRITICAL_LINE, 2.0, 0.0),
-        ZeroRecord(FunctionId.XI, 2, CRITICAL_LINE, 3.0, 0.0),
-    ]
-    return ZeroDataset(FunctionId.XI, recs, t_max_scanned=4.0)
+    return ZeroDataset(FunctionId.XI, line=[2.0, 3.0], t_max_scanned=4.0)
 
 
 def _toy_sigma(m):
@@ -88,11 +84,7 @@ def test_lambda_full_plane_identity_on_toy_zeros():
 
 def test_zero_route_real_axis_terms_match_explicit_sums():
     # the toy zeros plus two real zeros, 3.5 and -2.5
-    ds = _toy_dataset()
-    ds.records += [
-        ZeroRecord(FunctionId.XI, 3, REAL_AXIS, 3.5, 0.0),
-        ZeroRecord(FunctionId.XI, 4, REAL_AXIS, -2.5, 0.0),
-    ]
+    ds = ZeroDataset(FunctionId.XI, line=[2.0, 3.0], real=[3.5, -2.5], t_max_scanned=4.0)
     line = [0.5 + 2j, 0.5 - 2j, 0.5 + 3j, 0.5 - 3j]
     rhos = line + [3.5, -2.5]
     close = lambda got, expected: abs(got - expected) < 1e-14 * max(1.0, abs(expected))
@@ -423,6 +415,7 @@ def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
         lambda: critical_line_values(f, t),
         lambda: critical_line_values(f, np.array([1.0, t])),
         lambda: scan_zeros(f, t, t + 1.0),
+        lambda: scan_zeros(f, t + 1.0, t),
         lambda: riemann_zeta(pts[0]),
         lambda: hurwitz_zeta(pts[0], 0.25),
         lambda: taylor_log_coeffs(f, K, center=pts[0]),

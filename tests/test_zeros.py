@@ -9,14 +9,15 @@ import pytest
 from zetasums import special, zeros
 from zetasums.errors import DomainError, NoSignChangeError
 from zetasums.special import FunctionId, critical_line_form, critical_line_values
+from zetasums.datasets import CRITICAL_LINE, REAL_AXIS, dataset_rows
 from zetasums.zeros import (
-    CRITICAL_LINE,
-    REAL_AXIS,
     _bracket_roots,
     count_check,
     real_axis_zeros_tminus,
     refine_zero,
+    ZeroDataset,
     scan_zeros,
+    with_real_axis_records,
 )
 
 # first xi zero ordinates (classical, used as a bracket oracle only through
@@ -39,17 +40,17 @@ def _bisect_oracle(f, lo, hi, tol=1e-12):
 
 
 def test_refine_matches_independent_bisection():
-    rec = refine_zero(FunctionId.XI, (14.0, 14.3))
+    t = refine_zero(FunctionId.XI, (14.0, 14.3))
     oracle = _bisect_oracle(FunctionId.XI, 14.0, 14.3)
-    assert rec.t_or_x == pytest.approx(oracle, abs=1e-9)
-    assert rec.t_or_x == pytest.approx(FIRST_XI_T, abs=1e-9)
+    assert t == pytest.approx(oracle, abs=1e-9)
+    assert t == pytest.approx(FIRST_XI_T, abs=1e-9)
 
 
 def test_refine_two_zero_bracket_returns_lower_zero():
     # xi has the same sign at 14 and 21.5, with zeros at 14.13 and 21.02 between
     assert critical_line_form(FunctionId.XI, 14.0) * critical_line_form(FunctionId.XI, 21.5) > 0
-    rec = refine_zero(FunctionId.XI, (14.0, 21.5))
-    assert rec.t_or_x == pytest.approx(FIRST_XI_T, abs=1e-9)
+    t = refine_zero(FunctionId.XI, (14.0, 21.5))
+    assert t == pytest.approx(FIRST_XI_T, abs=1e-9)
 
 
 def _counted(func):
@@ -110,6 +111,41 @@ def test_scan_bounds_must_be_finite(t_hi):
         scan_zeros(FunctionId.XI, 0.0, t_hi)
 
 
+def test_scan_bounds_must_increase():
+    # a reversed range used to return an empty dataset scanned to t_hi
+    with pytest.raises(DomainError):
+        scan_zeros(FunctionId.XI, 50.0, 10.0)
+    with pytest.raises(DomainError):
+        scan_zeros(FunctionId.XI, 10.0, 10.0)
+
+
+def test_dataset_arrays_are_read_only_copies():
+    line = np.array([2.0, 3.0])
+    ds = ZeroDataset(FunctionId.XI, line=line, t_max_scanned=4.0)
+    line[0] = 99.0
+    assert ds.ordinates().tolist() == [2.0, 3.0]
+    assert ds.ordinates() is ds.ordinates()
+    assert ds.residuals.tolist() == [0.0, 0.0]
+    for column in (ds.ordinates(), ds.real_points(), ds.residuals):
+        with pytest.raises(ValueError):
+            column[:1] = 1.0
+
+
+def test_dataset_fields_after_the_function_are_keywords():
+    with pytest.raises(TypeError):
+        ZeroDataset(FunctionId.XI, [], 30.0)
+    with pytest.raises(DomainError):
+        ZeroDataset(FunctionId.XI, line=[2.0, 3.0], residuals=[0.0])
+
+
+def test_real_axis_zeros_are_set_not_appended():
+    ds = with_real_axis_records(scan_zeros(FunctionId.T_MINUS, 0.0, 20.0))
+    twice = with_real_axis_records(ds)
+    assert len(twice.real_points()) == 2
+    assert twice.real_points().tolist() == real_axis_zeros_tminus().tolist()
+    assert twice.residuals.tolist() == ds.residuals.tolist()
+
+
 def test_scan_small_range_xi():
     ds = scan_zeros(FunctionId.XI, 0.0, 60.0)
     # classical ordinates below 60
@@ -134,14 +170,14 @@ def test_scan_small_range_xi():
 
 
 def test_scan_residuals_small(ds_tplus):
-    assert all(abs(r.residual) < 1e-9 for r in ds_tplus.records)
+    assert all(abs(r) < 1e-9 for r in ds_tplus.residuals)
 
 
 def test_ordinates_sorted_and_indexed(ds_xi):
     ts = ds_xi.ordinates()
     assert np.all(np.diff(ts) > 0)
-    cl = [r for r in ds_xi.records if r.location_kind == CRITICAL_LINE]
-    assert [r.index for r in cl] == list(range(1, len(cl) + 1))
+    cl = [r for r in dataset_rows(ds_xi) if r[2] == CRITICAL_LINE]
+    assert [r[1] for r in cl] == list(range(1, len(cl) + 1))
 
 
 def test_interlacing_of_t_plus_t_minus(ds_tplus, ds_tminus):
@@ -166,17 +202,17 @@ def test_t_plus_count_to_1000(ds_tplus):
 
 
 def test_real_axis_zeros():
-    recs = real_axis_zeros_tminus()
-    assert len(recs) == 2
-    hi = max(r.t_or_x for r in recs)
-    lo = min(r.t_or_x for r in recs)
+    xs = real_axis_zeros_tminus()
+    assert len(xs) == 2
+    hi = max(xs)
+    lo = min(xs)
     assert hi == pytest.approx(3.91231, abs=1e-5)
     assert lo == pytest.approx(-2.91231, abs=1e-5)
     assert hi + lo == pytest.approx(1.0, abs=1e-9)
 
 
 def test_real_axis_records_present(ds_tminus):
-    ra = [r for r in ds_tminus.records if r.location_kind == REAL_AXIS]
+    ra = [r for r in dataset_rows(ds_tminus) if r[2] == REAL_AXIS]
     assert len(ra) == 2
 
 
