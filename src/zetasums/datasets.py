@@ -106,9 +106,9 @@ def save_dataset(ds: ZeroDataset, path) -> DatasetManifest:
 def load_dataset(path) -> ZeroDataset:
     """Load and validate a dataset written by save_dataset.
 
-    Raises SchemaError for a missing or mismatched manifest or rows out of
-    order (ordinals, kinds or ordinates); ChecksumError if the function, the
-    height or the rows were modified.
+    Raises SchemaError for a missing, unreadable or mismatched manifest or
+    rows out of order (ordinals, kinds or ordinates); ChecksumError if the
+    function, the height or the rows were modified.
     """
     path = Path(path)
     mpath = _manifest_path(path)
@@ -116,21 +116,26 @@ def load_dataset(path) -> ZeroDataset:
         raise SchemaError(
             f"missing manifest {mpath}; datasets must be written by save_dataset"
         )
-    with open(mpath) as fh:
-        meta = json.load(fh)
-    if meta.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {meta.get('schema_version')}")
+    try:
+        with open(mpath) as fh:
+            meta = json.load(fh)
+        if meta.get("schema_version") != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version {meta.get('schema_version')}")
+        name, t_max, count = meta["function"], float(meta["t_max"]), meta["count"]
+        checksum, metadata = meta["checksum"], meta["generator_metadata"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise SchemaError(f"malformed manifest {mpath}: {exc!r}") from exc
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(HEADER):
             raise SchemaError(f"unexpected CSV header {header}")
         rows = list(reader)
-    if _checksum(meta["function"], meta["t_max"], rows) != meta["checksum"]:
+    if _checksum(name, t_max, rows) != checksum:
         raise ChecksumError(f"checksum mismatch for {path}")
-    if len(rows) != meta["count"]:
+    if len(rows) != count:
         raise SchemaError("manifest count does not match the row count")
-    function = FunctionId(meta["function"])
+    function = FunctionId(name)
     if any(len(row) != len(HEADER) or row[0] != function.value for row in rows):
         raise SchemaError(f"malformed row, or a row of another function than {function.value}")
     _, ordinals, kinds, points, residuals = zip(*rows) if rows else [()] * len(HEADER)
@@ -147,8 +152,8 @@ def load_dataset(path) -> ZeroDataset:
         line=points[:n],
         real=points[n:],
         residuals=np.array(residuals, dtype=float),
-        t_max_scanned=float(meta["t_max"]),
-        generator_metadata=meta["generator_metadata"],
+        t_max_scanned=t_max,
+        generator_metadata=metadata,
     )
 
 

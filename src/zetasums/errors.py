@@ -18,7 +18,7 @@ class DomainError(ZetasumsError):
 
 
 class RadiusError(ZetasumsError):
-    """Sampling circle too close to a zero or pole of the function."""
+    """Sampling circle around or on a zero of the function, or where it is not finite."""
 
 
 class ConvergenceError(ZetasumsError):

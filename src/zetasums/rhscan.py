@@ -264,13 +264,16 @@ def trace_unit_contour(t_center: float, n_points: int = 256) -> ContourPolyline:
     (|V| -> 0 at s0) and refined to 1e-8 in the radius, all rays in
     lockstep. The expansion budget for the outer bracket is the local zero
     gap; if some ray never reaches |V| >= 1 within it, the curve cannot
-    close around s0 alone and OpenContourError is raised.
+    close around s0 alone and OpenContourError is raised. Raises
+    DomainError unless n_points >= 3 and t_center is a T_plus zero ordinate.
     """
+    if n_points < 3:
+        raise DomainError(f"a closed polyline needs n_points >= 3, got {n_points}")
     s0 = complex(0.5, t_center)
     tp = _default_ordinates(FunctionId.T_PLUS)[0]
     gaps = np.diff(tp)
     idx = int(np.argmin(np.abs(tp - t_center)))
-    if abs(tp[idx] - t_center) > 0.05:
+    if not abs(tp[idx] - t_center) <= 0.05:  # nan is no ordinate
         raise DomainError(f"t_center = {t_center} is not a T_plus zero ordinate")
     local_gap = float(
         min(gaps[max(idx - 1, 0)], gaps[min(idx, len(gaps) - 1)])

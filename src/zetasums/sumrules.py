@@ -1,9 +1,10 @@
 """Zero-power sums by two routes and the Keiper coefficient identities.
 
-sigma_m is computed (a) from Taylor coefficients of log f about 0, via
-circle sampling, and (b) by direct summation over located zeros with a
-density-model tail. The two routes are complementary: the zero route
-converges slowly for small m, the derivative route loses digits as m grows.
+sigma_m is computed (a) from Taylor coefficients of log f about 0, by one
+FFT of log f on a circle that encloses no zero, and (b) by direct summation
+over located zeros with a density-model tail. The two routes are
+complementary: the zero route converges slowly for small m, the derivative
+route loses digits as m grows.
 The series form, its circle radius and the density model of each function
 are read from its row of special.SPECS.
 
@@ -28,7 +29,8 @@ from .zeros import ZeroDataset
 
 DERIVATIVE_ROUTE = "derivative_route"
 ZERO_ROUTE = "zero_route"
-# Circle points of taylor_log_coeffs's first pass; its check pass doubles them.
+# Highest Taylor order plus one: a circle has 2 * _RESOLUTION points, and the
+# upper half of its log-Fourier coefficients reads the alias check.
 _RESOLUTION = 512
 # Smallest circle radius: samples vary by about radius |f'/f| relative, so at
 # 1e-20 they round to f(center) and every coefficient reads 0, unflagged.
@@ -69,35 +71,26 @@ class KeiperCoefficients:
     lam: np.ndarray  # lambda_0..lambda_K
 
 
-@functools.lru_cache(maxsize=32)  # 32 circles of 1,024 samples: 512 KB
-def _circle_samples(f: FunctionId, center: complex, radius: float, n: int):
-    """f at n equally spaced points of a circle, memoized per process.
+@functools.lru_cache(maxsize=32)  # 32 circles of 1,024 coefficients: 512 KB
+def _log_fourier(f: FunctionId, center: complex, radius: float) -> np.ndarray:
+    """FFT(log f)/n on n = 2 * _RESOLUTION points of a circle, memoized per process.
 
-    Callers pass (FunctionId, complex, float, int), the key. The array is
-    read-only, as every caller of the circle shares it; errors are not kept.
+    Callers pass (FunctionId, complex, float), the key. The phase of log f is
+    unwrapped along the circle; it winds once per zero inside (the argument
+    principle), so RadiusError is raised unless it winds 0 times and every
+    sample is finite and nonzero. The array is read-only, as every caller
+    of the circle shares it; errors are not kept.
     """
-    angles = 2.0 * np.pi * np.arange(n) / n
-    samples = evaluate(f, center + radius * np.exp(1j * angles))
-    samples.flags.writeable = False
-    return samples
-
-
-def _taylor_from_samples(samples: np.ndarray, radius: float, K: int) -> np.ndarray:
-    n = len(samples)
-    a = np.fft.fft(samples) / n
-    return a[: K + 1] / radius ** np.arange(K + 1)
-
-
-def _log_series(a: np.ndarray) -> np.ndarray:
-    """Formal log of a power series with a[0] != 0; returns c with c[0]=0."""
-    b = a / a[0]
-    c = np.zeros_like(b)
-    for m in range(1, len(b)):
-        acc = b[m]
-        for k in range(1, m):
-            acc -= (k / m) * c[k] * b[m - k]
-        c[m] = acc
-    return c
+    n = 2 * _RESOLUTION
+    samples = evaluate(f, center + radius * np.exp(2j * np.pi * np.arange(n) / n))
+    mags = np.abs(samples)
+    phase = np.unwrap(np.angle(np.append(samples, samples[0])))
+    winding = (phase[-1] - phase[0]) / (2.0 * np.pi)
+    if not (np.all((0.0 < mags) & (mags < np.inf)) and abs(winding) < 0.5):
+        raise RadiusError(f"{f} winds {winding:.0f} times, or is 0 or not finite, on the radius-{radius} circle")
+    a = np.fft.fft(np.log(mags) + 1j * phase[:-1]) / n
+    a.flags.writeable = False
+    return a
 
 
 def taylor_log_coeffs(
@@ -106,14 +99,14 @@ def taylor_log_coeffs(
     radius: Optional[float] = None,
     center: complex = 0.0,
 ) -> PowerSeries:
-    """Taylor coefficients c_0..c_K of log(f(s)/f(0)) about the center.
+    """Taylor coefficients c_0..c_K of log(f(s)/f(center)) about the center.
 
-    f is sampled at _RESOLUTION points of a circle, Taylor coefficients
-    extracted by discrete Fourier averaging, and the series logarithm
-    applied. The result is self-validated at doubled resolution. The
-    samples of a circle are computed once per process (_circle_samples).
-    Raises DomainError unless 0 <= K < _RESOLUTION and _MIN_RADIUS <=
-    radius < inf.
+    c_0 = 0 and c_k = a_k / radius^k, with a_k the log-Fourier coefficients
+    of the circle (_log_fourier, computed once per circle and process). The
+    even samples alone would read a_k + a_(k + _RESOLUTION): ConvergenceError
+    if that alias moves c_k by more than 1e-11 relative. Raises RadiusError
+    if a zero lies inside or on the circle, and DomainError unless
+    0 <= K < _RESOLUTION and _MIN_RADIUS <= radius < inf.
     """
     f = FunctionId(f)
     if not 0 <= K < _RESOLUTION:
@@ -124,26 +117,18 @@ def taylor_log_coeffs(
             raise DomainError(f"no default radius for {f}; pass one explicitly")
     if not _MIN_RADIUS <= radius < math.inf:
         raise DomainError(f"radius must lie in [{_MIN_RADIUS:g}, inf), got {radius!r}")
-    samples2 = _circle_samples(f, complex(center), float(radius), 2 * _RESOLUTION)
-    # the even-indexed angles 2 pi (2k) / (2n) are exactly 2 pi k / n
-    samples = samples2[::2]
-    mags = np.abs(samples)
-    if mags.min() == 0.0 or mags.max() / mags.min() > 1e6:
-        raise RadiusError(
-            f"|{f}| varies by more than 1e6 on the radius-{radius} circle; "
-            "a zero is on or near it"
-        )
-    c = _log_series(_taylor_from_samples(samples, radius, K))
-    c2 = _log_series(_taylor_from_samples(samples2, radius, K))
-    # relative agreement, with an absolute floor for coefficients at the
-    # double-precision noise level of the quadrature
-    tol = np.maximum(1e-11 * np.abs(c2), 1e-14 * max(1.0, float(np.max(np.abs(c2)))))
-    if np.any(np.abs(c - c2)[1:] > tol[1:]):
-        raise ConvergenceError(
-            "doubling the sampling resolution moved the log-Taylor "
-            "coefficients by more than 1e-11 relative"
-        )
-    return PowerSeries(center=center, coeffs=list(c2), radius_used=radius, resolution_used=2 * _RESOLUTION)
+    radius = float(radius)  # an int radius would take int64 powers, which wrap past 2^63
+    a = _log_fourier(f, complex(center), radius)
+    powers = radius ** np.arange(K + 1)
+    c = a[: K + 1] / powers
+    c[0] = 0.0
+    alias = np.abs(a[_RESOLUTION : _RESOLUTION + K + 1]) / powers
+    # relative, with an absolute floor for coefficients at the double-precision
+    # noise level of the transform
+    tol = np.maximum(1e-11 * np.abs(c), 1e-14 * max(1.0, float(np.max(np.abs(c)))))
+    if np.any(alias[1:] > tol[1:]):
+        raise ConvergenceError("log-Taylor coefficients alias by more than 1e-11 relative; a zero is near the circle")
+    return PowerSeries(center=center, coeffs=list(c), radius_used=radius, resolution_used=2 * _RESOLUTION)
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,11 @@ def translated_sigma_series(
     Resummed from the centred series by the binomial expansion
     (rho - z0)^(-m) = sum_p C(m+p-1, p) z0^p rho^(-(m+p)), so
     sigma_m(z0) = sum_p C(m+p-1, p) z0^p sigma_{m+p}. At z0 = 0 this
-    reduces term by term to sigma_m itself.
+    reduces term by term to sigma_m itself. Raises DomainError unless
+    m >= 1 and terms >= 1.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    if m < 1 or terms < 1:
+        raise DomainError(f"m and terms must be >= 1, got m={m}, terms={terms}")
     if m + terms > len(sig.values):
         raise DomainError(
             f"need sigma up to order {m + terms}, series holds {len(sig.values)}"
@@ -119,7 +120,8 @@ def translated_sigma_direct(f: FunctionId, z0: complex, m: int) -> TranslatedSig
 
     With log f(z) = const - sum_m sigma_m(z0) (z - z0)^m / m over the zeros,
     the translated sum is -m times the m-th Taylor coefficient of log f
-    about z0.
+    about z0. Raises RadiusError if a zero lies inside the circle about z0
+    (taylor_log_coeffs).
     """
     if m < 1:
         raise DomainError("m must be >= 1")

@@ -225,3 +225,32 @@ def test_empty_height_writes_no_cache_file(tmp_path, monkeypatch, t_max):
     with pytest.raises(DomainError):
         cached_dataset(FunctionId.XI, t_max)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        "{",
+        '{"schema_version": 2}',
+        "[]",
+        lambda meta: json.dumps({**meta, "t_max": "x"}),
+    ],
+    ids=["truncated", "no-keys", "not-an-object", "t_max-not-a-number"],
+)
+def test_malformed_manifest_warns_once_and_is_rebuilt(tmp_path, monkeypatch, manifest):
+    # each used to escape cached_dataset as a JSONDecodeError, KeyError,
+    # AttributeError or ValueError
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    ds = cached_dataset(FunctionId.XI, 30.0)
+    (mpath,) = tmp_path.glob("*.manifest.json")
+    meta = json.loads(mpath.read_text())
+    mpath.write_text(manifest(meta) if callable(manifest) else manifest)
+    with pytest.raises(SchemaError, match="malformed manifest"):
+        load_dataset(mpath.with_name(mpath.name.removesuffix(".manifest.json")))
+    with pytest.warns(CacheWarning, match="malformed manifest") as record:
+        again = cached_dataset(FunctionId.XI, 30.0)
+    assert len(record) == 1
+    assert dataset_rows(again) == dataset_rows(ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cached_dataset(FunctionId.XI, 30.0)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetasums import sumrules
-from zetasums.errors import DomainError, ZetasumsError
-from zetasums.rhscan import family_line_zeros
+from zetasums.errors import ConvergenceError, DomainError, RadiusError, ZetasumsError
+from zetasums.rhscan import family_line_zeros, trace_unit_contour
 from zetasums.special import (
     SPECS,
     FunctionId,
@@ -23,8 +23,8 @@ from zetasums.special import (
 from zetasums.sumrules import (
     _RESOLUTION,
     SigmaSeries,
-    _circle_samples,
     _lambda_term,
+    _log_fourier,
     crossover_select,
     inverse_square_modulus_sum,
     keiper_identity_residuals,
@@ -38,6 +38,7 @@ from zetasums.sumrules import (
     verify_sum_rule,
     zero_density,
 )
+from zetasums.translate import translated_sigma_series
 from zetasums.zeros import ZeroDataset, scan_zeros
 
 
@@ -127,8 +128,9 @@ _WITH_RADIUS = [f for f, row in SPECS.items() if row.radius is not None]
 
 @pytest.mark.parametrize("f", _WITH_RADIUS)
 def test_circle_samples_match_mpmath(f):
-    n = 2 * _RESOLUTION  # the doubled resolution taylor_log_coeffs samples
-    samples = _circle_samples(f, 0.0, SPECS[f].radius, n)
+    n = 2 * _RESOLUTION  # the points taylor_log_coeffs samples
+    # the samples, back from the memoized coefficients of log f
+    samples = np.exp(np.fft.ifft(_log_fourier(f, 0j, SPECS[f].radius)) * n)
     angles = 2.0 * np.pi * np.arange(n) / n
     # off the real axis, where the mpmath forms meet Gamma poles times trivial zeros
     for k in (1, 77, 300, 700, 1000):
@@ -138,13 +140,13 @@ def test_circle_samples_match_mpmath(f):
 
 
 # ---------------------------------------------------------------------------
-# the circle-sample memo
+# the log-Fourier memo
 
 
 @pytest.fixture
 def evaluate_spy(monkeypatch):
     """The function of every evaluate call taylor_log_coeffs makes, from an empty memo."""
-    _circle_samples.cache_clear()
+    _log_fourier.cache_clear()
     calls = []
 
     def spy(f, s):
@@ -169,13 +171,9 @@ def test_a_circle_is_sampled_once(evaluate_spy):
     # the memo is keyed on values: an int centre and radius reach the same circles
     taylor_log_coeffs(FunctionId.XI, 5, center=0, radius=3)
     assert len(evaluate_spy) == 4
-
-
-def test_another_resolution_is_another_circle(evaluate_spy):
-    _circle_samples(FunctionId.XI, 0j, 3.0, 256)
-    _circle_samples(FunctionId.XI, 0j, 3.0, 512)
-    _circle_samples(FunctionId.XI, 0j, 3.0, 256)
-    assert len(evaluate_spy) == 2
+    # and read the same coefficients (3**40 wrapped around in int64 powers)
+    by_int = taylor_log_coeffs(FunctionId.XI, 45, radius=3)
+    assert by_int.coeffs == taylor_log_coeffs(FunctionId.XI, 45, radius=3.0).coeffs
 
 
 def test_a_failed_circle_is_not_memoized(evaluate_spy):
@@ -183,15 +181,20 @@ def test_a_failed_circle_is_not_memoized(evaluate_spy):
         with pytest.raises(DomainError):
             taylor_log_coeffs(FunctionId.XI, 5, center=complex(math.nan, 0.0))
     assert len(evaluate_spy) == 2
+    # a circle refused after its samples, as its phase winds, is sampled again
+    for _ in range(2):
+        with pytest.raises(RadiusError):
+            taylor_log_coeffs(FunctionId.XI, 5, radius=4.0, center=0.5 + 10.5j)
+    assert len(evaluate_spy) == 4
 
 
 def test_memoized_samples_are_read_only_and_bitwise(evaluate_spy):
-    args = (FunctionId.T_PLUS_TILDE, 0.05 + 0.1j, SPECS[FunctionId.T_PLUS_TILDE].radius, 2 * _RESOLUTION)
-    samples = _circle_samples(*args)
+    args = (FunctionId.T_PLUS_TILDE, 0.05 + 0.1j, SPECS[FunctionId.T_PLUS_TILDE].radius)
+    coeffs = _log_fourier(*args)
     with pytest.raises(ValueError):
-        samples[0] = 0.0
-    assert _circle_samples(*args) is samples
-    assert samples.tobytes() == _circle_samples.__wrapped__(*args).tobytes()
+        coeffs[0] = 0.0
+    assert _log_fourier(*args) is coeffs
+    assert coeffs.tobytes() == _log_fourier.__wrapped__(*args).tobytes()
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, 1e-300, 1e-20, math.nan, math.inf])
@@ -211,6 +214,50 @@ def test_taylor_log_coeffs_stable_under_radius_change():
     b = taylor_log_coeffs(FunctionId.XI, 10, radius=5.0)
     for k in range(1, 11):
         assert abs(a.coeffs[k] - b.coeffs[k]) < 1e-11 * max(1.0, abs(a.coeffs[k]))
+
+
+def _series_log_route(f, K):
+    """The log-Taylor coefficients as computed before the log-Fourier memo:
+    Taylor coefficients of f by FFT on the 1,024-point circle, then the
+    O(K^2) formal logarithm of the series."""
+    n, r = 2 * _RESOLUTION, SPECS[f].radius
+    samples = evaluate(f, r * np.exp(2j * np.pi * np.arange(n) / n))
+    b = np.fft.fft(samples)[: K + 1] / n / r ** np.arange(K + 1)
+    b = b / b[0]
+    c = np.zeros_like(b)
+    for m in range(1, K + 1):
+        acc = b[m]
+        for k in range(1, m):
+            acc -= (k / m) * c[k] * b[m - k]
+        c[m] = acc
+    return c
+
+
+@pytest.mark.parametrize("f", _WITH_RADIUS)
+def test_log_fourier_matches_the_series_log_route(f):
+    K = 10
+    got = np.array(taylor_log_coeffs(f, K).coeffs)
+    ref = _series_log_route(f, K)
+    assert got[0] == 0.0
+    assert np.all(np.abs(got[1:] - ref[1:]) <= 1e-10 * np.abs(ref[1:]))
+
+
+@pytest.mark.parametrize(
+    "f, center, radius",
+    [
+        (FunctionId.XI, 0.5 + 10.5j, 4.0),  # the zero at 1/2 + 14.13i is inside
+        (FunctionId.T_MINUS_TILDE, 0.0, 3.0),  # the real zero at -2.91 is inside
+    ],
+)
+def test_a_circle_around_a_zero_is_a_radius_error(f, center, radius):
+    with pytest.raises(RadiusError):
+        taylor_log_coeffs(f, 5, radius=radius, center=center)
+
+
+def test_a_circle_near_a_zero_fails_the_alias_check():
+    # |rho_1| = 14.144: the zero is outside, 1% from the circle
+    with pytest.raises(ConvergenceError):
+        taylor_log_coeffs(FunctionId.XI, 5, radius=14.0)
 
 
 @pytest.mark.parametrize("K", [-1, 512])
@@ -421,10 +468,13 @@ def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
         lambda: taylor_log_coeffs(f, K, center=pts[0]),
         lambda: taylor_log_coeffs(f, K, radius=r),
         lambda: family_line_zeros(r, t),
+        lambda: trace_unit_contour(t, n_points=K),
         lambda: verify_sum_rule(f, _toy_dataset(), range(K, K + 2)),
         lambda: sigma_series_hybrid(f, _toy_dataset(), K),
         lambda: tau_lambda_from_sigma(toy, K),
         lambda: tau_lambda_from_zeros(_toy_dataset(), K),
+        lambda: translated_sigma_series(toy, 0.0, 1, terms=K),
+        lambda: translated_sigma_series(toy, 0.1, 1, terms=K),
     ]
     for call in calls:
         try:
@@ -432,7 +482,12 @@ def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
                 call()
         except ZetasumsError:
             pass
-    for call in calls[-3:]:  # no hybrid series or Keiper coefficients below order 1
+    # no hybrid series, Keiper coefficients or translated sum below order 1
+    for call in calls[-5:]:
         if K < 1:
             with pytest.raises(DomainError):
                 call()
+    # no closed polyline of fewer than 3 points
+    if K < 3:
+        with pytest.raises(DomainError):
+            trace_unit_contour(t, n_points=K)

@@ -8,6 +8,7 @@ from zetasums.errors import (
     ConvergenceError,
     DomainError,
     EmptyWindowError,
+    RadiusError,
     RangeMismatchError,
 )
 from zetasums.special import FunctionId
@@ -157,3 +158,10 @@ def test_ratio_identity_spot_values():
 @pytest.mark.parametrize("t,t0", [(14.2, 0.02), (33.7, -0.1), (250.0, 0.15)])
 def test_ratio_identity_random_points(t, t0):
     assert ratio_identity_check(t, t0) <= 1e-9
+
+
+def test_direct_route_refuses_a_circle_around_a_zero():
+    # the zero at 1/2 + 14.13i lies inside the radius-4 circle about 1/2 + 10.5i;
+    # the formal series log used to answer 0.0058567 here
+    with pytest.raises(RadiusError):
+        translated_sigma_direct(FunctionId.XI, 0.5 + 10.5j, 4)
