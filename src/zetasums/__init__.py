@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     EmptyWindowError,
     MissedZeroWarning,
-    NoSignChangeError,
     NonConvergenceWarning,
     OpenContourError,
     PoleError,
@@ -32,10 +31,9 @@ from .zeros import (
     ZeroDataset,
     count_check,
     real_axis_zeros_tminus,
-    refine_zero,
     scan_zeros,
 )
-from .datasets import cached_dataset, extend_dataset, load_dataset, save_dataset
+from .datasets import cached_dataset, load_dataset, save_dataset
 from .sumrules import (
     inverse_square_modulus_sum,
     keiper_identity_residuals,

@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from functools import wraps
 from typing import List, Optional, Sequence
 
 import click
@@ -48,10 +47,10 @@ class _FloatRange(click.FloatRange):
         return value
 
 
-# Highest Taylor order of the circle samples behind every sigma series
-# (sumrules._RESOLUTION - 1); a command that needs one more order than
-# its option exits 1 with the library's DomainError.
-_MAX_ORDER = 511
+# Highest Taylor order of the circle samples behind every sigma series; a
+# command that needs one more order than its option exits 1 with the
+# library's DomainError.
+_MAX_ORDER = sr._RESOLUTION - 1
 # Highest zero scan. Its cost grows about as t^2 (the Euler-Maclaurin
 # cutoff is t/2 and the grid grows with t): xi to 1e4, 10,142 zeros, takes
 # about 11 s on one AMD EPYC core.
@@ -110,19 +109,6 @@ def _write(text: str, output: Optional[str]) -> None:
         click.echo(text, nl=False)
 
 
-def _computation_guard(fn):
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ZetasumsError as exc:
-            err = {"error": type(exc).__name__, "message": str(exc)}
-            click.echo(json.dumps(err), err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
 def _common(table: bool = True, precision: bool = True):
     """--output, plus --format where the output is a table and
     --precision-report where the command writes one."""
@@ -144,7 +130,19 @@ def _common(table: bool = True, precision: bool = True):
     return options
 
 
-@click.group()
+class _Guarded(click.Group):
+    """A group whose commands exit 1 with a JSON error line on stderr when
+    the library raises a package error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ZetasumsError as exc:
+            click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc)}), err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Guarded)
 def main() -> None:
     """Zeros and zero-power sum rules for Riemann-zeta-type functions."""
 
@@ -156,7 +154,6 @@ def main() -> None:
     help="scan height (default per function)",
 )
 @_common()
-@_computation_guard
 def zeros(f, t_max, fmt, output, precision_report):
     """Critical-line zero dataset, with the real-axis zeros of a function that has them."""
     if t_max is None:
@@ -170,7 +167,6 @@ def zeros(f, t_max, fmt, output, precision_report):
 @_function_option
 @click.option("--m", "m_text", default="1..6", show_default=True)
 @_common()
-@_computation_guard
 def sumrule(f, m_text, fmt, output, precision_report):
     """Power sums over zeros: derivative route vs zero route."""
     m_range = _parse_range(m_text)
@@ -189,7 +185,6 @@ def sumrule(f, m_text, fmt, output, precision_report):
 @_function_option
 @click.option("--order", type=click.IntRange(1, _MAX_ORDER), default=30, show_default=True)
 @_common()
-@_computation_guard
 def keiper(f, order, fmt, output, precision_report):
     """tau and lambda coefficients from the sigma series."""
     sig = sr.sigma_series_derivative(f, order + 1)
@@ -206,7 +201,6 @@ def keiper(f, order, fmt, output, precision_report):
 @_function_option
 @click.option("--order", type=click.IntRange(0, _MAX_ORDER), default=8, show_default=True)
 @_common(precision=False)
-@_computation_guard
 def bell(f, order, fmt, output):
     """Taylor coefficients rebuilt from the sigma series by Newton's identities."""
     sig = sr.sigma_series_derivative(f, order)
@@ -218,7 +212,6 @@ def bell(f, order, fmt, output):
 @main.command()
 @click.option("--order", type=click.IntRange(0, _MAX_ORDER), default=10, show_default=True)
 @_common()
-@_computation_guard
 def link(order, fmt, output, precision_report):
     """Cross-function linkage residuals (xi vs T-tilde pair)."""
     reports = bell_mod.verify_link3(order)
@@ -237,7 +230,6 @@ def link(order, fmt, output, precision_report):
 @click.option("--m", type=click.IntRange(1, _MAX_ORDER), required=True)
 @click.option("--terms", type=click.IntRange(1, _MAX_ORDER), default=40, show_default=True)
 @_common(table=False, precision=False)
-@_computation_guard
 def translate(f, z0, m, terms, output):
     """Translated zero-power sum at z0, both routes."""
     try:
@@ -269,7 +261,6 @@ def translate(f, z0, m, terms, output):
 @click.option("--n", "n_check", type=click.IntRange(min=1), default=1500, show_default=True)
 @click.option("--t0", type=_FloatRange(), default=0.0, show_default=True)
 @_common(table=False, precision=False)
-@_computation_guard
 def interlace(pair, n_check, t0, output):
     """Interlacing failures between a zero sequence and half-shifted xi zeros:
     T_minus zeros between them, T_plus zeros after them."""
@@ -286,7 +277,6 @@ def interlace(pair, n_check, t0, output):
 @main.command()
 @click.option("--range", "range_text", required=True, help="t range, e.g. 410..420")
 @_common(precision=False)
-@_computation_guard
 def rhscan(range_text, fmt, output):
     """Derivative zeros of V and the modulus condition over a t range."""
     parts = range_text.split("..")
@@ -323,7 +313,6 @@ def rhscan(range_text, fmt, output):
     "--resolution", type=_FloatRange(min=0.0, min_open=True), default=1e-4, show_default=True
 )
 @_common(table=False, precision=False)
-@_computation_guard
 def ystar(resolution, output):
     """Collision parameter y* of the two-term xi_1 family."""
     value = rhscan_mod.lagarias_suzuki_y_star(resolution)

@@ -157,30 +157,6 @@ def load_dataset(path) -> ZeroDataset:
     )
 
 
-def extend_dataset(ds: ZeroDataset, t_new_max: float) -> ZeroDataset:
-    """Continue the scan of ds up to t_new_max: the new scan's ordinates
-    above the last old one follow the old ones, before the real-axis zeros.
-
-    The scan grid is aligned to step multiples, so extending equals a fresh
-    scan over the union range.
-    """
-    if t_new_max < ds.t_max_scanned:
-        raise DomainError("t_new_max must not be below the scanned range")
-    if t_new_max == ds.t_max_scanned:
-        return ds
-    more = scan_zeros(ds.function, ds.t_max_scanned, t_new_max)
-    n = ds.line.size
-    keep = more.line > (ds.line[-1] if n else -np.inf)
-    return ZeroDataset(
-        ds.function,
-        line=np.concatenate((ds.line, more.line[keep])),
-        real=ds.real,
-        residuals=np.concatenate((ds.residuals[:n], more.residuals[keep], ds.residuals[n:])),
-        t_max_scanned=more.t_max_scanned,
-        generator_metadata=ds.generator_metadata + f" extended to {t_new_max}",
-    )
-
-
 def cache_dir() -> Path:
     """Dataset cache directory; override with the ZETASUMS_CACHE_DIR env var."""
     root = os.environ.get(CACHE_ENV)

@@ -25,10 +25,6 @@ class ConvergenceError(ZetasumsError):
     """Self-validation or iterative refinement failed to converge."""
 
 
-class NoSignChangeError(ZetasumsError):
-    """A root bracket without a sign change was supplied."""
-
-
 class RangeMismatchError(ZetasumsError):
     """Two zero datasets do not cover a comparable range."""
 

@@ -52,7 +52,6 @@ class TripletReport:
     anchor_ordinals: Tuple[int, int, int]
     condition_met: bool
     centroid_t: float
-    converged: bool
 
 
 @dataclass
@@ -203,8 +202,7 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     # Pool of distinct derivative zeros; a zero and its reflection
     # 1 - conj(s_d) are the same object, keyed by the off-line distance.
     pool: dict = {}
-    any_converged_near = [False] * len(triplets)
-    for idx, (ordinals, kind, ts, centroid_t) in enumerate(triplets):
+    for ordinals, kind, ts, centroid_t in triplets:
         span = ts[2] - ts[0]
         for off in (0.15, -0.15, 0.3, -0.3, 0.6, -0.6, 0.05, -0.05):
             s_d = _newton_vprime(complex(0.5 + off, centroid_t))
@@ -218,7 +216,6 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
             key = (round(abs(s_d.real - 0.5), 5), round(s_d.imag, 5))
             if key not in pool:
                 pool[key] = s_d
-            any_converged_near[idx] = True
             break
     reports: List[TripletReport] = []
     for s_d in pool.values():
@@ -232,14 +229,12 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
                 anchor_ordinals=ordinals,
                 condition_met=modulus > 1.0,
                 centroid_t=centroid_t,
-                converged=True,
             )
         )
     covered = np.array(sorted(s.imag for s in pool.values()))
-    for idx, (ordinals, kind, ts, centroid_t) in enumerate(triplets):
+    for ordinals, kind, ts, centroid_t in triplets:
         span = ts[2] - ts[0]
-        near = covered.size and np.min(np.abs(covered - centroid_t)) < 1.5 * span
-        if not (any_converged_near[idx] or near):
+        if not (covered.size and np.min(np.abs(covered - centroid_t)) < 1.5 * span):
             warnings.warn(
                 f"derivative-zero search did not converge for the triplet "
                 f"near t = {centroid_t:.4f}",
@@ -250,10 +245,13 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
 
 
 def condition_scan(t_lo: float, t_hi: float) -> Tuple[bool, List[TripletReport]]:
-    """Aggregate the sufficient condition |V(s_d)| > 1 over a t range."""
+    """Aggregate the sufficient condition |V(s_d)| > 1 over a t range.
+
+    all_met covers only the derivative zeros found: a triplet whose search
+    finds none warns NonConvergenceWarning and does not make all_met False.
+    """
     reports = find_derivative_zeros(t_lo, t_hi)
-    all_met = all(r.condition_met for r in reports if r.converged)
-    return all_met, reports
+    return all(r.condition_met for r in reports), reports
 
 
 def trace_unit_contour(t_center: float, n_points: int = 256) -> ContourPolyline:

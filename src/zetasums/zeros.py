@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import MissedZeroWarning, NoSignChangeError, DomainError
+from .errors import DomainError, MissedZeroWarning
 from .special import SPECS, FunctionId, critical_line_values, evaluate
 
 _CHUNK = 4096
@@ -153,31 +153,6 @@ def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
         wb[live] = np.where(j == last, lwb * np.where(kept[live] == 1, 0.5, 1.0), vals[rows, j])
         kept[live] = np.where(j == 1, -1, np.where(j == last, 1, 0))
     return np.where(np.isnan(roots), 0.5 * (a + b), roots)
-
-
-def refine_zero(f: FunctionId, t_bracket: Tuple[float, float]) -> float:
-    """Refine a sign-change bracket of the critical-line form to width 1e-11
-    and return the ordinate.
-
-    A bracket holding two zeros (no sign change at the ends) is split by one
-    interior subdivision and the lower zero is returned.
-    """
-    a, b = float(t_bracket[0]), float(t_bracket[1])
-    if not a < b:
-        raise DomainError("bracket must satisfy a < b")
-    func = lambda t: critical_line_values(f, t)
-    grid = np.linspace(a, b, 17)
-    vals = func(grid)
-    if np.sign(vals[0]) * np.sign(vals[-1]) > 0.0:
-        # look for an interior sign change (possible zero pair)
-        inner = _sign_changes(vals)
-        if inner.size == 0:
-            raise NoSignChangeError(
-                f"no sign change of {f} critical-line form on [{a}, {b}]"
-            )
-        i = inner[0]
-        grid, vals = grid[i : i + 2], vals[i : i + 2]
-    return float(_bracket_roots(func, grid[:1], grid[-1:], vals[:1], vals[-1:], 1e-11)[0])
 
 
 def scan_zeros(

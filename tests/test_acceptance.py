@@ -290,7 +290,7 @@ def test_criterion_13_condition_scan_first_200(ds_tplus):
     t_hi = float((tp[199] + tp[200]) / 2.0)
     all_met, reports = condition_scan(0.0, t_hi)
     assert all_met
-    assert all(r.modulus > 1.0 for r in reports if r.converged)
+    assert all(r.modulus > 1.0 for r in reports)
 
 
 # ---------------------------------------------------------------------------

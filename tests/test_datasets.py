@@ -1,4 +1,4 @@
-"""Dataset persistence: round-trip, checksums, schema validation, extension."""
+"""Dataset persistence: round-trip, checksums, schema validation, caching."""
 
 import json
 import warnings
@@ -13,7 +13,6 @@ from zetasums.datasets import (
     cached_dataset,
     cached_ordinates,
     dataset_rows,
-    extend_dataset,
     load_dataset,
     save_dataset,
 )
@@ -55,19 +54,6 @@ def test_missing_manifest(tmp_path, small_ds):
     path.with_suffix(".csv.manifest.json").unlink()
     with pytest.raises(SchemaError):
         load_dataset(path)
-
-
-def test_extend_noop_at_same_height(small_ds):
-    same = extend_dataset(small_ds, small_ds.t_max_scanned)
-    assert len(same) == len(small_ds)
-
-
-def test_extend_matches_fresh_scan(small_ds):
-    extended = extend_dataset(small_ds, 80.0)
-    fresh = with_real_axis_records(scan_zeros(FunctionId.T_MINUS, 0.0, 80.0))
-    assert len(extended) == len(fresh)
-    for a, b in zip(extended.ordinates(), fresh.ordinates()):
-        assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

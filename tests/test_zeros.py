@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from zetasums import special, zeros
-from zetasums.errors import DomainError, NoSignChangeError
+from zetasums.errors import DomainError
 from zetasums.special import FunctionId, critical_line_form, critical_line_values
 from zetasums.datasets import CRITICAL_LINE, REAL_AXIS, dataset_rows
 from zetasums.zeros import (
     _bracket_roots,
     count_check,
     real_axis_zeros_tminus,
-    refine_zero,
     ZeroDataset,
     scan_zeros,
     with_real_axis_records,
@@ -40,17 +39,21 @@ def _bisect_oracle(f, lo, hi, tol=1e-12):
 
 
 def test_refine_matches_independent_bisection():
-    t = refine_zero(FunctionId.XI, (14.0, 14.3))
+    (t,) = scan_zeros(FunctionId.XI, 14.0, 14.3).ordinates()
     oracle = _bisect_oracle(FunctionId.XI, 14.0, 14.3)
     assert t == pytest.approx(oracle, abs=1e-9)
     assert t == pytest.approx(FIRST_XI_T, abs=1e-9)
 
 
-def test_refine_two_zero_bracket_returns_lower_zero():
-    # xi has the same sign at 14 and 21.5, with zeros at 14.13 and 21.02 between
-    assert critical_line_form(FunctionId.XI, 14.0) * critical_line_form(FunctionId.XI, 21.5) > 0
-    t = refine_zero(FunctionId.XI, (14.0, 21.5))
-    assert t == pytest.approx(FIRST_XI_T, abs=1e-9)
+def test_adjacent_scans_concatenate_to_one_scan():
+    # the grid is aligned to step multiples, so a scan continued from its
+    # top finds what one scan over the union range finds
+    low = scan_zeros(FunctionId.T_MINUS, 0.0, 60.0).ordinates()
+    high = scan_zeros(FunctionId.T_MINUS, 60.0, 80.0).ordinates()
+    joined = np.concatenate((low, high[high > low[-1]]))
+    whole = scan_zeros(FunctionId.T_MINUS, 0.0, 80.0).ordinates()
+    assert joined.shape == whole.shape
+    assert np.all(np.abs(joined - whole) <= 1e-10)
 
 
 def _counted(func):
@@ -98,11 +101,6 @@ def test_bracket_roots_flat_crossing_within_bisection_bound():
     roots = _bracket_roots(func, a, b, g(a), g(b), 1e-11)
     assert np.all(np.abs(roots - k * np.pi) <= 1e-11)
     assert len(calls) <= math.ceil(math.log2(np.max(b - a) / 1e-11))
-
-
-def test_refine_requires_sign_change():
-    with pytest.raises(NoSignChangeError):
-        refine_zero(FunctionId.XI, (15.0, 16.0))
 
 
 @pytest.mark.parametrize("t_hi", [math.nan, math.inf])
