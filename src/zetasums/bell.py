@@ -68,7 +68,7 @@ def _newton_coeffs(sig: SigmaSeries, K: int) -> List[float]:
 def series_from_sigma(sig: SigmaSeries, K: int) -> PowerSeries:
     """Taylor coefficients e_0..e_K of F(s)/F(0) rebuilt from the sigma series."""
     coeffs = [complex(e) for e in _newton_coeffs(sig, K)]
-    return PowerSeries(center=0.0, coeffs=coeffs, radius_used=0.0, resolution_used=0)
+    return PowerSeries(center=0.0, coeffs=coeffs)
 
 
 def symmetric_sum_check(ds: ZeroDataset, sig: SigmaSeries) -> LinkReport:

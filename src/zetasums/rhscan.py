@@ -187,24 +187,29 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
 
     Each consecutive triplet of the interlaced T_plus / T_minus ordinate
     sequence anchors one derivative zero, found by damped Newton seeded at
-    the triplet centroid pushed 0.15 off the critical line; alternative
-    seeds are tried before a NonConvergenceWarning is issued. Each search
-    stays within 20 in Im of its seed and makes one log_xi1 call, on 12
-    points, per line-search trial, which gives V' and V'' together; each
-    report adds one 2-point call for |V(s_d)|. Raises DomainError for a
-    bound that is not finite.
+    the triplet centroid pushed 0.15 right of the critical line; further
+    seeds right of the line are tried before a NonConvergenceWarning is
+    issued (a seed left of the line would only mirror one of them). Each
+    search stays within 20 in Im of its seed and makes one log_xi1 call, on
+    12 points, per line-search trial, which gives V' and V'' together; each
+    report adds one 2-point call for |V(s_d)|. Raises DomainError unless
+    t_lo < t_hi are finite.
     """
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise DomainError(f"scan bounds must be finite, got [{t_lo}, {t_hi}]")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
+        raise DomainError(f"scan bounds must be finite with t_lo < t_hi, got [{t_lo}, {t_hi}]")
     triplets = _merged_triplets(t_lo, t_hi)
     if not triplets:
         return []
+    centroids = np.array([trio[3] for trio in triplets])
     # Pool of distinct derivative zeros; a zero and its reflection
     # 1 - conj(s_d) are the same object, keyed by the off-line distance.
     pool: dict = {}
     for ordinals, kind, ts, centroid_t in triplets:
         span = ts[2] - ts[0]
-        for off in (0.15, -0.15, 0.3, -0.3, 0.6, -0.6, 0.05, -0.05):
+        # V(1 - conj s) = -conj V(s): Newton commutes with this reflection, which
+        # keeps Im s, and every filter below is symmetric under it, so a seed
+        # left of the line could only repeat the failure of its mirror image
+        for off in (0.15, 0.3, 0.6, 0.05):
             s_d = _newton_vprime(complex(0.5 + off, centroid_t))
             if (
                 s_d is None
@@ -219,7 +224,7 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
             break
     reports: List[TripletReport] = []
     for s_d in pool.values():
-        ordinals, kind, ts, centroid_t = min(triplets, key=lambda trio: abs(trio[3] - s_d.imag))
+        ordinals, kind, ts, centroid_t = triplets[int(np.argmin(np.abs(centroids - s_d.imag)))]
         modulus = abs(v_func(s_d))
         reports.append(
             TripletReport(

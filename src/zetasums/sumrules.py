@@ -47,8 +47,6 @@ _QUAD_W = (_PANELS * (0.5 * _GL_W)).ravel()
 class PowerSeries:
     center: complex
     coeffs: List[complex]
-    radius_used: float
-    resolution_used: int
 
 
 @dataclass
@@ -128,7 +126,7 @@ def taylor_log_coeffs(
     tol = np.maximum(1e-11 * np.abs(c), 1e-14 * max(1.0, float(np.max(np.abs(c)))))
     if np.any(alias[1:] > tol[1:]):
         raise ConvergenceError("log-Taylor coefficients alias by more than 1e-11 relative; a zero is near the circle")
-    return PowerSeries(center=center, coeffs=list(c), radius_used=radius, resolution_used=2 * _RESOLUTION)
+    return PowerSeries(center=center, coeffs=list(c))
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +134,14 @@ def taylor_log_coeffs(
 
 
 def zero_density(f: FunctionId, t: float) -> float:
-    """Smooth density of critical-line zeros at ordinate t (one per pair)."""
+    """Smooth density of critical-line zeros at ordinate t (one per pair),
+    a float or an array. Raises DomainError unless every t is finite and
+    positive."""
     zeros = SPECS[FunctionId(f)].zeros
     if zeros is None:
         raise DomainError(f"no zero-density model for {f}")
+    if not np.all((0.0 < t) & (t < math.inf)):
+        raise DomainError(f"zero density needs finite t > 0, got {t}")
     return zeros.density(t)
 
 

@@ -48,8 +48,6 @@ class TranslatedSigma:
     center: complex
     m: int
     value: complex
-    method: str
-    terms_used: int
 
 
 @dataclass
@@ -105,14 +103,7 @@ def translated_sigma_series(
             f"translated series for m={m} at z0={z0} is not decreasing "
             f"at the final retained term ({term_mags[-2]:.3e} -> {term_mags[-1]:.3e})"
         )
-    return TranslatedSigma(
-        function=sig.function,
-        center=z0,
-        m=m,
-        value=total,
-        method="series",
-        terms_used=terms + 1,
-    )
+    return TranslatedSigma(function=sig.function, center=z0, m=m, value=total)
 
 
 def translated_sigma_direct(f: FunctionId, z0: complex, m: int) -> TranslatedSigma:
@@ -126,14 +117,7 @@ def translated_sigma_direct(f: FunctionId, z0: complex, m: int) -> TranslatedSig
     if m < 1:
         raise DomainError("m must be >= 1")
     series = taylor_log_coeffs(f, m, center=z0)
-    return TranslatedSigma(
-        function=FunctionId(f),
-        center=z0,
-        m=m,
-        value=-m * series.coeffs[m],
-        method="direct",
-        terms_used=series.resolution_used,
-    )
+    return TranslatedSigma(function=FunctionId(f), center=z0, m=m, value=-m * series.coeffs[m])
 
 
 def xi_halfshift_ordinates(xi_ds: ZeroDataset) -> np.ndarray:

@@ -7,6 +7,7 @@ sub-assertions are kept; the analysis lives in the project notes.
 """
 
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 
 from zetasums.bell import bell_eval, verify_link3
 from zetasums.cli import main as cli_main
+from zetasums.errors import NonConvergenceWarning
 from zetasums.rhscan import (
     find_derivative_zeros,
     condition_scan,
@@ -288,9 +290,17 @@ def test_criterion_13_spot_988(reports_988):
 def test_criterion_13_condition_scan_first_200(ds_tplus):
     tp = ds_tplus.ordinates()
     t_hi = float((tp[199] + tp[200]) / 2.0)
-    all_met, reports = condition_scan(0.0, t_hi)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        all_met, reports = condition_scan(0.0, t_hi)
     assert all_met
     assert all(r.modulus > 1.0 for r in reports)
+    assert len(reports) == 129
+    # the triplets whose search finds no derivative zero, all below t = 50
+    assert all(w.category is NonConvergenceWarning for w in caught)
+    warned = [float(str(w.message).rsplit("= ", 1)[1]) for w in caught]
+    expected = [8.35, 9.68, 11.27, 12.15, 27.15, 35.28, 35.88, 49.89]
+    assert warned == pytest.approx(expected, abs=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from zetasums.errors import DomainError, NonConvergenceWarning, PoleError
 from zetasums.rhscan import (
     _family_critical_line,
     _merged_triplets,
+    _newton_vprime,
     _v_derivatives,
     asymptotic_check,
+    condition_scan,
     family_line_zeros,
     find_derivative_zeros,
     lagarias_suzuki_y_star,
@@ -282,6 +284,36 @@ def test_y_star_below_the_float_spacing_returns():
 def test_derivative_zero_bounds_must_be_finite():
     with pytest.raises(DomainError):
         find_derivative_zeros(math.nan, 420.0)
+    # a reversed or empty range has no triplets; the condition is not met over nothing
+    for bounds in [(420.0, 410.0), (410.0, 410.0)]:
+        with pytest.raises(DomainError):
+            condition_scan(*bounds)
+        with pytest.raises(DomainError):
+            find_derivative_zeros(*bounds)
+
+
+def test_newton_commutes_with_the_reflection(ds_tplus, ds_tminus):
+    # V'(1 - conj s) = conj V'(s), so the search from 1/2 - off + it is the
+    # mirror image of the one from 1/2 + off + it: the seed ladder keeps only
+    # the right-hand seeds. Both pass the band and centroid filters, or neither.
+    triplets = _merged_triplets(10.0, 990.0)
+    picks = np.random.default_rng(33).choice(len(triplets), 20, replace=False)
+    for n, i in enumerate(picks):
+        _, _, ts, centroid_t = triplets[i]
+        off = (0.15, 0.3, 0.6, 0.05)[n % 4]
+        right = _newton_vprime(complex(0.5 + off, centroid_t))
+        left = _newton_vprime(complex(0.5 - off, centroid_t))
+
+        def kept(s_d):
+            return (
+                s_d is not None
+                and abs(s_d.imag - centroid_t) <= 1.5 * (ts[2] - ts[0])
+                and abs(s_d.real - 0.5) <= 1.0
+            )
+
+        assert kept(right) == kept(left), (centroid_t, off, right, left)
+        if kept(right):
+            assert abs(left - (1.0 - right.conjugate())) <= 1e-9
 
 
 

@@ -368,6 +368,12 @@ def test_zero_density_matches_observed_gaps(ds_xi):
     )
 
 
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf, np.array([50.0, -1.0])])
+def test_zero_density_refuses_an_ordinate_that_is_not_finite_and_positive(t):
+    with pytest.raises(DomainError):
+        zero_density(FunctionId.XI, t)
+
+
 @pytest.mark.parametrize("f", [f for f, row in SPECS.items() if row.zeros is not None])
 @pytest.mark.parametrize("t", [50.0, 500.0, 2500.0])
 def test_density_is_the_derivative_of_the_count(f, t):
