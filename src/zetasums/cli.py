@@ -187,7 +187,8 @@ def sumrule(f, m_text, fmt, output, precision_report):
 @_common()
 def keiper(f, order, fmt, output, precision_report):
     """tau and lambda coefficients from the sigma series."""
-    sig = sr.sigma_series_derivative(f, order + 1)
+    # the identity residuals need sigma to order 20; the rows read only order + 1
+    sig = sr.sigma_series_derivative(f, max(order + 1, 20))
     kc = sr.tau_lambda_from_sigma(sig, order)
     rows = [(k, float(kc.tau[k].real), float(kc.lam[k + 1].real)) for k in range(order)]
     extra = None

@@ -175,6 +175,19 @@ def _cache_path(f: FunctionId, t_max: float, grid_step, include_real_axis: bool)
     return cache_dir() / name
 
 
+# Per cache file: the bytes of its CSV and manifest, and the set parsed
+# from them or saved as them.
+_DATASETS: dict = {}
+
+
+def _contents(path: Path) -> Optional[Tuple[bytes, bytes]]:
+    """The bytes of the CSV at path and of its manifest; None if either is missing."""
+    try:
+        return path.read_bytes(), _manifest_path(path).read_bytes()
+    except FileNotFoundError:
+        return None
+
+
 def cached_dataset(
     f: FunctionId,
     t_max: float,
@@ -185,51 +198,41 @@ def cached_dataset(
     step, flag, and the kernel. A cache file that fails its checks warns
     CacheWarning and is rebuilt. include_real_axis for a function with no
     real-axis zeros, or a t_max that is not positive and finite, raises
-    DomainError before any file is read or written."""
+    DomainError before any file is read or written.
+
+    Memoized per cache file on the bytes of the CSV and its manifest: every
+    call reads both, and while they hold the bytes the set was parsed from
+    or saved as, it returns that same read-only set; a changed byte is
+    loaded, or rebuilt, as above. Another cache directory is another file."""
     f = FunctionId(f)
     if not 0.0 < t_max < np.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
     if include_real_axis and not SPECS[f].real_axis:
         raise DomainError(f"{f.value} has no real-axis zeros")
     path = _cache_path(f, t_max, grid_step, include_real_axis)
+    held = _contents(path)
+    memo = _DATASETS.get(path)
+    if memo is not None and memo[0] == held:  # no entry is filed under None
+        return memo[1]
+    ds = None
     if path.exists():
         try:
-            return load_dataset(path)
+            ds = load_dataset(path)
         except (ChecksumError, SchemaError) as exc:
             warnings.warn(f"rebuilding corrupt cache file {path}: {exc}", CacheWarning)
-    ds = scan_zeros(f, 0.0, t_max, grid_step)
-    if include_real_axis:
-        ds = with_real_axis_records(ds)
-    save_dataset(ds, path)
+    if ds is None:
+        ds = scan_zeros(f, 0.0, t_max, grid_step)
+        if include_real_axis:
+            ds = with_real_axis_records(ds)
+        save_dataset(ds, path)
+        held = _contents(path)  # the bytes ds was saved as
+    elif _contents(path) != held:
+        return ds  # the files changed around the parse: file ds under neither version
+    if held is not None:
+        _DATASETS[path] = (held, ds)
     return ds
 
 
 def default_dataset(f: FunctionId) -> ZeroDataset:
     """cached_dataset at the default height of f, with its real-axis zeros if it has them."""
     return cached_dataset(f, SPECS[f].t_max, None, SPECS[f].real_axis)
-
-
-_ORDINATES: dict = {}
-
-
-def cached_ordinates(f: FunctionId, t_max: float, include_real_axis: bool = False):
-    """(ordinates(), t_max_scanned) of cached_dataset(f, t_max, None, include_real_axis).
-
-    Memoized per cache file: the file is read again, through load_dataset
-    and its checksum, only when the CSV or its manifest changed on disk
-    (st_mtime_ns or st_size); another cache directory is another file.
-    """
-    path = _cache_path(f, t_max, None, include_real_axis)
-
-    def stamp():
-        try:
-            return [(st.st_mtime_ns, st.st_size) for st in map(os.stat, (path, _manifest_path(path)))]
-        except FileNotFoundError:
-            return None
-
-    before = stamp()
-    memo = _ORDINATES.get(path)
-    if before is None or memo is None or memo[0] != before:
-        ds = cached_dataset(f, t_max, None, include_real_axis)
-        memo = _ORDINATES[path] = (before or stamp(), (ds.ordinates(), ds.t_max_scanned))
-    return memo[1]

@@ -27,8 +27,8 @@ from .errors import (
     OpenContourError,
     PoleError,
 )
-from .special import SPECS, FunctionId, log_xi1
-from .datasets import cached_ordinates
+from .special import FunctionId, log_xi1
+from .datasets import default_dataset
 from .zeros import _bracket_roots, _sign_changes
 
 __all__ = [
@@ -148,11 +148,6 @@ def _newton_vprime(seed: complex) -> Optional[complex]:
     return s if abs(g) <= 1e-8 else None
 
 
-def _default_ordinates(f: FunctionId):
-    """(ordinates, t_max_scanned) of the default dataset of f."""
-    return cached_ordinates(f, SPECS[f].t_max, SPECS[f].real_axis)
-
-
 def _merged_triplets(t_lo: float, t_hi: float):
     """Consecutive triplets of the merged T_plus / T_minus ordinate sequence.
 
@@ -161,11 +156,11 @@ def _merged_triplets(t_lo: float, t_hi: float):
     triplets whose centroid lies in [t_lo, t_hi]. Raises DomainError if such a
     triplet could hold an ordinate above the height the datasets were scanned to.
     """
-    tp, tp_height = _default_ordinates(FunctionId.T_PLUS)
-    tm, tm_height = _default_ordinates(FunctionId.T_MINUS)
+    plus, minus = default_dataset(FunctionId.T_PLUS), default_dataset(FunctionId.T_MINUS)
+    tp, tm = plus.line, minus.line
     # the merged sequence is complete up to the scanned height, so every
     # triplet with an ordinate above it has its centroid above `complete`
-    height = min(tp_height, tm_height)
+    height = min(plus.t_max_scanned, minus.t_max_scanned)
     complete = (np.sort(np.concatenate((tp[-2:], tm[-2:])))[-2:].sum() + height) / 3.0
     if t_hi > complete:
         raise DomainError(f"triplets up to t = {t_hi} need zeros above t = {height:g}")
@@ -273,7 +268,7 @@ def trace_unit_contour(t_center: float, n_points: int = 256) -> ContourPolyline:
     if n_points < 3:
         raise DomainError(f"a closed polyline needs n_points >= 3, got {n_points}")
     s0 = complex(0.5, t_center)
-    tp = _default_ordinates(FunctionId.T_PLUS)[0]
+    tp = default_dataset(FunctionId.T_PLUS).line
     gaps = np.diff(tp)
     idx = int(np.argmin(np.abs(tp - t_center)))
     if not abs(tp[idx] - t_center) <= 0.05:  # nan is no ordinate

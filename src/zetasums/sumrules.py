@@ -314,9 +314,8 @@ def tau_lambda_from_zeros(
     coefficient at k=0 by exactly sigma_1, so tau_0 is taken from the sigma
     sum directly.)
     """
-    if not 1 <= K <= 100:
-        # powers of rho/(rho-1) lose conditioning past K = 100
-        raise DomainError(f"K must lie in 1..100, got {K}")
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
     w = lambda rho: rho / (rho - 1.0)
     tau = [sigma_from_zeros(ds, 1, tail_correction)] + [
         _zero_sum(ds, lambda rho, k=k: -(w(rho) ** (k + 1)) / rho**2, tail=tail_correction)

@@ -271,6 +271,19 @@ def test_keiper_csv(runner):
     assert _assert_numbers(result.output) == 10
 
 
+def test_keiper_precision_report_below_order_19(runner):
+    # the identity residuals need sigma to order 20; --order 10 used to exit 1
+    def run(*args):
+        result = runner.invoke(main, ["keiper", "--function", "xi", *args])
+        assert result.exit_code == 0, result.output
+        return result.output.splitlines()
+
+    report = run("--order", "10", "--precision-report")
+    assert report[:-1] == run("--order", "10")
+    assert report[-1].startswith("# identity residuals")
+    assert report[-1] == run("--order", "19", "--precision-report")[-1]
+
+
 def test_precision_report_appended(runner):
     result = runner.invoke(
         main,

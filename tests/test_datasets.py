@@ -1,6 +1,8 @@
 """Dataset persistence: round-trip, checksums, schema validation, caching."""
 
 import json
+import os
+import shutil
 import warnings
 
 import numpy as np
@@ -11,13 +13,13 @@ from zetasums import datasets
 from zetasums.datasets import (
     cache_dir,
     cached_dataset,
-    cached_ordinates,
     dataset_rows,
     load_dataset,
     save_dataset,
 )
 from zetasums.errors import CacheWarning, ChecksumError, DomainError, SchemaError
-from zetasums.special import FunctionId
+from zetasums.rhscan import _merged_triplets
+from zetasums.special import SPECS, FunctionId
 from zetasums.zeros import ZeroDataset, scan_zeros, with_real_axis_records
 
 
@@ -73,10 +75,15 @@ def test_cache_key_keeps_every_digit_of_t_max(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("*.csv"))) == 2
 
 
-def test_cached_ordinates_reload_only_changed_files(tmp_path, monkeypatch, small_ds):
+def _count_loads(monkeypatch):
     loads = []
     real = datasets.load_dataset
     monkeypatch.setattr(datasets, "load_dataset", lambda p: loads.append(p) or real(p))
+    return loads
+
+
+def test_cached_dataset_reloads_only_changed_files(tmp_path, monkeypatch, small_ds):
+    loads = _count_loads(monkeypatch)
 
     def rewrite(path, drop):
         n = small_ds.line.size - drop  # keep the real-axis zeros
@@ -85,24 +92,68 @@ def test_cached_ordinates_reload_only_changed_files(tmp_path, monkeypatch, small
                           residuals=residuals, t_max_scanned=small_ds.t_max_scanned)
         save_dataset(cut, path)
 
+    def read():
+        return cached_dataset(FunctionId.T_MINUS, 60.0, include_real_axis=True)
+
     n = len(small_ds.ordinates())
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "a"))
-    cached_dataset(FunctionId.T_MINUS, 60.0, include_real_axis=True)
-    (path,) = (tmp_path / "a").glob("*.csv")
-    # two calls make one load
-    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n
-    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n
+    path = datasets._cache_path(FunctionId.T_MINUS, 60.0, None, True)
+    save_dataset(small_ds, path)
+    # two calls make one load, and return the same set
+    first = read()
+    assert read() is first
+    assert len(first.ordinates()) == n
     assert len(loads) == 1
     # rewriting the dataset reloads it
     rewrite(path, 1)
-    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n - 1
+    assert len(read().ordinates()) == n - 1
     assert len(loads) == 2
-    # another cache directory never gets this one's arrays
+    # another cache directory never gets this one's set
     (tmp_path / "b").mkdir()
     rewrite(tmp_path / "b" / path.name, 2)
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path / "b"))
-    assert len(cached_ordinates(FunctionId.T_MINUS, 60.0, True)[0]) == n - 2
+    assert len(read().ordinates()) == n - 2
     assert len(loads) == 3
+
+
+def _edit_in_place(path, old: bytes, new: bytes):
+    """Replace old by new, of the same length, and put the times back, as cp -p does."""
+    st = path.stat()
+    data = path.read_bytes()
+    assert len(old) == len(new) and old in data
+    path.write_bytes(data.replace(old, new, 1))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def test_in_place_edit_keeping_size_and_mtime_is_seen(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    loads = _count_loads(monkeypatch)
+    ds = cached_dataset(FunctionId.XI, 30.0)
+    assert cached_dataset(FunctionId.XI, 30.0) is ds  # the built set, with no load
+    assert loads == []
+    (path,) = tmp_path.glob("*.csv")
+    _edit_in_place(path, b"14.13", b"14.14")
+    with pytest.warns(CacheWarning, match="checksum mismatch"):
+        again = cached_dataset(FunctionId.XI, 30.0)
+    assert again is not ds
+    assert again.line.tolist() == ds.line.tolist()
+    assert cached_dataset(FunctionId.XI, 30.0) is again
+    assert len(loads) == 1  # the load that failed its checksum
+
+
+def test_merged_triplets_see_an_in_place_edit(ds_tplus, ds_tminus, tmp_path, monkeypatch):
+    # copies of the session's default T_plus and T_minus sets
+    names = []
+    for f in (FunctionId.T_PLUS, FunctionId.T_MINUS):
+        path = datasets._cache_path(f, SPECS[f].t_max, None, SPECS[f].real_axis)
+        for p in (path, path.with_name(path.name + ".manifest.json")):
+            shutil.copy2(p, tmp_path / p.name)
+        names.append(path.name)
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    first = _merged_triplets(600.0, 600.5)
+    _edit_in_place(tmp_path / names[0], b",1,critical_line,", b",0,critical_line,")
+    with pytest.warns(CacheWarning, match="checksum mismatch"):
+        assert _merged_triplets(600.0, 600.5) == first
 
 
 def test_real_axis_zeros_only_for_a_function_that_has_them(tmp_path, monkeypatch):

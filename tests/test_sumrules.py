@@ -348,6 +348,21 @@ def test_tau_lambda_route_agreement_tplus(ds_tplus, sig_der):
     assert np.max(np.abs(ks.tau - kz.tau)) <= 1e-8
 
 
+def test_li_coefficients_from_zeros_past_order_100(ds_xi, ds_tminus):
+    # the K <= 100 cap guarded powers of rho/(rho-1); lambda comes by expm1
+    # and log1p, and |rho/(rho-1)| = 1 on the critical line. A RuntimeWarning
+    # fails the test
+    lam = tau_lambda_from_zeros(ds_xi, 200).lam.real
+    lam_minus = tau_lambda_from_zeros(ds_tminus, 200).lam.real
+    # Li's values of n lambda_n for xi
+    assert 100 * lam[100] == pytest.approx(118.6037753769, rel=1e-8)
+    assert 200 * lam[200] == pytest.approx(306.655764851, rel=1e-8)
+    # Li's criterion sees T_minus's real zero x = 3.91231: m lambda_m grows like (x/(x-1))^m
+    x = ds_tminus.real.max()
+    assert x == pytest.approx(3.91231, abs=1e-5)
+    assert 200 * lam_minus[200] / (199 * lam_minus[199]) == pytest.approx(x / (x - 1.0), rel=1e-9)
+
+
 def test_lambda_positive_low_orders(sig_der):
     # Li-criterion positivity for the computed range
     for f in (FunctionId.XI, FunctionId.T_PLUS_TILDE):
