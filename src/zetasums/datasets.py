@@ -34,8 +34,9 @@ CACHE_ENV = "ZETASUMS_CACHE_DIR"
 # Zero-finding kernel number, in every cache file name with the package
 # version: a change that can move a written ordinate bumps it, so that no
 # file written by an older kernel is served. 2: separable scan grid;
-# 3: term-table Bernoulli corrections and Lanczos sum.
-KERNEL = 3
+# 3: term-table Bernoulli corrections and Lanczos sum; 4: Taylor-jet
+# refinement.
+KERNEL = 4
 
 
 @dataclass(frozen=True)

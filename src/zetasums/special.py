@@ -18,23 +18,30 @@ are the same bitwise whatever else its call holds, and a small call pays
 a few whole-table operations plus one row product per term. The direct sum
 of a call whose points share one ordinate |Im s| computes the phase row
 n^(-i|Im s|) once; the C cexp forms exp(x) cos y and exp(x) sin y, so its
-terms are bitwise those of one complex exp per point and term.
+terms are bitwise those of one complex exp per point and term. Two more
+forms of the direct sum serve the zero scan: a grid call's sums are one
+product of block phases and step phases, and many reads near few centres
+take Taylor jets about the centres (TaylorJets), whose truncation bound
+joins the tail bound.
 
 SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
 series form and its circle radius, the default dataset, the smooth zero count
 and the critical-line form, which shares its log-form builder with the
 evaluator. Other modules read every per-function fact from that row. The
-evaluators are pure functions; the only shared state is constant tables.
+evaluators are pure functions; the only shared state is constant tables and
+the grid's read-only step-phase tables, at most _PHASE_TABLE_BYTES of them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -239,11 +246,14 @@ def _hurwitz_em_array(s: np.ndarray, a: float, step=None) -> np.ndarray:
     _TARGET_ABS_ERROR; negative Re s at large |Im s| needs the headroom.
     Raises AccuracyError if the bound still misses it, and DomainError for
     |Im s| above _IM_LIMIT or not a number.
-    step: None, or the spacing h of a grid Im s = j h (see _hurwitz_em_once).
+    step: None, the spacing h of a grid Im s = j h, or TaylorJets (see
+    _hurwitz_em_once).
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     im_max = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
+    if isinstance(step, TaylorJets):
+        im_max = max(im_max, step.top)  # one cutoff for every read of the jets
     if not im_max <= _IM_LIMIT:
         raise DomainError(f"|Im s| must be at most {_IM_LIMIT:g}, got {im_max!r}")
     n_direct = max(50, math.ceil(im_max / 2.0))
@@ -259,6 +269,131 @@ def _hurwitz_em_array(s: np.ndarray, a: float, step=None) -> np.ndarray:
 _SLAB_BYTES = 1 << 20
 # Grid block size K of the separable direct sum: grid index j = K b + k.
 _BLOCK = 32
+# The grid's step-phase tables E by (a, step), least recently used first,
+# at most _PHASE_TABLE_BYTES in all (a 1,260-row table is 645 KB).
+_STEP_PHASES: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_STEP_PHASE_LOCK = threading.Lock()
+_PHASE_TABLE_BYTES = 8 << 20
+# Most Taylor terms of a jet, and the share of _TARGET_ABS_ERROR its
+# truncation may take; the tail bound takes the rest.
+_JET_TERMS = 32
+_JET_SHARE = _TARGET_ABS_ERROR / 16
+
+
+def _step_phases(a, step, log_n):
+    """E[n, k] = (n+a)^(-i step k), n < N = log_n.size, k < _BLOCK.
+
+    The first N rows of a read-only table kept per (a, step) and grown when
+    N grows. Each entry is one elementwise exp, so a prefix of a larger
+    table is bitwise the table built for its own N. A table of more than
+    _PHASE_TABLE_BYTES is built for the call and not kept.
+    """
+    n = log_n.size
+    with _STEP_PHASE_LOCK:
+        table = _STEP_PHASES.pop((a, step), np.empty((0, _BLOCK), dtype=complex))
+        if table.shape[0] < n:
+            rows = np.multiply.outer(log_n[table.shape[0] :], 1j * step * np.arange(_BLOCK))
+            np.exp(rows, out=rows)
+            table = np.concatenate((table, rows))
+            if table.nbytes > _PHASE_TABLE_BYTES:
+                return table
+            table.flags.writeable = False
+        _STEP_PHASES[(a, step)] = table
+        while sum(kept.nbytes for kept in _STEP_PHASES.values()) > _PHASE_TABLE_BYTES:
+            _STEP_PHASES.popitem(last=False)
+    return table[:n]
+
+
+def _jet_terms(mass, x):
+    """The fewest Taylor terms J whose truncation bound mass x^J/J! e^x
+    meets _JET_SHARE; AccuracyError if that takes more than _JET_TERMS."""
+    bound = mass * math.exp(x) if x <= _JET_TERMS else math.inf
+    for terms in range(1, _JET_TERMS + 1):
+        bound *= x / terms
+        if bound <= _JET_SHARE:
+            return terms
+    raise AccuracyError(f"a Taylor jet needs more than {_JET_TERMS} terms at reach {x:.3g}")
+
+
+class TaylorJets:
+    """Taylor jets of the Euler-Maclaurin direct sums about centres on a
+    vertical line, for many reads near few points (the zero refiner's
+    brackets).
+
+    centres: ordinates of the centres, increasing; radius: the largest
+    distance of a read from its nearest centre, for which the jets are
+    sized. Passed as the step of a critical-line form (FunctionSpec.line):
+    a read w = s0 + d then takes the jet of its nearest centre s0,
+
+        sum_n (n+a)^(-s0-d) = sum_j M_j d^j,
+        M_j = sum_n (n+a)^(-s0) (-log(n+a))^j / j!,
+
+    M = A (centres x N complex exps) @ P (N x J, real), built once per
+    Hurwitz parameter a at the cutoff of the highest centre plus radius and
+    reused by every later read, which costs a Horner sum of J terms. J is
+    the fewest terms whose truncation bound mass x^J/J! e^x, with
+    x = |d| max|log(n+a)| and mass = sum_n (n+a)^(-Re s0), meets
+    _JET_SHARE; the kernel adds that bound to the tail bound. A read
+    farther out than the jets were sized for rebuilds them with more terms,
+    and one that would need more than _JET_TERMS raises AccuracyError.
+    """
+
+    def __init__(self, centres, radius, scale=1.0, tables=None):
+        self.centres = np.asarray(centres, dtype=float)
+        self.radius = float(radius)
+        self.scale = scale  # Im w = scale t at the kernel
+        self._tables = {} if tables is None else tables
+
+    def scaled(self, c: float) -> "TaylorJets":
+        """The same jets read at Im w = c t, sharing the built tables."""
+        return TaylorJets(self.centres, self.radius, self.scale * c, self._tables)
+
+    @property
+    def top(self) -> float:
+        """The largest |Im w| a read within the radius can have."""
+        return self.scale * (float(np.max(np.abs(self.centres))) + self.radius)
+
+    def sums(self, flat, a, log_n):
+        """(direct sums at the points flat, truncation bound); log_n holds
+        -log(n+a), n < N."""
+        if flat.size == 0:
+            return np.zeros(0, dtype=complex), 0.0
+        im = self.scale * self.centres
+        nearest = np.searchsorted(0.5 * (im[1:] + im[:-1]), flat.imag)
+        re = float(flat.real[0])
+        d = flat - (re + 1j * im[nearest])
+        span = float(np.max(np.abs(log_n)))  # max |log(n+a)|
+        reach = float(np.max(np.abs(d))) * span
+        jet = self._tables.get((a, self.scale))
+        if jet is None or (jet.re, jet.size) != (re, log_n.size) or reach > jet.reach:
+            jet = self._build(re, log_n, max(reach, self.scale * self.radius * span))
+            self._tables[(a, self.scale)] = jet
+        terms = jet.coeffs.shape[0]
+        total = jet.coeffs[-1, nearest]
+        for row in jet.coeffs[-2::-1]:
+            total = total * d + row[nearest]
+        return total, jet.mass * math.exp(reach) * reach**terms / math.factorial(terms)
+
+    def _build(self, re, log_n, reach):
+        mass = float(np.sum(np.exp(re * log_n)))
+        terms = _jet_terms(mass, reach)
+        phases = np.multiply.outer(re + 1j * self.scale * self.centres, log_n)
+        np.exp(phases, out=phases)  # A: (n+a)^(-s0)
+        powers = np.ones((log_n.size, terms))
+        powers[:, 1:] = log_n[:, None] / np.arange(1.0, terms)
+        np.cumprod(powers, axis=1, out=powers)  # P: (-log(n+a))^j / j!
+        return _Jet(re, log_n.size, reach, mass, (phases @ powers).T)
+
+
+class _Jet(NamedTuple):
+    """The jets of one Hurwitz parameter: centre real part, cutoff N, the
+    reach x they are sized for, mass, and M as a (terms x centres) table."""
+
+    re: float
+    size: int
+    reach: float
+    mass: float
+    coeffs: np.ndarray
 
 
 def _hurwitz_em_once(flat, a, n_direct, step=None):
@@ -281,7 +416,12 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     (n+a)^(-s) = (n+a)^(-Re s - i h K b) e^(-i h k log(n+a)), so the sums
     of all entries are the entries of A (blocks x N) @ E (N x K): one exp
     per block and term for A, K per term for E, in place of one per entry
-    and term. E is rebuilt on every call.
+    and term. E depends only on (a, h), and its rows for a smaller N are a
+    prefix of those for a larger one, so it is kept (_step_phases).
+
+    When step is TaylorJets, each entry takes the Taylor jet of the direct
+    sum about its nearest centre, and the jets' truncation bound joins the
+    tail bound.
 
     The Bernoulli corrections and the tail bound stay pointwise: the
     nu = 12 corrections and the first omitted term form one (13 x points)
@@ -293,7 +433,10 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     """
     n = np.arange(n_direct, dtype=float) + a  # a, 1+a, ..., N-1+a
     log_n = -np.log(n)
-    if step is None:
+    truncation = 0.0
+    if isinstance(step, TaylorJets):
+        total, truncation = step.sums(flat, a, log_n)
+    elif step is None:
         # pairwise numpy reduction keeps ~1 ulp * log N. Summed in slabs
         # of one reused buffer of at most _SLAB_BYTES, exp in place, so the
         # largest temporary is bounded whatever N; each row's sum is the
@@ -323,9 +466,7 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
         bases, which = np.unique(flat.real + 1j * (step * _BLOCK) * block, return_inverse=True)
         phases = np.multiply.outer(bases, log_n)
         np.exp(phases, out=phases)  # A
-        shifts = np.multiply.outer(log_n, 1j * step * np.arange(_BLOCK))
-        np.exp(shifts, out=shifts)  # E
-        total = (phases @ shifts)[which, k.astype(int)]
+        total = (phases @ _step_phases(a, step, log_n))[which, k.astype(int)]
 
     # corrections B_2k/(2k)! s(s+1)...(s+2k-2) b^(-s-2k+1), k = 1..nu, and
     # the first omitted term, k = nu + 1, which the tail bound reads, as a
@@ -352,7 +493,7 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     # tail bound: first omitted term times |s+2nu+1|/(sigma+2nu+1)
     edge = 2.0 * _EM_K[-1] - 1.0  # 2 nu + 1
     ratio = np.abs(flat + edge) / np.maximum(flat.real + edge, 1.0)
-    bound = float(np.max(omitted * ratio, initial=0.0))
+    bound = float(np.max(omitted * ratio, initial=0.0)) + truncation
     return total, bound
 
 
@@ -405,7 +546,8 @@ def hurwitz_zeta(s, a: float) -> complex:
 def _xi1_log_form(s: np.ndarray, step=None):
     """(log(pi^(-w/2) Gamma(w/2)), zeta(w)), so that xi1(s) = exp(log) * zeta.
 
-    step: None, or the spacing of a grid Im s = j step (_hurwitz_em_once).
+    step: None, the spacing of a grid Im s = j step, or TaylorJets
+    (_hurwitz_em_once).
     """
     w = np.where(s.real < 0.5, 1.0 - s, s)
     return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, _hurwitz_em_array(w, 1.0, step)
@@ -545,8 +687,8 @@ def _l4c_log_form(s: np.ndarray, step=None):
     """(log(2^(w-1) pi^(-(w+1)/2) Gamma((w+1)/2)), L4(w)); that prefactor is
     Gamma(w) / (pi^(w/2) Gamma(w/2)) by Legendre duplication.
 
-    step: None, or the spacing of a grid Im s = j step on Re s = 1/2, where
-    L4 is its Hurwitz difference (_hurwitz_em_once).
+    step: None, the spacing of a grid Im s = j step, or TaylorJets, on
+    Re s = 1/2, where L4 is its Hurwitz difference (_hurwitz_em_once).
     """
     w = np.where(s.real < 0.5, 1.0 - s, s)
     lg = (w - 1.0) * LN_2 - ((w + 1.0) / 2.0) * LN_PI + _lanczos_loggamma_right((w + 1.0) / 2.0)
@@ -561,8 +703,9 @@ def _l4_completed(s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # critical-line real forms: the builders' pair at 1/2 + it (xi, l4c) or at
 # 1 + 2it (T_plus, T_minus), with the prefactor's modulus kept as a log.
-# Each takes the step of a grid t = j step, or None, and passes the Im
-# spacing of its kernel argument to the builder.
+# Each takes the step of a grid t = j step, TaylorJets about ordinates t,
+# or None, and passes them, scaled to the Im of its kernel argument, to the
+# builder.
 
 
 def _scaled_real_part(log_scale, phase, values, take_imag=False):
@@ -578,6 +721,13 @@ def _xi_line(t: np.ndarray, step=None) -> np.ndarray:
     return -_scaled_real_part(np.log(0.5 * (t * t + 0.25)) + lg.real, lg.imag, z)
 
 
+def _im_scaled(step, c: float):
+    """The grid step or jets of t, for a kernel argument with Im w = c t."""
+    if step is None:
+        return None
+    return step.scaled(c) if isinstance(step, TaylorJets) else c * step
+
+
 def _t_line(t: np.ndarray, step=None, take_imag: bool = False) -> np.ndarray:
     # xi1(2s - 1) = xi1(2 - 2s) = conj xi1(2s) on the line, so T_plus = Re xi1(1 + 2it)/2
     # and T_minus / i = Im xi1(1 + 2it)/2
@@ -585,7 +735,7 @@ def _t_line(t: np.ndarray, step=None, take_imag: bool = False) -> np.ndarray:
     if take_imag and np.any(tiny):
         raise PoleError("T_minus has a pole at s=1/2 (t=0)")
     w = np.where(tiny, 1.0 + 2e-6j, 1.0 + 2j * t)  # dodge the zeta pole at w=1
-    lg, z = _xi1_log_form(w, None if step is None else 2.0 * step)
+    lg, z = _xi1_log_form(w, _im_scaled(step, 2.0))
     out = 0.5 * _scaled_real_part(lg.real, lg.imag, z, take_imag)
     if np.any(tiny):
         out[tiny] = evaluate(FunctionId.T_PLUS, 0.5).real
@@ -631,7 +781,7 @@ class FunctionSpec:
         carries the real-axis zeros.
     zeros: smooth zero count and density, for the density-model tails.
     line: real critical-line form r(t) on a float array (critical_line_form),
-        with an optional grid step (critical_line_values).
+        with an optional grid step (critical_line_values) or TaylorJets.
     """
 
     evaluator: Callable

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RadiusError
+from .errors import AccuracyError, ConvergenceError, DomainError, RadiusError
 from .special import SPECS, FunctionId, evaluate
 from .zeros import ZeroDataset
 
@@ -312,10 +313,16 @@ def tau_lambda_from_zeros(
     A density-model tail (anchored at the observed count) supplies the zeros
     beyond t_max. (The power-sum family disagrees with the expansion
     coefficient at k=0 by exactly sigma_1, so tau_0 is taken from the sigma
-    sum directly.)
+    sum directly.) Raises AccuracyError, before any sum, if |rho/(rho-1)|^(K+1)
+    leaves double range at some zero (a real zero of T_minus past K ~ 2,400).
     """
     if K < 1:
         raise DomainError(f"K must be >= 1, got {K}")
+    rho = np.concatenate((0.5 + 1j * ds.ordinates(), ds.real_points()))
+    growth = (K + 1) * (np.log(np.abs(rho)) - np.log(np.abs(rho - 1.0)))
+    if rho.size and np.max(growth) > math.log(sys.float_info.max):
+        worst = rho[np.argmax(growth)]
+        raise AccuracyError(f"K = {K}: |rho/(rho-1)|^(K+1) leaves double range at the zero rho = {worst}")
     w = lambda rho: rho / (rho - 1.0)
     tau = [sigma_from_zeros(ds, 1, tail_correction)] + [
         _zero_sum(ds, lambda rho, k=k: -(w(rho) ** (k + 1)) / rho**2, tail=tail_correction)

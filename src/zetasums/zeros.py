@@ -6,8 +6,11 @@ bisection point at every step, one array call per step), and returned as
 datasets of read-only arrays. The grid is aligned to multiples of
 its step, so each chunk is read with the separable kernel: its
 Euler-Maclaurin direct sums are one product of a block-phase matrix and a
-step-phase matrix (special._hurwitz_em_once). The bracket ends, the
-refiner's probes and the residuals are read pointwise.
+step-phase matrix (special._hurwitz_em_once). The bracket ends and the
+residuals are read pointwise. The refiner reads each batch of brackets on
+Taylor jets of the direct sums about the midpoints of their grid cells
+(special.TaylorJets), built once per batch: a probe costs a Horner sum,
+not N complex exps.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import KW_ONLY, dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, MissedZeroWarning
-from .special import SPECS, FunctionId, critical_line_values, evaluate
+from .special import SPECS, FunctionId, TaylorJets, critical_line_values, evaluate
 
 _CHUNK = 4096
 # Brackets refined together by scan_zeros. Small probe arrays keep the
@@ -169,7 +173,10 @@ def scan_zeros(
     critical_line_values. The ends of its sign changes are read again
     pointwise (_read_ends), and the sign changes are refined together, at
     most _BATCH at a time, to brackets of width 1e-11: the ordinates are
-    those of a scan with a pointwise grid. grid_step defaults to
+    those of a scan with a pointwise grid. Each batch reads the line form
+    on the Taylor jets of its cells, at the cutoff of its highest cell;
+    they agree with pointwise reads at rounding level, and the ordinates
+    with pointwise-refined ones within the bracket width. grid_step defaults to
     default_grid_step(t_hi). A scan from the origin (t_lo <= grid_step)
     holds every zero up to its top, so its count is checked against the
     density model (count_check); a scan that starts higher is not.
@@ -186,6 +193,7 @@ def scan_zeros(
     if f == FunctionId.T_MINUS:
         i_lo = max(i_lo, 1)  # pole of T_minus at t=0
     func = lambda x: critical_line_values(f, x)
+    line = SPECS[f].line
     roots: List[np.ndarray] = []
     prev_t = prev_v = None
     for start in range(i_lo, i_hi + 1, _CHUNK):
@@ -200,7 +208,10 @@ def scan_zeros(
         change = _sign_changes(v)
         for k in range(0, change.size, _BATCH):
             i = change[k : k + _BATCH]
-            roots.append(_bracket_roots(func, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
+            # every probe stays in its cell, within half a cell of the centre
+            jets = TaylorJets(0.5 * (t[i] + t[i + 1]), 0.5 * float(np.max(t[i + 1] - t[i])))
+            refine = partial(line, step=jets)
+            roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
         roots.append(t[v == 0.0])
         prev_t, prev_v = float(t[-1]), float(v[-1])
     found = np.unique(np.concatenate(roots)) if roots else np.empty(0)

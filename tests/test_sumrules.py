@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetasums import sumrules
-from zetasums.errors import ConvergenceError, DomainError, RadiusError, ZetasumsError
+from zetasums.errors import AccuracyError, ConvergenceError, DomainError, RadiusError, ZetasumsError
 from zetasums.rhscan import family_line_zeros, trace_unit_contour
 from zetasums.special import (
     SPECS,
@@ -346,6 +346,18 @@ def test_tau_lambda_route_agreement_tplus(ds_tplus, sig_der):
     ks = tau_lambda_from_sigma(sig_der[FunctionId.T_PLUS_TILDE], K)
     kz = tau_lambda_from_zeros(ds_tplus, K)
     assert np.max(np.abs(ks.tau - kz.tau)) <= 1e-8
+
+
+def test_li_coefficients_past_double_range_are_an_accuracy_error(ds_tminus):
+    # |x/(x-1)|^K for T_minus's real zero x = 3.91231 is 1.343^K, which
+    # leaves double range near K = 2,403; K = 1000 stays finite. A
+    # RuntimeWarning fails the test
+    lam = tau_lambda_from_zeros(ds_tminus, 1000).lam.real
+    assert np.all(np.isfinite(lam))
+    # the real zero dominates: lambda_1000 ~ -(x/(x-1))^1000/1000 = -1.5693e125
+    assert lam[1000] == pytest.approx(-1.5692724709521e125, rel=1e-9)
+    with pytest.raises(AccuracyError, match=r"K = 2500: .* rho = \(3\.912308"):
+        tau_lambda_from_zeros(ds_tminus, 2500)
 
 
 def test_li_coefficients_from_zeros_past_order_100(ds_xi, ds_tminus):

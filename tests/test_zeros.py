@@ -244,6 +244,21 @@ def test_rounding_level_grid_end_keeps_the_pointwise_root(monkeypatch):
     assert np.array_equal(found, pointwise)
 
 
+@pytest.mark.parametrize(
+    "f, lo",
+    [(FunctionId.XI, 100.0), (FunctionId.XI, 1000.0), (FunctionId.XI, 2495.0)]
+    + [(f, lo) for f in (FunctionId.T_PLUS, FunctionId.T_MINUS, FunctionId.L4_COMPLETED) for lo in (100.0, 995.0)],
+)
+def test_jet_refinement_matches_pointwise_refinement(f, lo, monkeypatch):
+    found = scan_zeros(f, lo, lo + 5.0).ordinates()
+    # with no jets the refiner reads the line form pointwise, at each
+    # call's own cutoff
+    monkeypatch.setattr(zeros, "TaylorJets", lambda centres, radius: None)
+    pointwise = scan_zeros(f, lo, lo + 5.0).ordinates()
+    assert found.size == pointwise.size > 0
+    assert np.max(np.abs(found - pointwise)) <= 1e-11
+
+
 def _mpmath_form(f, t):
     """The critical-line form of f at 1/2 + it, built from mpmath alone."""
     with mpmath.workdps(30):
