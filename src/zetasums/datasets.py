@@ -35,8 +35,9 @@ CACHE_ENV = "ZETASUMS_CACHE_DIR"
 # version: a change that can move a written ordinate bumps it, so that no
 # file written by an older kernel is served. 2: separable scan grid;
 # 3: term-table Bernoulli corrections and Lanczos sum; 4: Taylor-jet
-# refinement.
-KERNEL = 4
+# refinement; 5: one table of Taylor jets per scan chunk, for its grid
+# points and its refinement.
+KERNEL = 5
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ policy: N = max(50, ceil(|Im s|/2)) direct terms, taken from the largest
 |Im s| of an array call, the corrections B_2..B_24 of _BERNOULLI, and an
 absolute tail-bound target of _TARGET_ABS_ERROR = 1e-12. A call whose bound
 misses the target doubles N, at most twice, and then raises AccuracyError.
+That target bounds truncation only, of the Euler-Maclaurin series and of
+the Taylor jets. The rounding of the direct terms' phases is not bounded:
+on the critical line it adds up to 1.1e-12 at t ~ 1000 and 4.5e-12 at
+t ~ 2500, against mpmath.
+
 The Bernoulli corrections and the Lanczos sum are (terms x points) tables
 with a few whole-table operations each, in blocks of _COLUMNS points, and
 every step is elementwise in the points: a point's corrections and Gamma
@@ -18,9 +23,8 @@ are the same bitwise whatever else its call holds, and a small call pays
 a few whole-table operations plus one row product per term. The direct sum
 of a call whose points share one ordinate |Im s| computes the phase row
 n^(-i|Im s|) once; the C cexp forms exp(x) cos y and exp(x) sin y, so its
-terms are bitwise those of one complex exp per point and term. Two more
-forms of the direct sum serve the zero scan: a grid call's sums are one
-product of block phases and step phases, and many reads near few centres
+terms are bitwise those of one complex exp per point and term. The zero
+scan reads a second form of the direct sum: many reads near few centres
 take Taylor jets about the centres (TaylorJets), whose truncation bound
 joins the tail bound.
 
@@ -28,16 +32,15 @@ SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
 series form and its circle radius, the default dataset, the smooth zero count
 and the critical-line form, which shares its log-form builder with the
 evaluator. Other modules read every per-function fact from that row. The
-evaluators are pure functions; the only shared state is constant tables and
-the grid's read-only step-phase tables, at most _PHASE_TABLE_BYTES of them.
+evaluators are pure functions and keep no shared mutable state: the only
+module-level data are constant tables, and jets live in the TaylorJets
+their caller builds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -138,7 +141,7 @@ _LANCZOS_J = np.arange(1.0, _LANCZOS_C.size + 1.0, dtype=complex)
 # Largest number of points in one (terms x points) table of the Lanczos
 # sum or the Euler-Maclaurin corrections: at most 14 x 1024 complex, about
 # 230 KB, which stays in cache. Fewer, wider blocks pay less numpy
-# overhead per point; 4,096-point tables were slower on grid calls.
+# overhead per point; 4,096-point tables were slower on scan chunks.
 _COLUMNS = 1024
 
 
@@ -238,7 +241,7 @@ def gamma(s) -> complex:
     return cmath.exp(lg)
 
 
-def _hurwitz_em_array(s: np.ndarray, a: float, step=None) -> np.ndarray:
+def _hurwitz_em_array(s: np.ndarray, a: float, jets=None) -> np.ndarray:
     """Euler-Maclaurin Hurwitz zeta on an array of s with a shared cutoff.
 
     Starts from N = max(50, ceil(|Im s|/2)), with the largest |Im s| of
@@ -246,19 +249,19 @@ def _hurwitz_em_array(s: np.ndarray, a: float, step=None) -> np.ndarray:
     _TARGET_ABS_ERROR; negative Re s at large |Im s| needs the headroom.
     Raises AccuracyError if the bound still misses it, and DomainError for
     |Im s| above _IM_LIMIT or not a number.
-    step: None, the spacing h of a grid Im s = j h, or TaylorJets (see
-    _hurwitz_em_once).
+    jets: None, or TaylorJets, whose top sets the cutoff of every read of
+    them (see _hurwitz_em_once).
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     im_max = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
-    if isinstance(step, TaylorJets):
-        im_max = max(im_max, step.top)  # one cutoff for every read of the jets
+    if jets is not None:
+        im_max = max(im_max, jets.top)  # one cutoff for every read of the jets
     if not im_max <= _IM_LIMIT:
         raise DomainError(f"|Im s| must be at most {_IM_LIMIT:g}, got {im_max!r}")
     n_direct = max(50, math.ceil(im_max / 2.0))
     for _ in range(3):
-        total, bound = _hurwitz_em_once(flat, a, n_direct, step)
+        total, bound = _hurwitz_em_once(flat, a, n_direct, jets)
         if bound <= _TARGET_ABS_ERROR:
             return total.reshape(s.shape)
         n_direct *= 2
@@ -267,41 +270,11 @@ def _hurwitz_em_array(s: np.ndarray, a: float, step=None) -> np.ndarray:
 
 # Largest temporary of the pointwise direct sum.
 _SLAB_BYTES = 1 << 20
-# Grid block size K of the separable direct sum: grid index j = K b + k.
-_BLOCK = 32
-# The grid's step-phase tables E by (a, step), least recently used first,
-# at most _PHASE_TABLE_BYTES in all (a 1,260-row table is 645 KB).
-_STEP_PHASES: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_STEP_PHASE_LOCK = threading.Lock()
-_PHASE_TABLE_BYTES = 8 << 20
 # Most Taylor terms of a jet, and the share of _TARGET_ABS_ERROR its
-# truncation may take; the tail bound takes the rest.
-_JET_TERMS = 32
+# truncation may take; the tail bound takes the rest. The scan's T+- jets
+# reach 4.4 at t ~ 1000 and take 34 terms.
+_JET_TERMS = 48
 _JET_SHARE = _TARGET_ABS_ERROR / 16
-
-
-def _step_phases(a, step, log_n):
-    """E[n, k] = (n+a)^(-i step k), n < N = log_n.size, k < _BLOCK.
-
-    The first N rows of a read-only table kept per (a, step) and grown when
-    N grows. Each entry is one elementwise exp, so a prefix of a larger
-    table is bitwise the table built for its own N. A table of more than
-    _PHASE_TABLE_BYTES is built for the call and not kept.
-    """
-    n = log_n.size
-    with _STEP_PHASE_LOCK:
-        table = _STEP_PHASES.pop((a, step), np.empty((0, _BLOCK), dtype=complex))
-        if table.shape[0] < n:
-            rows = np.multiply.outer(log_n[table.shape[0] :], 1j * step * np.arange(_BLOCK))
-            np.exp(rows, out=rows)
-            table = np.concatenate((table, rows))
-            if table.nbytes > _PHASE_TABLE_BYTES:
-                return table
-            table.flags.writeable = False
-        _STEP_PHASES[(a, step)] = table
-        while sum(kept.nbytes for kept in _STEP_PHASES.values()) > _PHASE_TABLE_BYTES:
-            _STEP_PHASES.popitem(last=False)
-    return table[:n]
 
 
 def _jet_terms(mass, x):
@@ -317,12 +290,12 @@ def _jet_terms(mass, x):
 
 class TaylorJets:
     """Taylor jets of the Euler-Maclaurin direct sums about centres on a
-    vertical line, for many reads near few points (the zero refiner's
-    brackets).
+    vertical line, for many reads near few points (a chunk of the zero
+    scan, its grid points and its refiner's probes).
 
     centres: ordinates of the centres, increasing; radius: the largest
     distance of a read from its nearest centre, for which the jets are
-    sized. Passed as the step of a critical-line form (FunctionSpec.line):
+    sized. Passed as the jets of a critical-line form (FunctionSpec.line):
     a read w = s0 + d then takes the jet of its nearest centre s0,
 
         sum_n (n+a)^(-s0-d) = sum_j M_j d^j,
@@ -368,10 +341,11 @@ class TaylorJets:
         if jet is None or (jet.re, jet.size) != (re, log_n.size) or reach > jet.reach:
             jet = self._build(re, log_n, max(reach, self.scale * self.radius * span))
             self._tables[(a, self.scale)] = jet
-        terms = jet.coeffs.shape[0]
-        total = jet.coeffs[-1, nearest]
-        for row in jet.coeffs[-2::-1]:
-            total = total * d + row[nearest]
+        coeffs = jet.coeffs[:, nearest]
+        total = coeffs[-1]
+        for row in coeffs[-2::-1]:
+            total = total * d + row
+        terms = coeffs.shape[0]
         return total, jet.mass * math.exp(reach) * reach**terms / math.factorial(terms)
 
     def _build(self, re, log_n, reach):
@@ -396,10 +370,10 @@ class _Jet(NamedTuple):
     coeffs: np.ndarray
 
 
-def _hurwitz_em_once(flat, a, n_direct, step=None):
+def _hurwitz_em_once(flat, a, n_direct, jets=None):
     """Euler-Maclaurin sum at cutoff n_direct: (values, tail bound).
 
-    The direct terms (n+a)^(-s), n < N, are summed pointwise when step is
+    The direct terms (n+a)^(-s), n < N, are summed pointwise when jets is
     None. If the call has more than one entry and all share one ordinate
     |Im s| = t > 0 (the V' stencil, the two arguments of U), the phase row
     (n+a)^(-it) is computed once and each term is the complex exp of the
@@ -411,17 +385,10 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     costs more than it saves; on the real axis the two paths could differ
     in the sign of a zero imaginary part.
 
-    When every entry lies on a grid Im s = j h, h = step, the sum
-    separates: with j = K b + k, K = _BLOCK, b = j // K global,
-    (n+a)^(-s) = (n+a)^(-Re s - i h K b) e^(-i h k log(n+a)), so the sums
-    of all entries are the entries of A (blocks x N) @ E (N x K): one exp
-    per block and term for A, K per term for E, in place of one per entry
-    and term. E depends only on (a, h), and its rows for a smaller N are a
-    prefix of those for a larger one, so it is kept (_step_phases).
-
-    When step is TaylorJets, each entry takes the Taylor jet of the direct
+    When jets is TaylorJets, each entry takes the Taylor jet of the direct
     sum about its nearest centre, and the jets' truncation bound joins the
-    tail bound.
+    tail bound: one exp per centre and term, built once, in place of one
+    per entry and term.
 
     The Bernoulli corrections and the tail bound stay pointwise: the
     nu = 12 corrections and the first omitted term form one (13 x points)
@@ -434,9 +401,9 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
     n = np.arange(n_direct, dtype=float) + a  # a, 1+a, ..., N-1+a
     log_n = -np.log(n)
     truncation = 0.0
-    if isinstance(step, TaylorJets):
-        total, truncation = step.sums(flat, a, log_n)
-    elif step is None:
+    if jets is not None:
+        total, truncation = jets.sums(flat, a, log_n)
+    else:
         # pairwise numpy reduction keeps ~1 ulp * log N. Summed in slabs
         # of one reused buffer of at most _SLAB_BYTES, exp in place, so the
         # largest temporary is bounded whatever N; each row's sum is the
@@ -461,12 +428,6 @@ def _hurwitz_em_once(flat, a, n_direct, step=None):
             total[i : i + rows] = terms.sum(axis=1)
         if shared:
             np.conjugate(total, out=total, where=im < 0.0)
-    else:
-        block, k = np.divmod(np.rint(flat.imag / step), _BLOCK)
-        bases, which = np.unique(flat.real + 1j * (step * _BLOCK) * block, return_inverse=True)
-        phases = np.multiply.outer(bases, log_n)
-        np.exp(phases, out=phases)  # A
-        total = (phases @ _step_phases(a, step, log_n))[which, k.astype(int)]
 
     # corrections B_2k/(2k)! s(s+1)...(s+2k-2) b^(-s-2k+1), k = 1..nu, and
     # the first omitted term, k = nu + 1, which the tail bound reads, as a
@@ -543,14 +504,13 @@ def hurwitz_zeta(s, a: float) -> complex:
 # and there Lanczos is in range and Euler-Maclaurin stable at any |Im s|.
 
 
-def _xi1_log_form(s: np.ndarray, step=None):
+def _xi1_log_form(s: np.ndarray, jets=None):
     """(log(pi^(-w/2) Gamma(w/2)), zeta(w)), so that xi1(s) = exp(log) * zeta.
 
-    step: None, the spacing of a grid Im s = j step, or TaylorJets
-    (_hurwitz_em_once).
+    jets: None, or TaylorJets of the direct sum at w (_hurwitz_em_once).
     """
     w = np.where(s.real < 0.5, 1.0 - s, s)
-    return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, _hurwitz_em_array(w, 1.0, step)
+    return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, _hurwitz_em_array(w, 1.0, jets)
 
 
 def log_xi1(w):
@@ -663,10 +623,10 @@ def _t_minus_tilde(s: np.ndarray) -> np.ndarray:
     return s * (1.0 - s) * (s - 0.5) * _t_minus(s)
 
 
-def _l4_sum(z: np.ndarray, step=None) -> np.ndarray:
+def _l4_sum(z: np.ndarray, jets=None) -> np.ndarray:
     """L4 on Re z > 0 away from z = 1, as 4^(-z) (zeta(z, 1/4) - zeta(z, 3/4))."""
     return np.exp(-z * LN_4) * (
-        _hurwitz_em_array(z, 0.25, step) - _hurwitz_em_array(z, 0.75, step)
+        _hurwitz_em_array(z, 0.25, jets) - _hurwitz_em_array(z, 0.75, jets)
     )
 
 
@@ -683,16 +643,16 @@ def _l4(s: np.ndarray) -> np.ndarray:
     return _split(s, s.real > 0.0, _l4_sum, left)
 
 
-def _l4c_log_form(s: np.ndarray, step=None):
+def _l4c_log_form(s: np.ndarray, jets=None):
     """(log(2^(w-1) pi^(-(w+1)/2) Gamma((w+1)/2)), L4(w)); that prefactor is
     Gamma(w) / (pi^(w/2) Gamma(w/2)) by Legendre duplication.
 
-    step: None, the spacing of a grid Im s = j step, or TaylorJets, on
-    Re s = 1/2, where L4 is its Hurwitz difference (_hurwitz_em_once).
+    jets: None, or TaylorJets of the direct sums on Re s = 1/2, where L4
+    is its Hurwitz difference (_hurwitz_em_once).
     """
     w = np.where(s.real < 0.5, 1.0 - s, s)
     lg = (w - 1.0) * LN_2 - ((w + 1.0) / 2.0) * LN_PI + _lanczos_loggamma_right((w + 1.0) / 2.0)
-    return lg, _l4(w) if step is None else _l4_sum(w, step)
+    return lg, _l4(w) if jets is None else _l4_sum(w, jets)
 
 
 def _l4_completed(s: np.ndarray) -> np.ndarray:
@@ -703,9 +663,8 @@ def _l4_completed(s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # critical-line real forms: the builders' pair at 1/2 + it (xi, l4c) or at
 # 1 + 2it (T_plus, T_minus), with the prefactor's modulus kept as a log.
-# Each takes the step of a grid t = j step, TaylorJets about ordinates t,
-# or None, and passes them, scaled to the Im of its kernel argument, to the
-# builder.
+# Each takes TaylorJets about ordinates t, or None, and passes them, scaled
+# to the Im of its kernel argument, to the builder.
 
 
 def _scaled_real_part(log_scale, phase, values, take_imag=False):
@@ -715,35 +674,28 @@ def _scaled_real_part(log_scale, phase, values, take_imag=False):
     return np.exp(np.maximum(log_scale, _LOG_FLOOR)) * comp
 
 
-def _xi_line(t: np.ndarray, step=None) -> np.ndarray:
+def _xi_line(t: np.ndarray, jets=None) -> np.ndarray:
     # xi = s(s-1)/2 xi1, and s(s-1)/2 = -(t^2 + 1/4)/2 on the line
-    lg, z = _xi1_log_form(0.5 + 1j * t, step)
+    lg, z = _xi1_log_form(0.5 + 1j * t, jets)
     return -_scaled_real_part(np.log(0.5 * (t * t + 0.25)) + lg.real, lg.imag, z)
 
 
-def _im_scaled(step, c: float):
-    """The grid step or jets of t, for a kernel argument with Im w = c t."""
-    if step is None:
-        return None
-    return step.scaled(c) if isinstance(step, TaylorJets) else c * step
-
-
-def _t_line(t: np.ndarray, step=None, take_imag: bool = False) -> np.ndarray:
+def _t_line(t: np.ndarray, jets=None, take_imag: bool = False) -> np.ndarray:
     # xi1(2s - 1) = xi1(2 - 2s) = conj xi1(2s) on the line, so T_plus = Re xi1(1 + 2it)/2
     # and T_minus / i = Im xi1(1 + 2it)/2
     tiny = np.abs(t) < 1e-8
     if take_imag and np.any(tiny):
         raise PoleError("T_minus has a pole at s=1/2 (t=0)")
     w = np.where(tiny, 1.0 + 2e-6j, 1.0 + 2j * t)  # dodge the zeta pole at w=1
-    lg, z = _xi1_log_form(w, _im_scaled(step, 2.0))
+    lg, z = _xi1_log_form(w, None if jets is None else jets.scaled(2.0))
     out = 0.5 * _scaled_real_part(lg.real, lg.imag, z, take_imag)
     if np.any(tiny):
         out[tiny] = evaluate(FunctionId.T_PLUS, 0.5).real
     return out
 
 
-def _l4c_line(t: np.ndarray, step=None) -> np.ndarray:
-    lg, l4 = _l4c_log_form(0.5 + 1j * t, step)
+def _l4c_line(t: np.ndarray, jets=None) -> np.ndarray:
+    lg, l4 = _l4c_log_form(0.5 + 1j * t, jets)
     return _scaled_real_part(lg.real, lg.imag, l4)
 
 
@@ -781,7 +733,8 @@ class FunctionSpec:
         carries the real-axis zeros.
     zeros: smooth zero count and density, for the density-model tails.
     line: real critical-line form r(t) on a float array (critical_line_form),
-        with an optional grid step (critical_line_values) or TaylorJets.
+        read pointwise or, given TaylorJets about ordinates t, on the jets
+        (critical_line_values).
     """
 
     evaluator: Callable
@@ -843,14 +796,13 @@ def evaluate(f: FunctionId, s):
     return complex(values[0]) if z.ndim == 0 else values.reshape(z.shape)
 
 
-def critical_line_values(f: FunctionId, t, grid_step=None):
+def critical_line_values(f: FunctionId, t, jets=None):
     """Vectorised critical-line real form r(t); see critical_line_form.
 
-    grid_step: None, or a step h with every t equal to j * h for an integer
-    j (DomainError otherwise). The Euler-Maclaurin direct sums then separate
-    over the grid (_hurwitz_em_once); the values agree with the pointwise
-    ones to rounding level, about 1e-12 relative to the largest |r| of the
-    call.
+    jets: None, or TaylorJets about ordinates near t. The Euler-Maclaurin
+    direct sums are then read on the jets (_hurwitz_em_once), at the
+    cutoff of their top; the values agree with the pointwise ones to
+    rounding level, about 1e-12 relative to the largest |r| of the call.
     """
     f = FunctionId(f)
     if SPECS[f].line is None:
@@ -859,12 +811,7 @@ def critical_line_values(f: FunctionId, t, grid_step=None):
     finite = np.isfinite(t)
     if not finite.all():
         raise DomainError(f"{f.value} needs finite ordinates, got {t[~finite][0]}")
-    if grid_step is not None:
-        if not 0.0 < grid_step < math.inf:
-            raise DomainError("grid_step must be positive and finite")
-        if not np.array_equal(np.rint(t / grid_step) * grid_step, t):
-            raise DomainError(f"t is not on the grid of step {grid_step}")
-    out = SPECS[f].line(np.atleast_1d(t), grid_step)
+    out = SPECS[f].line(np.atleast_1d(t), jets)
     return float(out[0]) if t.ndim == 0 else out
 
 

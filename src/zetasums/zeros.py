@@ -3,14 +3,11 @@
 Zeros are found as sign changes of the rescaled critical-line real form on
 a grid, refined together by one bracketed solver (Illinois steps with a
 bisection point at every step, one array call per step), and returned as
-datasets of read-only arrays. The grid is aligned to multiples of
-its step, so each chunk is read with the separable kernel: its
-Euler-Maclaurin direct sums are one product of a block-phase matrix and a
-step-phase matrix (special._hurwitz_em_once). The bracket ends and the
-residuals are read pointwise. The refiner reads each batch of brackets on
-Taylor jets of the direct sums about the midpoints of their grid cells
-(special.TaylorJets), built once per batch: a probe costs a Horner sum,
-not N complex exps.
+datasets of read-only arrays. Each chunk of the grid has one table of
+Taylor jets of its Euler-Maclaurin direct sums (special.TaylorJets), built
+once: the chunk's grid points and its refiner's probes are all read on
+it, each at the cost of a Horner sum, not N complex exps. The bracket ends
+and the residuals are read pointwise.
 """
 
 from __future__ import annotations
@@ -28,8 +25,12 @@ from .special import SPECS, FunctionId, TaylorJets, critical_line_values, evalua
 
 _CHUNK = 4096
 # Brackets refined together by scan_zeros. Small probe arrays keep the
-# refiner's temporaries out of the heap that the grid chunks leave behind.
+# refiner's temporaries out of the heap that the chunk reads leave behind.
 _BATCH = 32
+# Spacing in t of a chunk's jet centres, in grid steps of at most 0.02: a
+# step of 0.01 puts a centre on every 32nd point, and a coarser step keeps
+# the jets' reach, and so their number of terms, that of 0.02.
+_CENTRE_STEPS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +86,22 @@ def _sign_changes(v: np.ndarray) -> np.ndarray:
     return np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)[0]
 
 
+def _chunk_jets(first: float, last: float, grid_step: float) -> TaylorJets:
+    """The jets of a scan chunk from first to last: centres every
+    _CENTRE_STEPS * min(grid_step, 0.02) in t from first, radius half that."""
+    spacing = _CENTRE_STEPS * min(grid_step, 0.02)
+    return TaylorJets(first + spacing * np.arange(round((last - first) / spacing) + 1), 0.5 * spacing)
+
+
 def _read_ends(func, t, v, top, carried: bool) -> None:
-    """Replace grid values v, in place, by pointwise ones at the last point
+    """Replace jet values v, in place, by pointwise ones at the last point
     and at both ends of every sign change, until the sign changes settle.
 
-    A grid value differs from the pointwise one at rounding level, so where
+    A jet value differs from the pointwise one at rounding level, so where
     r(t) is that small its sign may differ. Every bracket then starts from
     the same ends, and the same values, as a pointwise scan: each read
-    includes the chunk's top point, so it shares the chunk's cutoff.
+    includes the chunk's top point, so it has the cutoff of a pointwise
+    read of the chunk (the jets' cutoff comes from TaylorJets.top).
     carried: v[0] is the previous chunk's last value, read already.
     """
     exact = np.zeros(t.size, dtype=bool)
@@ -168,15 +177,15 @@ def scan_zeros(
     """Scan [t_lo, t_hi] for zeros of the critical-line form of f.
 
     The grid is aligned to integer multiples of the step, so adjacent scans
-    share their boundary points and concatenate without loss, and each
-    chunk of _CHUNK points is one separable grid call of
-    critical_line_values. The ends of its sign changes are read again
-    pointwise (_read_ends), and the sign changes are refined together, at
-    most _BATCH at a time, to brackets of width 1e-11: the ordinates are
-    those of a scan with a pointwise grid. Each batch reads the line form
-    on the Taylor jets of its cells, at the cutoff of its highest cell;
-    they agree with pointwise reads at rounding level, and the ordinates
-    with pointwise-refined ones within the bracket width. grid_step defaults to
+    share their boundary points and concatenate without loss. Each chunk of
+    _CHUNK points, with the point carried from the chunk before, has one
+    TaylorJets (_chunk_jets), whose radius holds every probe in its cells.
+    The chunk is read on it through critical_line_values, the ends of its
+    sign changes are read again pointwise (_read_ends), and the sign
+    changes are refined together on the same jets, at most _BATCH at a
+    time, to brackets of width 1e-11: the ordinates are those of a scan
+    with a pointwise grid within the bracket width, since jet reads agree
+    with pointwise ones at rounding level. grid_step defaults to
     default_grid_step(t_hi). A scan from the origin (t_lo <= grid_step)
     holds every zero up to its top, so its count is checked against the
     density model (count_check); a scan that starts higher is not.
@@ -193,24 +202,22 @@ def scan_zeros(
     if f == FunctionId.T_MINUS:
         i_lo = max(i_lo, 1)  # pole of T_minus at t=0
     func = lambda x: critical_line_values(f, x)
-    line = SPECS[f].line
     roots: List[np.ndarray] = []
     prev_t = prev_v = None
     for start in range(i_lo, i_hi + 1, _CHUNK):
         stop = min(start + _CHUNK, i_hi + 1)
         t = np.arange(start, stop, dtype=float) * grid_step
-        v = critical_line_values(f, t, grid_step)
+        jets = _chunk_jets(t[0] if prev_t is None else prev_t, t[-1], grid_step)
+        v = critical_line_values(f, t, jets)
         top = t[np.argmax(np.abs(t))]
         if prev_t is not None:
             t = np.concatenate(([prev_t], t))
             v = np.concatenate(([prev_v], v))
         _read_ends(func, t, v, top, prev_t is not None)
         change = _sign_changes(v)
+        refine = partial(SPECS[f].line, jets=jets)
         for k in range(0, change.size, _BATCH):
             i = change[k : k + _BATCH]
-            # every probe stays in its cell, within half a cell of the centre
-            jets = TaylorJets(0.5 * (t[i] + t[i + 1]), 0.5 * float(np.max(t[i + 1] - t[i])))
-            refine = partial(line, step=jets)
             roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
         roots.append(t[v == 0.0])
         prev_t, prev_v = float(t[-1]), float(v[-1])

@@ -3,7 +3,6 @@ their symmetries, and the additive linkage identities."""
 
 import cmath
 import math
-from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -29,7 +28,7 @@ from zetasums.special import (
     log_xi1,
     riemann_zeta,
 )
-from zetasums.zeros import default_grid_step
+from zetasums.zeros import _chunk_jets, default_grid_step
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -446,21 +445,28 @@ def test_critical_line_values_match_evaluate(f, unit):
     assert np.all(np.abs(critical_line_values(f, ts) - expected) <= 1e-12 * np.abs(expected))
 
 
+def _check_jet_values(f, t, jets, share):
+    """Jet reads of f's line form at t agree with pointwise ones within
+    share * max|r|, and have their signs wherever |r| exceeds that."""
+    jet = critical_line_values(f, t, jets)
+    point = critical_line_values(f, t)
+    bound = share * np.max(np.abs(point))
+    assert np.max(np.abs(jet - point)) <= bound
+    big = np.abs(point) > bound
+    assert np.array_equal(np.sign(jet[big]), np.sign(point[big]))
+
+
 @pytest.mark.parametrize(
     "f, t0",
     [(f, t0) for f in (FunctionId.XI, FunctionId.T_PLUS, FunctionId.T_MINUS, FunctionId.L4_COMPLETED)
      for t0 in (10.0, 100.0, 1000.0)] + [(FunctionId.XI, 2500.0)],
 )
 def test_grid_values_match_pointwise(f, t0):
-    # the separable direct sum agrees with the pointwise one at rounding level
+    # 500 points of the scan grid read on the jets of a scan chunk over
+    # them. Measured worst 7.4e-13 max|r| (xi, t ~ 2500)
     step = default_grid_step(t0)
     t = np.arange(round(t0 / step), round(t0 / step) + 500, dtype=float) * step
-    point = critical_line_values(f, t)
-    grid = critical_line_values(f, t, grid_step=step)
-    bound = 1e-12 * np.max(np.abs(point))
-    assert np.max(np.abs(grid - point)) <= bound
-    big = np.abs(point) > bound
-    assert np.array_equal(np.sign(grid[big]), np.sign(point[big]))
+    _check_jet_values(f, t, _chunk_jets(t[0], t[-1], step), 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -469,22 +475,16 @@ def test_grid_values_match_pointwise(f, t0):
      for t0 in (10.0, 100.0, 500.0, SPECS[f].t_max - 5.0)],
 )
 def test_jet_values_match_pointwise(f, t0, rng):
-    # 32 jets about grid cells spread over [t0, t0 + 5], as the refiner
-    # builds them for a batch of sign changes, read within half a cell of
-    # their centres and at the cell ends. Measured worst |jet - pointwise|
-    # over 150 random such windows per function: 2.1e-12 max|r| for xi
-    # (at t ~ 2431), 4.0e-13 for the others; the pointwise sum itself errs
-    # by up to ~3e-12 absolute in zeta at t ~ 2200
+    # 32 jets about grid cells spread over [t0, t0 + 5], read within half a
+    # cell of their centres and at the cell ends. Measured worst
+    # |jet - pointwise| over 150 random such windows per function: 2.1e-12
+    # max|r| for xi (at t ~ 2431), 4.0e-13 for the others; the pointwise
+    # sum itself errs by up to ~3e-12 absolute in zeta at t ~ 2200
     step = default_grid_step(t0 + 5.0)
     centres = np.round(np.linspace(t0, t0 + 5.0, 33)[:-1] / step) * step + 0.5 * step
     offsets = np.concatenate((rng.uniform(-0.5, 0.5, (32, 6)), [[-0.5, 0.0, 0.5]] * 32), axis=1)
     t = (centres[:, None] + step * offsets).ravel()
-    jet = SPECS[f].line(t, TaylorJets(centres, 0.5 * step))
-    point = critical_line_values(f, t)
-    bound = 5e-12 * np.max(np.abs(point))
-    assert np.max(np.abs(jet - point)) <= bound
-    big = np.abs(point) > bound
-    assert np.array_equal(np.sign(jet[big]), np.sign(point[big]))
+    _check_jet_values(f, t, TaylorJets(centres, 0.5 * step), 5e-12)
 
 
 def test_jets_read_beyond_their_radius_rebuild_or_raise(monkeypatch):
@@ -511,57 +511,6 @@ def test_jets_read_beyond_their_radius_rebuild_or_raise(monkeypatch):
     monkeypatch.setattr(special, "_JET_TERMS", 3)
     with pytest.raises(AccuracyError):
         spec.line(centres, TaylorJets(centres, 0.01))
-
-
-def _grid(t0, step, size=400):
-    j = round(t0 / step)
-    return np.arange(j, j + size, dtype=float) * step
-
-
-def test_step_phase_prefix_is_bitwise(monkeypatch):
-    monkeypatch.setattr(special, "_STEP_PHASES", OrderedDict())
-    low, high = _grid(1000.0, 0.02), _grid(2000.0, 0.02)
-    own = critical_line_values(FunctionId.XI, low, 0.02)  # E built for N = 504
-    special._STEP_PHASES.clear()
-    critical_line_values(FunctionId.XI, high, 0.02)  # E built for N = 1004
-    (table,) = special._STEP_PHASES.values()
-    assert table.shape[0] == 1004 and not table.flags.writeable
-    prefix = critical_line_values(FunctionId.XI, low, 0.02)
-    assert np.array_equal(own, prefix)
-    # grown from 504 rows to 1004: the same as built whole
-    special._STEP_PHASES.clear()
-    critical_line_values(FunctionId.XI, low, 0.02)
-    critical_line_values(FunctionId.XI, high, 0.02)
-    (grown,) = special._STEP_PHASES.values()
-    assert np.array_equal(grown, table)
-
-
-def test_step_phase_tables_stay_within_their_bound(monkeypatch):
-    # with a 700 KB bound: xi at t ~ 2000 keeps one 1,004-row table (514 KB),
-    # which the l4c pair a = 1/4, 3/4 at t ~ 600 (2 x 156 KB) evicts; xi at
-    # t ~ 3000 needs 1,504 rows (770 KB), built per call and never kept; xi
-    # at t ~ 2000 again evicts the least recently used l4c table
-    monkeypatch.setattr(special, "_STEP_PHASES", OrderedDict())
-    monkeypatch.setattr(special, "_PHASE_TABLE_BYTES", 700_000)
-    kept = lambda: sum(table.nbytes for table in special._STEP_PHASES.values())
-    values = {}
-    for f, t0 in ((FunctionId.XI, 2000.0), (FunctionId.L4_COMPLETED, 600.0), (FunctionId.XI, 3000.0),
-                  (FunctionId.XI, 2000.0)):
-        values.setdefault((f, t0), []).append(critical_line_values(f, _grid(t0, 0.02), 0.02))
-        assert kept() <= 700_000
-    assert list(special._STEP_PHASES) == [(0.75, 0.02), (1.0, 0.02)]
-    assert np.array_equal(*values[(FunctionId.XI, 2000.0)])
-    special._STEP_PHASES.clear()
-    again = critical_line_values(FunctionId.XI, _grid(3000.0, 0.02), 0.02)
-    assert not special._STEP_PHASES
-    assert np.array_equal(again, values[(FunctionId.XI, 3000.0)][0])
-
-
-def test_grid_values_need_grid_points():
-    with pytest.raises(DomainError):
-        critical_line_values(FunctionId.XI, np.array([10.0, 10.015]), grid_step=0.02)
-    with pytest.raises(DomainError):
-        critical_line_values(FunctionId.XI, np.array([10.0]), grid_step=0.0)
 
 
 def test_critical_line_no_underflow_at_large_t():

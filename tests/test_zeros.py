@@ -224,23 +224,24 @@ def test_xi_window_matches_mpmath(lo):
 
 
 def test_rounding_level_grid_end_keeps_the_pointwise_root(monkeypatch):
-    # t = J h lies within rounding of a zero of xi near 2499.862, where the
-    # grid value and the pointwise one have opposite signs
-    J, h = 249969, 0.010000688256628844
+    # t = J h lies within rounding of a zero of xi near 2497.648, where the
+    # value read on the jets of the scan's one chunk and the pointwise one
+    # have opposite signs
+    J, h = 249765, 0.009999993855210304
     t = np.arange(J - 100, J + 101, dtype=float) * h
-    grid = critical_line_values(FunctionId.XI, t, grid_step=h)
+    grid = critical_line_values(FunctionId.XI, t, zeros._chunk_jets(t[0], t[-1], h))
     point = critical_line_values(FunctionId.XI, t)
     assert np.sign(grid[100]) != np.sign(point[100])
     assert abs(point[100]) <= 1e-12 * np.max(np.abs(point))
     found = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
     # the same scan with a pointwise grid
     monkeypatch.setattr(
-        zeros, "critical_line_values", lambda f, t, grid_step=None: special.critical_line_values(f, t)
+        zeros, "critical_line_values", lambda f, t, jets=None: special.critical_line_values(f, t)
     )
     pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
     assert found.size == pointwise.size == 2
     # the ends are read again pointwise, so every bracket refines as in the
-    # pointwise scan; from the grid ends the root moved by 9.1e-12
+    # pointwise scan; from the jet ends the root moved by 5.5e-12
     assert np.array_equal(found, pointwise)
 
 
@@ -257,6 +258,41 @@ def test_jet_refinement_matches_pointwise_refinement(f, lo, monkeypatch):
     pointwise = scan_zeros(f, lo, lo + 5.0).ordinates()
     assert found.size == pointwise.size > 0
     assert np.max(np.abs(found - pointwise)) <= 1e-11
+
+
+@pytest.mark.parametrize("step", [0.05, 0.1])
+@pytest.mark.parametrize(
+    "f, lo", [(FunctionId.T_PLUS, 990.0), (FunctionId.XI, 2490.0), (FunctionId.L4_COMPLETED, 1110.0)]
+)
+def test_coarse_steps_find_the_default_step_ordinates(f, lo, step):
+    # the jet centres are spaced in t, not in grid points, so a coarse step
+    # keeps the jets' reach; centres every 32 points of a 0.05 step would
+    # need more than 48 terms for T_plus at t ~ 990
+    coarse = scan_zeros(f, lo, lo + 10.0, step).ordinates()
+    fine = scan_zeros(f, lo, lo + 10.0).ordinates()
+    assert coarse.size == fine.size > 0
+    assert np.max(np.abs(coarse - fine)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "f, parameters", [(FunctionId.XI, 1), (FunctionId.T_PLUS, 1), (FunctionId.L4_COMPLETED, 2)]
+)
+def test_each_chunk_builds_its_jets_once(f, parameters, monkeypatch):
+    # [0, 200] at step 0.02 is three chunks. The chunk read and every
+    # refinement step read the same jets, and no read rebuilds them: the
+    # carried cell lies within the radius of the first centre
+    built, reads = [], []
+    build, sums = special.TaylorJets._build, special.TaylorJets.sums
+    monkeypatch.setattr(special.TaylorJets, "_build", lambda jets, *a: built.append(jets) or build(jets, *a))
+    monkeypatch.setattr(special.TaylorJets, "sums", lambda jets, flat, *a: reads.append(flat.size) or sums(jets, flat, *a))
+    assert scan_zeros(f, 0.0, 200.0).ordinates().size > 0
+    assert len(built) == 3 * parameters
+    assert len({id(jets._tables) for jets in built}) == 3
+    # the chunks of 4,096, 4,096 and 1,809 points are each read once on
+    # their jets; every other read is a refinement step's probes
+    probes = 4 * zeros._BATCH
+    assert sorted(n for n in reads if n > probes) == sorted([4096, 4096, 1809] * parameters)
+    assert any(n <= probes for n in reads)
 
 
 def _mpmath_form(f, t):
