@@ -36,8 +36,9 @@ CACHE_ENV = "ZETASUMS_CACHE_DIR"
 # file written by an older kernel is served. 2: separable scan grid;
 # 3: term-table Bernoulli corrections and Lanczos sum; 4: Taylor-jet
 # refinement; 5: one table of Taylor jets per scan chunk, for its grid
-# points and its refinement.
-KERNEL = 5
+# points and its refinement; 6: brackets start from the chunk's jet values,
+# with no pointwise re-read of their ends.
+KERNEL = 6
 
 
 @dataclass(frozen=True)

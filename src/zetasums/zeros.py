@@ -6,8 +6,8 @@ bisection point at every step, one array call per step), and returned as
 datasets of read-only arrays. Each chunk of the grid has one table of
 Taylor jets of its Euler-Maclaurin direct sums (special.TaylorJets), built
 once: the chunk's grid points and its refiner's probes are all read on
-it, each at the cost of a Horner sum, not N complex exps. The bracket ends
-and the residuals are read pointwise.
+it, each at the cost of a Horner sum, not N complex exps. Only the
+residuals, the dataset's check of each root, are read pointwise.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .errors import DomainError, MissedZeroWarning
 from .special import SPECS, FunctionId, TaylorJets, critical_line_values, evaluate
 
 _CHUNK = 4096
-# Brackets refined together by scan_zeros. Small probe arrays keep the
-# refiner's temporaries out of the heap that the chunk reads leave behind.
-_BATCH = 32
 # Spacing in t of a chunk's jet centres, in grid steps of at most 0.02: a
 # step of 0.01 puts a centre on every 32nd point, and a coarser step keeps
 # the jets' reach, and so their number of terms, that of 0.02.
@@ -93,32 +90,6 @@ def _chunk_jets(first: float, last: float, grid_step: float) -> TaylorJets:
     return TaylorJets(first + spacing * np.arange(round((last - first) / spacing) + 1), 0.5 * spacing)
 
 
-def _read_ends(func, t, v, top, carried: bool) -> None:
-    """Replace jet values v, in place, by pointwise ones at the last point
-    and at both ends of every sign change, until the sign changes settle.
-
-    A jet value differs from the pointwise one at rounding level, so where
-    r(t) is that small its sign may differ. Every bracket then starts from
-    the same ends, and the same values, as a pointwise scan: each read
-    includes the chunk's top point, so it has the cutoff of a pointwise
-    read of the chunk (the jets' cutoff comes from TaylorJets.top).
-    carried: v[0] is the previous chunk's last value, read already.
-    """
-    exact = np.zeros(t.size, dtype=bool)
-    exact[0] = carried
-    need = np.zeros(t.size, dtype=bool)
-    need[-1] = True  # carried into the next chunk
-    while True:
-        i = _sign_changes(v)
-        need[i] = need[i + 1] = True
-        need &= ~exact
-        if not need.any():
-            return
-        at = np.nonzero(need)[0]
-        v[at] = func(np.append(t[at], top))[:-1]
-        exact |= need
-
-
 def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
     """Roots of func in the brackets [a[i], b[i]], all refined in lockstep.
 
@@ -180,12 +151,12 @@ def scan_zeros(
     share their boundary points and concatenate without loss. Each chunk of
     _CHUNK points, with the point carried from the chunk before, has one
     TaylorJets (_chunk_jets), whose radius holds every probe in its cells.
-    The chunk is read on it through critical_line_values, the ends of its
-    sign changes are read again pointwise (_read_ends), and the sign
-    changes are refined together on the same jets, at most _BATCH at a
-    time, to brackets of width 1e-11: the ordinates are those of a scan
-    with a pointwise grid within the bracket width, since jet reads agree
-    with pointwise ones at rounding level. grid_step defaults to
+    The chunk is read on it through critical_line_values, and all of its
+    sign changes are refined together on the same jets, from the values of
+    that read, to brackets of width 1e-11. The carried point keeps the
+    value read on the chunk before's jets. Jet reads agree with pointwise
+    ones at rounding level, so the ordinates are those of a scan with a
+    pointwise grid within the bracket width. grid_step defaults to
     default_grid_step(t_hi). A scan from the origin (t_lo <= grid_step)
     holds every zero up to its top, so its count is checked against the
     density model (count_check); a scan that starts higher is not.
@@ -201,7 +172,6 @@ def scan_zeros(
     i_hi = math.floor(t_hi / grid_step + 1e-9)
     if f == FunctionId.T_MINUS:
         i_lo = max(i_lo, 1)  # pole of T_minus at t=0
-    func = lambda x: critical_line_values(f, x)
     roots: List[np.ndarray] = []
     prev_t = prev_v = None
     for start in range(i_lo, i_hi + 1, _CHUNK):
@@ -209,23 +179,19 @@ def scan_zeros(
         t = np.arange(start, stop, dtype=float) * grid_step
         jets = _chunk_jets(t[0] if prev_t is None else prev_t, t[-1], grid_step)
         v = critical_line_values(f, t, jets)
-        top = t[np.argmax(np.abs(t))]
         if prev_t is not None:
             t = np.concatenate(([prev_t], t))
             v = np.concatenate(([prev_v], v))
-        _read_ends(func, t, v, top, prev_t is not None)
-        change = _sign_changes(v)
+        i = _sign_changes(v)
         refine = partial(SPECS[f].line, jets=jets)
-        for k in range(0, change.size, _BATCH):
-            i = change[k : k + _BATCH]
-            roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
+        roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
         roots.append(t[v == 0.0])
         prev_t, prev_v = float(t[-1]), float(v[-1])
     found = np.unique(np.concatenate(roots)) if roots else np.empty(0)
     ds = ZeroDataset(
         f,
         line=found,
-        residuals=np.abs(func(found)) if found.size else found,
+        residuals=np.abs(critical_line_values(f, found)) if found.size else found,
         t_max_scanned=float(i_hi) * grid_step,
         generator_metadata=f"scan t in [{t_lo}, {t_hi}] step {grid_step}",
     )

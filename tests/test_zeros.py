@@ -220,10 +220,10 @@ def test_xi_window_matches_mpmath(lo):
     first = int(mpmath.nzeros(lo))
     assert len(ts) == int(mpmath.nzeros(lo + 5.0)) - first
     for n, t in enumerate(ts, start=first + 1):
-        assert abs(t - float(mpmath.zetazero(n).imag)) <= 1e-9
+        assert abs(t - float(mpmath.zetazero(n).imag)) <= 1e-11
 
 
-def test_rounding_level_grid_end_keeps_the_pointwise_root(monkeypatch):
+def test_rounding_level_grid_end_keeps_the_mpmath_root(monkeypatch):
     # t = J h lies within rounding of a zero of xi near 2497.648, where the
     # value read on the jets of the scan's one chunk and the pointwise one
     # have opposite signs
@@ -240,9 +240,13 @@ def test_rounding_level_grid_end_keeps_the_pointwise_root(monkeypatch):
     )
     pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
     assert found.size == pointwise.size == 2
-    # the ends are read again pointwise, so every bracket refines as in the
-    # pointwise scan; from the jet ends the root moved by 5.5e-12
-    assert np.array_equal(found, pointwise)
+    # the brackets start from the jet values: neither read is closer to
+    # the truth, and the roots lie within the bracket width of the
+    # pointwise scan's and within 1e-12 of mpmath (4.5e-13 and 9.1e-13)
+    first = int(mpmath.nzeros(t[0]))
+    exact = [float(mpmath.zetazero(n).imag) for n in (first + 1, first + 2)]
+    assert np.max(np.abs(found - exact)) <= 1e-12
+    assert np.max(np.abs(found - pointwise)) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -281,18 +285,26 @@ def test_each_chunk_builds_its_jets_once(f, parameters, monkeypatch):
     # [0, 200] at step 0.02 is three chunks. The chunk read and every
     # refinement step read the same jets, and no read rebuilds them: the
     # carried cell lies within the radius of the first centre
-    built, reads = [], []
+    built, reads, line_reads = [], [], []
     build, sums = special.TaylorJets._build, special.TaylorJets.sums
     monkeypatch.setattr(special.TaylorJets, "_build", lambda jets, *a: built.append(jets) or build(jets, *a))
     monkeypatch.setattr(special.TaylorJets, "sums", lambda jets, flat, *a: reads.append(flat.size) or sums(jets, flat, *a))
+    values = zeros.critical_line_values
+    monkeypatch.setattr(
+        zeros, "critical_line_values", lambda f, t, jets=None: line_reads.append(jets) or values(f, t, jets)
+    )
     assert scan_zeros(f, 0.0, 200.0).ordinates().size > 0
     assert len(built) == 3 * parameters
     assert len({id(jets._tables) for jets in built}) == 3
     # the chunks of 4,096, 4,096 and 1,809 points are each read once on
-    # their jets; every other read is a refinement step's probes
-    probes = 4 * zeros._BATCH
-    assert sorted(n for n in reads if n > probes) == sorted([4096, 4096, 1809] * parameters)
-    assert any(n <= probes for n in reads)
+    # their jets; every other read is a refinement step's four probes per
+    # open bracket
+    chunks = sorted([4096, 4096, 1809] * parameters)
+    assert sorted(n for n in reads if n in chunks) == chunks
+    probes = [n for n in reads if n not in chunks]
+    assert probes and all(n % 4 == 0 for n in probes)
+    # the one pointwise read of the line form is the residuals
+    assert sum(jets is None for jets in line_reads) == 1
 
 
 def _mpmath_form(f, t):
