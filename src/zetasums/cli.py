@@ -27,6 +27,7 @@ from . import translate as tr
 from .datasets import HEADER, cached_dataset, dataset_rows, default_dataset
 from .errors import ZetasumsError
 from .special import SPECS, FunctionId
+from .zeros import count_check
 
 
 # --function: one of the functions with a default dataset, passed on as a FunctionId
@@ -159,7 +160,10 @@ def zeros(f, t_max, fmt, output, precision_report):
     if t_max is None:
         t_max = SPECS[f].t_max
     ds = cached_dataset(f, t_max, None, SPECS[f].real_axis)
-    extra = [f"max residual {ds.residuals.max(initial=0.0):.3e}"] if precision_report else None
+    extra = None
+    if precision_report:
+        observed, predicted = count_check(ds)
+        extra = [f"{observed} zeros up to t = {ds.t_max_scanned}, density model {predicted:.1f}"]
     _emit(dataset_rows(ds), HEADER, fmt, output, extra)
 
 

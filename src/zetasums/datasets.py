@@ -25,9 +25,10 @@ from .errors import CacheWarning, ChecksumError, DomainError, SchemaError
 from .special import SPECS, FunctionId
 from .zeros import ZeroDataset, scan_zeros, with_real_axis_records
 
-# 2: the checksum covers the function and t_max as well as the rows
-SCHEMA_VERSION = 2
-HEADER = ("function", "index", "kind", "t_or_x", "residual")
+# 2: the checksum covers the function and t_max as well as the rows;
+# 3: four columns, a row holds its zero and nothing else
+SCHEMA_VERSION = 3
+HEADER = ("function", "index", "kind", "t_or_x")
 CRITICAL_LINE = "critical_line"
 REAL_AXIS = "real_axis"
 CACHE_ENV = "ZETASUMS_CACHE_DIR"
@@ -55,11 +56,11 @@ def _manifest_path(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".manifest.json")
 
 
-def dataset_rows(ds: ZeroDataset) -> List[Tuple[str, int, str, float, float]]:
+def dataset_rows(ds: ZeroDataset) -> List[Tuple[str, int, str, float]]:
     """The rows of ds under HEADER: line zeros, then real-axis zeros, with
     1-based ordinals."""
     kinds = [CRITICAL_LINE] * ds.line.size + [REAL_AXIS] * ds.real.size
-    columns = zip(kinds, np.concatenate((ds.line, ds.real)).tolist(), ds.residuals.tolist())
+    columns = zip(kinds, np.concatenate((ds.line, ds.real)).tolist())
     return [(ds.function.value, i, *row) for i, row in enumerate(columns, 1)]
 
 
@@ -141,7 +142,7 @@ def load_dataset(path) -> ZeroDataset:
     function = FunctionId(name)
     if any(len(row) != len(HEADER) or row[0] != function.value for row in rows):
         raise SchemaError(f"malformed row, or a row of another function than {function.value}")
-    _, ordinals, kinds, points, residuals = zip(*rows) if rows else [()] * len(HEADER)
+    _, ordinals, kinds, points = zip(*rows) if rows else [()] * len(HEADER)
     if ordinals != tuple(map(str, range(1, len(rows) + 1))):
         raise SchemaError("row ordinals must be consecutive starting at 1")
     n = kinds.count(CRITICAL_LINE)
@@ -154,7 +155,6 @@ def load_dataset(path) -> ZeroDataset:
         function,
         line=points[:n],
         real=points[n:],
-        residuals=np.array(residuals, dtype=float),
         t_max_scanned=t_max,
         generator_metadata=metadata,
     )

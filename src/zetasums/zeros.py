@@ -6,15 +6,15 @@ bisection point at every step, one array call per step), and returned as
 datasets of read-only arrays. Each chunk of the grid has one table of
 Taylor jets of its Euler-Maclaurin direct sums (special.TaylorJets), built
 once: the chunk's grid points and its refiner's probes are all read on
-it, each at the cost of a Horner sum, not N complex exps. Only the
-residuals, the dataset's check of each root, are read pointwise.
+it, each at the cost of a Horner sum, not N complex exps. A scan makes no
+pointwise read of the line form.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import partial
 from typing import List, Optional, Tuple
 
@@ -35,28 +35,24 @@ class ZeroDataset:
     """The zeros of one function, as read-only float arrays.
 
     line holds the critical-line ordinates t, increasing, each standing for
-    the pair 1/2 +- it; real holds the real-axis zeros x; residuals holds
-    |f| at each zero, line zeros first (zeros when not given). Every array
-    is copied once, so a caller's later edits do not reach the dataset.
+    the pair 1/2 +- it; real holds the real-axis zeros x. Both arrays are
+    copied once, so a caller's later edits do not reach the dataset.
     """
 
     function: FunctionId
     _: KW_ONLY
     line: np.ndarray = ()
     real: np.ndarray = ()
-    residuals: Optional[np.ndarray] = None
     t_max_scanned: float = 0.0
     generator_metadata: str = ""
 
     def __post_init__(self):
-        n = np.size(self.line) + np.size(self.real)
-        residuals = np.zeros(n) if self.residuals is None else self.residuals
-        for name, values in (("line", self.line), ("real", self.real), ("residuals", residuals)):
-            values = np.array(values, dtype=float)
+        for name in ("line", "real"):
+            values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if self.line.ndim != 1 or self.real.ndim != 1 or self.residuals.shape != (n,):
-            raise DomainError(f"need two 1-d arrays of zeros and {n} residuals")
+        if self.line.ndim != 1 or self.real.ndim != 1:
+            raise DomainError("need two 1-d arrays of zeros")
 
     def ordinates(self) -> np.ndarray:
         """Critical-line ordinates t, in increasing order."""
@@ -156,7 +152,8 @@ def scan_zeros(
     that read, to brackets of width 1e-11. The carried point keeps the
     value read on the chunk before's jets. Jet reads agree with pointwise
     ones at rounding level, so the ordinates are those of a scan with a
-    pointwise grid within the bracket width. grid_step defaults to
+    pointwise grid within the bracket width; the set holds those ordinates
+    alone, and the scan makes no pointwise read. grid_step defaults to
     default_grid_step(t_hi). A scan from the origin (t_lo <= grid_step)
     holds every zero up to its top, so its count is checked against the
     density model (count_check); a scan that starts higher is not.
@@ -187,11 +184,9 @@ def scan_zeros(
         roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
         roots.append(t[v == 0.0])
         prev_t, prev_v = float(t[-1]), float(v[-1])
-    found = np.unique(np.concatenate(roots)) if roots else np.empty(0)
     ds = ZeroDataset(
         f,
-        line=found,
-        residuals=np.abs(critical_line_values(f, found)) if found.size else found,
+        line=np.unique(np.concatenate(roots)) if roots else (),
         t_max_scanned=float(i_hi) * grid_step,
         generator_metadata=f"scan t in [{t_lo}, {t_hi}] step {grid_step}",
     )
@@ -242,12 +237,8 @@ def with_real_axis_records(ds: ZeroDataset) -> ZeroDataset:
     """
     if not SPECS[ds.function].real_axis:
         raise DomainError(f"{ds.function.value} has no real-axis zeros")
-    x = real_axis_zeros_tminus()
-    return ZeroDataset(
-        ds.function,
-        line=ds.line,
-        real=x,
-        residuals=np.concatenate((ds.residuals[: ds.line.size], np.abs(_tminus_real(x)))),
-        t_max_scanned=ds.t_max_scanned,
+    return replace(
+        ds,
+        real=real_axis_zeros_tminus(),
         generator_metadata=ds.generator_metadata + " + real-axis zeros",
     )

@@ -114,9 +114,7 @@ def test_zeros_prints_the_default_dataset(runner, ds_xi, ds_tplus, ds_tminus, ds
     result = runner.invoke(main, ["zeros", "--function", f])
     assert result.exit_code == 0
     _, *rows = csv.reader(result.stdout.splitlines())
-    assert [(int(r[1]), r[2], float(r[3])) for r in rows] == [
-        (index, kind, t) for _, index, kind, t, _ in dataset_rows(ds)
-    ]
+    assert rows == [[str(cell) for cell in row] for row in dataset_rows(ds)]
     assert sum(r[2] == "real_axis" for r in rows) == (2 if f == "tminus" else 0)
 
 
@@ -136,7 +134,7 @@ def test_zeros_csv(runner, tmp_path):
     )
     assert result.exit_code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "function,index,kind,t_or_x,residual"
+    assert lines[0] == "function,index,kind,t_or_x"
     assert len(lines) == 4  # header + three zeros below t=30
 
 
@@ -291,6 +289,20 @@ def test_precision_report_appended(runner):
     )
     assert result.exit_code == 0
     assert "# max |difference|" in result.output
+
+
+@pytest.mark.parametrize(
+    "f, line",
+    [
+        ("xi", "# 2004 zeros up to t = 2520.0, density model 2003.9"),
+        ("tminus", "# 1517 zeros up to t = 1000.0, density model 1516.1"),
+    ],
+)
+def test_zeros_precision_report_is_the_count_check(runner, ds_xi, ds_tminus, f, line):
+    # the line zeros against the density model; T_minus's real-axis zeros are not counted
+    result = runner.invoke(main, ["zeros", "--function", f, "--precision-report"])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[-1] == line
 
 
 # ---------------------------------------------------------------------------

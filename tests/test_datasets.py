@@ -19,7 +19,7 @@ from zetasums.datasets import (
 )
 from zetasums.errors import CacheWarning, ChecksumError, DomainError, SchemaError
 from zetasums.rhscan import _merged_triplets
-from zetasums.special import SPECS, FunctionId
+from zetasums.special import SPECS, FunctionId, critical_line_values
 from zetasums.zeros import ZeroDataset, scan_zeros, with_real_axis_records
 
 
@@ -86,10 +86,8 @@ def test_cached_dataset_reloads_only_changed_files(tmp_path, monkeypatch, small_
     loads = _count_loads(monkeypatch)
 
     def rewrite(path, drop):
-        n = small_ds.line.size - drop  # keep the real-axis zeros
-        residuals = np.concatenate((small_ds.residuals[:n], small_ds.residuals[-2:]))
-        cut = ZeroDataset(small_ds.function, line=small_ds.line[:n], real=small_ds.real,
-                          residuals=residuals, t_max_scanned=small_ds.t_max_scanned)
+        cut = ZeroDataset(small_ds.function, line=small_ds.line[: small_ds.line.size - drop],
+                          real=small_ds.real, t_max_scanned=small_ds.t_max_scanned)
         save_dataset(cut, path)
 
     def read():
@@ -256,6 +254,31 @@ def test_old_schema_cache_file_warns_once_and_is_rebuilt(tmp_path, monkeypatch):
         cached_dataset(FunctionId.XI, 30.0)
 
 
+def test_schema_2_cache_file_warns_once_and_is_rebuilt(tmp_path, monkeypatch):
+    # a file written before the rows lost their fifth column, |f| at each zero
+    monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
+    fresh = scan_zeros(FunctionId.XI, 0.0, 30.0)
+    path = datasets._cache_path(FunctionId.XI, 30.0, None, False)
+    values = np.abs(critical_line_values(FunctionId.XI, fresh.line))
+    rows = [["xi", str(i), "critical_line", str(t), str(v)]
+            for i, (t, v) in enumerate(zip(fresh.line.tolist(), values.tolist()), 1)]
+    header = ["function", "index", "kind", "t_or_x", "residual"]
+    path.write_text("\r\n".join(",".join(r) for r in [header, *rows]) + "\r\n")
+    meta = {
+        "function": "xi", "count": len(rows), "t_max": 30.0,
+        "checksum": datasets._checksum("xi", 30.0, rows),
+        "generator_metadata": fresh.generator_metadata, "schema_version": 2,
+    }
+    path.with_suffix(".csv.manifest.json").write_text(json.dumps(meta, indent=2) + "\n")
+    with pytest.warns(CacheWarning, match="unsupported schema_version 2") as record:
+        again = cached_dataset(FunctionId.XI, 30.0)
+    assert len(record) == 1
+    assert again.line.tobytes() == fresh.line.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cached_dataset(FunctionId.XI, 30.0) is again
+
+
 @pytest.mark.parametrize("t_max", [0.0, -5.0])
 def test_empty_height_writes_no_cache_file(tmp_path, monkeypatch, t_max):
     monkeypatch.setenv("ZETASUMS_CACHE_DIR", str(tmp_path))
@@ -268,7 +291,7 @@ def test_empty_height_writes_no_cache_file(tmp_path, monkeypatch, t_max):
     "manifest",
     [
         "{",
-        '{"schema_version": 2}',
+        json.dumps({"schema_version": datasets.SCHEMA_VERSION}),
         "[]",
         lambda meta: json.dumps({**meta, "t_max": "x"}),
     ],

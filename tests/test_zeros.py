@@ -123,8 +123,7 @@ def test_dataset_arrays_are_read_only_copies():
     line[0] = 99.0
     assert ds.ordinates().tolist() == [2.0, 3.0]
     assert ds.ordinates() is ds.ordinates()
-    assert ds.residuals.tolist() == [0.0, 0.0]
-    for column in (ds.ordinates(), ds.real_points(), ds.residuals):
+    for column in (ds.ordinates(), ds.real_points()):
         with pytest.raises(ValueError):
             column[:1] = 1.0
 
@@ -133,7 +132,7 @@ def test_dataset_fields_after_the_function_are_keywords():
     with pytest.raises(TypeError):
         ZeroDataset(FunctionId.XI, [], 30.0)
     with pytest.raises(DomainError):
-        ZeroDataset(FunctionId.XI, line=[2.0, 3.0], residuals=[0.0])
+        ZeroDataset(FunctionId.XI, line=[[2.0, 3.0]])
 
 
 def test_real_axis_zeros_are_set_not_appended():
@@ -141,7 +140,7 @@ def test_real_axis_zeros_are_set_not_appended():
     twice = with_real_axis_records(ds)
     assert len(twice.real_points()) == 2
     assert twice.real_points().tolist() == real_axis_zeros_tminus().tolist()
-    assert twice.residuals.tolist() == ds.residuals.tolist()
+    assert twice.ordinates().tolist() == ds.ordinates().tolist()
 
 
 def test_scan_small_range_xi():
@@ -165,10 +164,6 @@ def test_scan_small_range_xi():
     got = ds.ordinates()
     assert len(got) == len(expected)
     assert np.allclose(got, expected, atol=2e-6)
-
-
-def test_scan_residuals_small(ds_tplus):
-    assert all(abs(r) < 1e-9 for r in ds_tplus.residuals)
 
 
 def test_ordinates_sorted_and_indexed(ds_xi):
@@ -303,8 +298,8 @@ def test_each_chunk_builds_its_jets_once(f, parameters, monkeypatch):
     assert sorted(n for n in reads if n in chunks) == chunks
     probes = [n for n in reads if n not in chunks]
     assert probes and all(n % 4 == 0 for n in probes)
-    # the one pointwise read of the line form is the residuals
-    assert sum(jets is None for jets in line_reads) == 1
+    # and no read of the line form is pointwise
+    assert line_reads and all(jets is not None for jets in line_reads)
 
 
 def _mpmath_form(f, t):
