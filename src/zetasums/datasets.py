@@ -38,8 +38,9 @@ CACHE_ENV = "ZETASUMS_CACHE_DIR"
 # 3: term-table Bernoulli corrections and Lanczos sum; 4: Taylor-jet
 # refinement; 5: one table of Taylor jets per scan chunk, for its grid
 # points and its refinement; 6: brackets start from the chunk's jet values,
-# with no pointwise re-read of their ends.
-KERNEL = 6
+# with no pointwise re-read of their ends; 7: long-double anchor phases in
+# the jets, inverse-cubic bracket starts and a regula falsi end point.
+KERNEL = 7
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,13 @@ policy: N = max(50, ceil(|Im s|/2)) direct terms, taken from the largest
 absolute tail-bound target of _TARGET_ABS_ERROR = 1e-12. A call whose bound
 misses the target doubles N, at most twice, and then raises AccuracyError.
 That target bounds truncation only, of the Euler-Maclaurin series and of
-the Taylor jets. The rounding of the direct terms' phases is not bounded:
-on the critical line it adds up to 1.1e-12 at t ~ 1000 and 4.5e-12 at
-t ~ 2500, against mpmath.
+the Taylor jets. The rounding of the pointwise direct terms' phases is not
+bounded: on the critical line it adds up to 1.1e-12 at t ~ 1000 and
+4.5e-12 at t ~ 2500, against mpmath. The Taylor jets form their phases
+in long double at anchor centres, and their critical-line zeros lie within a
+few ulp of mpmath's. Where numpy's long double is plain double (MSVC,
+macOS on arm64) the anchors round as the pointwise phases do, and the jets
+err as they do.
 
 The Bernoulli corrections and the Lanczos sum are (terms x points) tables
 with a few whole-table operations each, in blocks of _COLUMNS points, and
@@ -26,7 +30,8 @@ n^(-i|Im s|) once; the C cexp forms exp(x) cos y and exp(x) sin y, so its
 terms are bitwise those of one complex exp per point and term. The zero
 scan reads a second form of the direct sum: many reads near few centres
 take Taylor jets about the centres (TaylorJets), whose truncation bound
-joins the tail bound.
+joins the tail bound, and whose phase table comes from long-double anchor
+columns by a recurrence of one complex multiply per entry.
 
 SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
 series form and its circle radius, the default dataset, the smooth zero count
@@ -301,7 +306,7 @@ class TaylorJets:
         sum_n (n+a)^(-s0-d) = sum_j M_j d^j,
         M_j = sum_n (n+a)^(-s0) (-log(n+a))^j / j!,
 
-    M = A (centres x N complex exps) @ P (N x J, real), built once per
+    M = P (J x N, real) @ A (N x centres complex exps), built once per
     Hurwitz parameter a at the cutoff of the highest centre plus radius and
     reused by every later read, which costs a Horner sum of J terms. J is
     the fewest terms whose truncation bound mass x^J/J! e^x, with
@@ -309,6 +314,13 @@ class TaylorJets:
     _JET_SHARE; the kernel adds that bound to the tail bound. A read
     farther out than the jets were sized for rebuilds them with more terms,
     and one that would need more than _JET_TERMS raises AccuracyError.
+
+    The phases of A are formed in long double (_unit_phases). Evenly
+    spaced centres, as a scan chunk's, take them at an anchor centre every
+    _ANCHOR_COLUMNS, and every other column of A is the one before times
+    the column of one spacing: a read's offset d is then taken from its
+    anchor, so that it is exact for the centre the products realised.
+    Other centres take long-double phases in every column.
     """
 
     def __init__(self, centres, radius, scale=1.0, tables=None):
@@ -334,13 +346,16 @@ class TaylorJets:
         im = self.scale * self.centres
         nearest = np.searchsorted(0.5 * (im[1:] + im[:-1]), flat.imag)
         re = float(flat.real[0])
-        d = flat - (re + 1j * im[nearest])
         span = float(np.max(np.abs(log_n)))  # max |log(n+a)|
-        reach = float(np.max(np.abs(d))) * span
+        reach = float(np.max(np.abs(flat.imag - im[nearest]))) * span
         jet = self._tables.get((a, self.scale))
         if jet is None or (jet.re, jet.size) != (re, log_n.size) or reach > jet.reach:
-            jet = self._build(re, log_n, max(reach, self.scale * self.radius * span))
+            jet = self._build(re, a, log_n, max(reach, self.scale * self.radius * span))
             self._tables[(a, self.scale)] = jet
+        # the offset from the centre the jet's column realised, taken from
+        # its anchor: the stored centre, which the reach above reads,
+        # differs from it by rounding
+        d = flat - jet.anchor[nearest] - jet.offset[nearest]
         coeffs = jet.coeffs[:, nearest]
         total = coeffs[-1]
         for row in coeffs[-2::-1]:
@@ -348,26 +363,67 @@ class TaylorJets:
         terms = coeffs.shape[0]
         return total, jet.mass * math.exp(reach) * reach**terms / math.factorial(terms)
 
-    def _build(self, re, log_n, reach):
-        mass = float(np.sum(np.exp(re * log_n)))
+    def _build(self, re, a, log_n, reach):
+        size = self.centres.size
+        magnitude = np.exp(re * log_n)  # (n+a)^(-Re s0)
+        mass = float(np.sum(magnitude))
         terms = _jet_terms(mass, reach)
-        phases = np.multiply.outer(re + 1j * self.scale * self.centres, log_n)
-        np.exp(phases, out=phases)  # A: (n+a)^(-s0)
-        powers = np.ones((log_n.size, terms))
-        powers[:, 1:] = log_n[:, None] / np.arange(1.0, terms)
-        np.cumprod(powers, axis=1, out=powers)  # P: (-log(n+a))^j / j!
-        return _Jet(re, log_n.size, reach, mass, (phases @ powers).T)
+        im = self.scale * self.centres
+        # even: every spacing within rounding of the mean one
+        spacing = float(im[-1] - im[0]) / max(size - 1, 1)
+        even = size > 1 and bool(np.all(np.abs(np.diff(im) - spacing) <= 1e-9 * spacing))
+        stride = _ANCHOR_COLUMNS if even else 1
+        log_long = np.log(np.arange(log_n.size, dtype=np.longdouble) + a)
+        # the anchors' phases, and last those of one spacing
+        units = _unit_phases(np.append(im[::stride], spacing), log_long)
+        phases = np.empty((log_n.size, size), dtype=complex)  # A, a column per centre
+        np.multiply(units[:, :-1], magnitude[:, None], out=phases[:, ::stride])
+        ratio = units[:, -1:]
+        for k in range(1, min(stride, size)):  # once per column offset from the anchors
+            after = phases[:, k::stride]
+            np.multiply(phases[:, k - 1 :: stride][:, : after.shape[1]], ratio, out=after)
+        powers = np.empty((terms, log_n.size))  # P: (-log(n+a))^j / j!
+        powers[0] = 1.0
+        np.divide(log_n, np.arange(1.0, terms)[:, None], out=powers[1:])
+        for j in range(2, terms):  # row products: faster than a cumprod down the columns
+            np.multiply(powers[j - 1], powers[j], out=powers[j])
+        # one real product: (N x centres) complex read as (N x 2 centres) real
+        coeffs = (powers @ phases.view(float)).view(complex)
+        offset = np.arange(size) % stride
+        anchor = re + 1j * im[np.arange(size) - offset]
+        return _Jet(re, log_n.size, reach, mass, coeffs, anchor, 1j * offset * spacing)
+
+
+# 2 pi to 40 digits, read as long double: the reduction of the jets' phases
+_TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559005768394")
+# Centres per long-double anchor column of the jets' phase table.
+_ANCHOR_COLUMNS = 16
+
+
+def _unit_phases(c, log_long):
+    """exp(-i c log(n+a)) as an (n x c) table; log_long holds log(n+a) in
+    long double, in which the phase is formed and reduced mod 2 pi before
+    it is rounded to double. With a 64-bit mantissa (x86-64) the phase
+    errs by a few 1e-15 at c log(n+a) ~ 2e4, not the 2e-12 of a double
+    product; where long double is double, it errs as that product does."""
+    phase = np.multiply.outer(log_long, -c.astype(np.longdouble))
+    phase -= np.rint(phase / _TWO_PI_LONG) * _TWO_PI_LONG
+    return np.exp(1j * phase.astype(float))
 
 
 class _Jet(NamedTuple):
     """The jets of one Hurwitz parameter: centre real part, cutoff N, the
-    reach x they are sized for, mass, and M as a (terms x centres) table."""
+    reach x they are sized for, mass, M as a (terms x centres) table, and
+    per centre the point of its anchor and its offset from it (i k
+    spacing): the jet's centre is anchor + offset."""
 
     re: float
     size: int
     reach: float
     mass: float
     coeffs: np.ndarray
+    anchor: np.ndarray
+    offset: np.ndarray
 
 
 def _hurwitz_em_once(flat, a, n_direct, jets=None):

@@ -2,12 +2,13 @@
 
 Zeros are found as sign changes of the rescaled critical-line real form on
 a grid, refined together by one bracketed solver (Illinois steps with a
-bisection point at every step, one array call per step), and returned as
-datasets of read-only arrays. Each chunk of the grid has one table of
-Taylor jets of its Euler-Maclaurin direct sums (special.TaylorJets), built
-once: the chunk's grid points and its refiner's probes are all read on
-it, each at the cost of a Horner sum, not N complex exps. A scan makes no
-pointwise read of the line form.
+bisection point at every step, one array call per step, started at an
+inverse cubic through the grid values and ended at a regula falsi point),
+and returned as datasets of read-only arrays. Each chunk of the grid has
+one table of Taylor jets of its Euler-Maclaurin direct sums
+(special.TaylorJets), built once: the chunk's grid points and its
+refiner's probes are all read on it, each at the cost of a Horner sum,
+not N complex exps. A scan makes no pointwise read of the line form.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ _CHUNK = 4096
 # step of 0.01 puts a centre on every 32nd point, and a coarser step keeps
 # the jets' reach, and so their number of terms, that of 0.02.
 _CENTRE_STEPS = 32
+# Half-width of the first probes about a bracket's inverse-cubic start. Over
+# xi, T+ and l4c scans the start errs by 3e-8 to 1.2e-6 in the median and by
+# 2e-7 to 4.5e-6 at p90, so most first steps close a bracket to 3e-6.
+_SPREAD = 3e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +91,7 @@ def _chunk_jets(first: float, last: float, grid_step: float) -> TaylorJets:
     return TaylorJets(first + spacing * np.arange(round((last - first) / spacing) + 1), 0.5 * spacing)
 
 
-def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
+def _bracket_roots(func, a, b, fa, fb, tol: float, guess=None, spread: float = 0.0) -> np.ndarray:
     """Roots of func in the brackets [a[i], b[i]], all refined in lockstep.
 
     func maps a float array to a float array; fa and fb are its values at
@@ -96,24 +101,31 @@ def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
     clamped to the bracket, and the bracket midpoint. The pair around x
     closes the bracket to width <= tol as soon as x is that close to the
     root; the midpoint halves it at every step, so a bracket of width w
-    closes within ceil(log2(w / tol)) steps. Returns the midpoints of the
-    closed brackets, or the probe where func is exactly 0.
+    closes within ceil(log2(w / tol)) steps. guess: None, or a start
+    inside each bracket, which the first step probes in place of x, with
+    guess -+ spread in place of x -+ tol/2. Returns the regula falsi point
+    of each closed bracket on the true values at its ends (the Illinois
+    weights halve them), or the probe where func is exactly 0.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    wa, wb = np.array(fa, dtype=float), np.array(fb, dtype=float)
-    roots = np.where(wa == 0.0, a, np.where(wb == 0.0, b, np.nan))
-    a_pos = wa > 0.0  # the sign of func at the a end of each bracket
+    va, vb = np.array(fa, dtype=float), np.array(fb, dtype=float)  # func at the ends
+    wa, wb = va.copy(), vb.copy()  # the Illinois weights
+    roots = np.where(va == 0.0, a, np.where(vb == 0.0, b, np.nan))
+    a_pos = va > 0.0  # the sign of func at the a end of each bracket
     kept = np.zeros(a.shape, dtype=int)  # end the last step kept: -1 a, 1 b
     width = float(np.max(b - a, initial=tol))
-    for _ in range(max(math.ceil(math.log2(width / tol)), 0)):
+    for step in range(max(math.ceil(math.log2(width / tol)), 0)):
         live = np.nonzero(np.isnan(roots) & (b - a > tol))[0]
         if live.size == 0:
             break
         la, lb, lwa, lwb = a[live], b[live], wa[live], wb[live]
         mid = 0.5 * (la + lb)
-        x = la + (lb - la) * (lwa / (lwa - lwb))
+        if step == 0 and guess is not None:
+            x, half = np.asarray(guess, dtype=float)[live], spread
+        else:
+            x, half = la + (lb - la) * (lwa / (lwa - lwb)), 0.5 * tol
         x = np.where((la < x) & (x < lb), x, mid)
-        probes = np.stack((x - 0.5 * tol, x, x + 0.5 * tol, mid), axis=1)
+        probes = np.stack((x - half, x, x + half, mid), axis=1)
         probes = np.sort(probes.clip(la[:, None], lb[:, None]), axis=1)
         values = func(probes.ravel()).reshape(probes.shape)
         zero = values == 0.0
@@ -121,18 +133,36 @@ def _bracket_roots(func, a, b, fa, fb, tol: float) -> np.ndarray:
         roots[live[hit]] = probes[hit, zero[hit].argmax(axis=1)]
         # the new bracket ends at the first column whose sign differs from a's
         cols = np.concatenate((la[:, None], probes, lb[:, None]), axis=1)
-        vals = np.concatenate((lwa[:, None], values, lwb[:, None]), axis=1)
+        vals = np.concatenate((va[live, None], values, vb[live, None]), axis=1)
         flip = (vals[:, 1:] > 0.0) != a_pos[live, None]
         flip[:, -1] = True
         j = flip.argmax(axis=1) + 1
         last = cols.shape[1] - 1
         rows = np.arange(live.size)
-        # Illinois: an end kept twice running has its weight halved
         a[live], b[live] = cols[rows, j - 1], cols[rows, j]
-        wa[live] = np.where(j == 1, lwa * np.where(kept[live] == -1, 0.5, 1.0), vals[rows, j - 1])
-        wb[live] = np.where(j == last, lwb * np.where(kept[live] == 1, 0.5, 1.0), vals[rows, j])
+        va[live], vb[live] = vals[rows, j - 1], vals[rows, j]
+        # Illinois: an end kept twice running has its weight halved
+        wa[live] = np.where(j == 1, lwa * np.where(kept[live] == -1, 0.5, 1.0), va[live])
+        wb[live] = np.where(j == last, lwb * np.where(kept[live] == 1, 0.5, 1.0), vb[live])
         kept[live] = np.where(j == 1, -1, np.where(j == last, 1, 0))
-    return np.where(np.isnan(roots), 0.5 * (a + b), roots)
+    return np.where(np.isnan(roots), a + (b - a) * (va / (va - vb)), roots)
+
+
+def _inverse_cubic(t: np.ndarray, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """A start for the root in each cell [t[i], t[i + 1]] of a sign change:
+    the inverse cubic through the grid points i - 1 .. i + 2 at v = 0, or
+    the secant of the cell where those points are missing or the cubic's
+    root leaves the cell."""
+    k = np.clip(i[:, None] + np.arange(-1, 3), 0, v.size - 1)
+    x, y = t[k] - t[i, None], v[k]
+    with np.errstate(all="ignore"):  # a repeated value leaves the cell
+        secant = x[:, 2] * (y[:, 1] / (y[:, 1] - y[:, 2]))
+        # Lagrange weights at 0: the product over l != j of y_l / (y_l - y_j)
+        ratio = y[:, None, :] / (y[:, None, :] - y[:, :, None])
+        ratio[:, np.arange(4), np.arange(4)] = 1.0
+        cubic = np.sum(np.prod(ratio, axis=2) * x, axis=1)
+    use = (i >= 1) & (i + 2 < v.size) & (0.0 < cubic) & (cubic < x[:, 2])
+    return t[i] + np.where(use, cubic, secant)
 
 
 def scan_zeros(
@@ -149,14 +179,19 @@ def scan_zeros(
     TaylorJets (_chunk_jets), whose radius holds every probe in its cells.
     The chunk is read on it through critical_line_values, and all of its
     sign changes are refined together on the same jets, from the values of
-    that read, to brackets of width 1e-11. The carried point keeps the
-    value read on the chunk before's jets. Jet reads agree with pointwise
-    ones at rounding level, so the ordinates are those of a scan with a
-    pointwise grid within the bracket width; the set holds those ordinates
-    alone, and the scan makes no pointwise read. grid_step defaults to
-    default_grid_step(t_hi). A scan from the origin (t_lo <= grid_step)
-    holds every zero up to its top, so its count is checked against the
-    density model (count_check); a scan that starts higher is not.
+    that read, to brackets of width 1e-11. Each bracket's first probes lie
+    at the root of the inverse cubic through the grid values either side
+    of its cell (_inverse_cubic) and _SPREAD about it, and each ordinate
+    is the regula falsi point of its closed bracket: on the jets'
+    long-double phases, xi's lie within a few ulp of mpmath.zetazero. The
+    carried point keeps the value read on the chunk before's jets. Jet
+    reads agree with pointwise ones at rounding level, so the ordinates
+    are those of a scan with a pointwise grid within the bracket width;
+    the set holds those ordinates alone, and the scan makes no pointwise
+    read. grid_step defaults to default_grid_step(t_hi). A scan from the
+    origin (t_lo <= grid_step) holds every zero up to its top, so its
+    count is checked against the density model (count_check); a scan that
+    starts higher is not.
     """
     f = FunctionId(f)
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
@@ -181,7 +216,8 @@ def scan_zeros(
             v = np.concatenate(([prev_v], v))
         i = _sign_changes(v)
         refine = partial(SPECS[f].line, jets=jets)
-        roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11))
+        guess = _inverse_cubic(t, v, i)
+        roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11, guess, _SPREAD))
         roots.append(t[v == 0.0])
         prev_t, prev_v = float(t[-1]), float(v[-1])
     ds = ZeroDataset(

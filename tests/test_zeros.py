@@ -103,6 +103,29 @@ def test_bracket_roots_flat_crossing_within_bisection_bound():
     assert len(calls) <= math.ceil(math.log2(np.max(b - a) / 1e-11))
 
 
+def test_brackets_start_from_the_inverse_cubic_of_the_grid():
+    # sin(2t) on a grid of step 0.05 changes sign in [1.55, 1.6] and, with
+    # no grid point beyond the cell, in [3.1, 3.15]: the first start is
+    # the inverse cubic through t = 1.5 .. 1.65, the last the secant
+    g = lambda x: np.sin(2.0 * x)
+    t = np.arange(64) * 0.05
+    v = g(t)
+    i = zeros._sign_changes(v)
+    assert i.tolist() == [31, 62]
+    guess = zeros._inverse_cubic(t, v, i)
+    secant = t[i] + (t[i + 1] - t[i]) * (v[i] / (v[i] - v[i + 1]))
+    assert abs(guess[0] - math.pi / 2) < 0.1 * abs(secant[0] - math.pi / 2)
+    assert guess[1] == secant[1]
+    # started there, the brackets close in fewer calls than from the secant
+    calls = []
+    for start in (None, guess):
+        func, counted = _counted(g)
+        roots = _bracket_roots(func, t[i], t[i + 1], v[i], v[i + 1], 1e-11, start, 1e-5)
+        assert np.all(np.abs(roots - [math.pi / 2, math.pi]) <= 1e-15)
+        calls.append(len(counted))
+    assert calls[1] < calls[0]
+
+
 @pytest.mark.parametrize("t_hi", [math.nan, math.inf])
 def test_scan_bounds_must_be_finite(t_hi):
     with pytest.raises(DomainError):
@@ -211,11 +234,14 @@ def test_real_axis_records_present(ds_tminus):
 
 @pytest.mark.parametrize("lo", [12.0, 997.0, 2498.0])
 def test_xi_window_matches_mpmath(lo):
+    # the jets' long-double phases and the regula falsi end point give
+    # ordinates within 2 ulp of t (a midpoint of the 1e-11 bracket erred
+    # by up to 3.2e-12)
     ts = scan_zeros(FunctionId.XI, lo, lo + 5.0).ordinates()
     first = int(mpmath.nzeros(lo))
     assert len(ts) == int(mpmath.nzeros(lo + 5.0)) - first
     for n, t in enumerate(ts, start=first + 1):
-        assert abs(t - float(mpmath.zetazero(n).imag)) <= 1e-11
+        assert abs(t - float(mpmath.zetazero(n).imag)) <= 4 * np.spacing(t)
 
 
 def test_rounding_level_grid_end_keeps_the_mpmath_root(monkeypatch):
@@ -235,12 +261,14 @@ def test_rounding_level_grid_end_keeps_the_mpmath_root(monkeypatch):
     )
     pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
     assert found.size == pointwise.size == 2
-    # the brackets start from the jet values: neither read is closer to
-    # the truth, and the roots lie within the bracket width of the
-    # pointwise scan's and within 1e-12 of mpmath (4.5e-13 and 9.1e-13)
+    # the brackets start from the jet values, whose long-double phases
+    # make them the closer read: the roots lie within 1 ulp of mpmath
+    # (measured 0 ulp for both; bracket midpoints on double phases erred
+    # by 1 and 2 ulp), and within the bracket width of the pointwise
+    # scan's
     first = int(mpmath.nzeros(t[0]))
     exact = [float(mpmath.zetazero(n).imag) for n in (first + 1, first + 2)]
-    assert np.max(np.abs(found - exact)) <= 1e-12
+    assert np.all(np.abs(found - exact) <= np.spacing(found))
     assert np.max(np.abs(found - pointwise)) <= 1e-11
 
 
@@ -298,6 +326,10 @@ def test_each_chunk_builds_its_jets_once(f, parameters, monkeypatch):
     assert sorted(n for n in reads if n in chunks) == chunks
     probes = [n for n in reads if n not in chunks]
     assert probes and all(n % 4 == 0 for n in probes)
+    # the brackets start at the inverse cubic of the chunk's values: 6, 9
+    # and 16 refinement reads (l4c reads two Hurwitz parameters a step),
+    # where starts at the secant of the cell took 15, 15 and 30
+    assert len(probes) <= {FunctionId.XI: 6, FunctionId.T_PLUS: 9, FunctionId.L4_COMPLETED: 16}[f]
     # and no read of the line form is pointwise
     assert line_reads and all(jets is not None for jets in line_reads)
 
@@ -318,6 +350,9 @@ def _mpmath_form(f, t):
     "f, lo", [(FunctionId.T_PLUS, 702.0), (FunctionId.T_MINUS, 403.0), (FunctionId.L4_COMPLETED, 1101.0)]
 )
 def test_ordinate_brackets_mpmath_sign_change(f, lo):
+    # every ordinate of the window lies within 1e-12 of a sign change of
+    # the mpmath form
     ts = scan_zeros(f, lo, lo + 2.0).ordinates()
-    t = float(ts[len(ts) // 2])
-    assert _mpmath_form(f, t - 1e-9) * _mpmath_form(f, t + 1e-9) < 0
+    assert ts.size > 0
+    for t in ts:
+        assert _mpmath_form(f, float(t) - 1e-12) * _mpmath_form(f, float(t) + 1e-12) < 0
