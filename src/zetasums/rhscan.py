@@ -13,6 +13,7 @@ y^(1-s).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -221,16 +222,7 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     for s_d in pool.values():
         ordinals, kind, ts, centroid_t = triplets[int(np.argmin(np.abs(centroids - s_d.imag)))]
         modulus = abs(v_func(s_d))
-        reports.append(
-            TripletReport(
-                s_d=s_d,
-                modulus=modulus,
-                triplet_kind=kind,
-                anchor_ordinals=ordinals,
-                condition_met=modulus > 1.0,
-                centroid_t=centroid_t,
-            )
-        )
+        reports.append(TripletReport(s_d, modulus, kind, ordinals, modulus > 1.0, centroid_t))
     covered = np.array(sorted(s.imag for s in pool.values()))
     for ordinals, kind, ts, centroid_t in triplets:
         span = ts[2] - ts[0]
@@ -338,6 +330,16 @@ def family_line_zeros(y: float, t_hi: float) -> List[float]:
     return [float(t) for t in _bracket_roots(func, ts[i], ts[i + 1], vals[i], vals[i + 1], 1e-8)]
 
 
+@functools.lru_cache(maxsize=1)
+def _collision_grid():
+    """(ts, phase): the grid of family_line_zeros(y, 1.5) and the y-free part
+    of _family_critical_line on it, once per process and read-only."""
+    ts = np.geomspace(1e-6, 1.5, _FAMILY_GRID)
+    phase = log_xi1(1.0 + 2j * ts).imag
+    ts.flags.writeable = phase.flags.writeable = False
+    return ts, phase
+
+
 def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     """Parameter y* where the lowest zero pair of the two-term family
     xi_1(2s) y^s + xi_1(2-2s) y^(1-s) collides and leaves the critical line.
@@ -352,9 +354,7 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     """
     if not 0.0 < resolution < math.inf:
         raise DomainError(f"resolution must be positive and finite, got {resolution}")
-    ts = np.geomspace(1e-6, 1.5, _FAMILY_GRID)  # the grid of family_line_zeros(y, 1.5)
-    # the y-free part of _family_critical_line, so xi_1 is evaluated once
-    phase = log_xi1(1.0 + 2j * ts).imag
+    ts, phase = _collision_grid()
     y_lo, y_hi = 6.0, 8.0
 
     def pair_on_line(y: float) -> bool:

@@ -24,14 +24,14 @@ The Bernoulli corrections and the Lanczos sum are (terms x points) tables
 with a few whole-table operations each, in blocks of _COLUMNS points, and
 every step is elementwise in the points: a point's corrections and Gamma
 are the same bitwise whatever else its call holds, and a small call pays
-a few whole-table operations plus one row product per term. The direct sum
-of a call whose points share one ordinate |Im s| computes the phase row
-n^(-i|Im s|) once; the C cexp forms exp(x) cos y and exp(x) sin y, so its
-terms are bitwise those of one complex exp per point and term. The zero
-scan reads a second form of the direct sum: many reads near few centres
-take Taylor jets about the centres (TaylorJets), whose truncation bound
-joins the tail bound, and whose phase table comes from long-double anchor
-columns by a recurrence of one complex multiply per entry.
+a few whole-table operations plus one row product per term. The pointwise
+direct sum forms each term as a real exp times a unit phase
+(n+a)^(-i|Im s|), with one phase row for a call of one |Im s| and one per
+entry otherwise, so a point's sum too is the same bitwise in any batch.
+The zero scan reads a second form of the direct sum: many reads near few
+centres take Taylor jets about the centres (TaylorJets), whose truncation
+bound joins the tail bound, and whose phase table comes from long-double
+anchor columns by a recurrence of one complex multiply per entry.
 
 SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
 series form and its circle radius, the default dataset, the smooth zero count
@@ -117,9 +117,9 @@ _EM_COEFF = _BERNOULLI / np.cumprod((2.0 * _EM_K - 1.0) * (2.0 * _EM_K))  # B_2k
 _EM_MIDPOINTS = (2.0 * _EM_K[1:] - 2.5).astype(complex)
 # Absolute accuracy target of the Euler-Maclaurin tail bound.
 _TARGET_ABS_ERROR = 1e-12
-# Highest |Im s| the kernel takes. The pointwise direct sum holds at least
-# one row of N = |Im s|/2 complex terms, 80 MB at 1e7 (320 MB once the tail
-# bound has doubled N twice); nan and inf are refused with it.
+# Highest |Im s| the kernel takes. The pointwise direct sum holds up to two
+# rows of N = |Im s|/2 complex terms and one real row, 200 MB at 1e7 (800 MB
+# once the tail bound has doubled N twice); nan and inf are refused with it.
 _IM_LIMIT = 1e7
 
 # Lanczos, g = 607/128, 15 terms (Godfrey coefficients).
@@ -426,20 +426,24 @@ class _Jet(NamedTuple):
     offset: np.ndarray
 
 
+def _direct_phases(t, log_n, out):
+    """(n+a)^(-it) = exp(i t log_n) into out, a complex (t x n) table."""
+    out.real = 0.0
+    np.multiply.outer(t, log_n, out=out.imag)
+    return np.exp(out, out=out)
+
+
 def _hurwitz_em_once(flat, a, n_direct, jets=None):
     """Euler-Maclaurin sum at cutoff n_direct: (values, tail bound).
 
     The direct terms (n+a)^(-s), n < N, are summed pointwise when jets is
-    None. If the call has more than one entry and all share one ordinate
-    |Im s| = t > 0 (the V' stencil, the two arguments of U), the phase row
-    (n+a)^(-it) is computed once and each term is the complex exp of the
-    real -Re s log(n+a) times it; entries below the real axis take the
-    conjugate sum, whose every addition mirrors the one above. The C cexp
-    forms exp(x) cos y and exp(x) sin y, so this is bitwise the one-exp
-    term, and no value depends on the path. Other calls keep one complex
-    exp per entry and term: for one entry, or many ordinates, factoring
-    costs more than it saves; on the real axis the two paths could differ
-    in the sign of a zero imaginary part.
+    None, each as the real magnitude exp(-Re s log(n+a)), numpy's SIMD
+    float exp, times the unit phase exp(-i|Im s| log(n+a)) of the complex
+    exp; entries below the real axis take the conjugate sum, whose every
+    addition mirrors the one above. A call whose entries all share one
+    |Im s| (the V' stencil, the two arguments of U, one entry) computes
+    one phase row; any other call one row per entry. Every entry meets
+    the same formula whatever its batch, so no value depends on the path.
 
     When jets is TaylorJets, each entry takes the Taylor jet of the direct
     sum about its nearest centre, and the jets' truncation bound joins the
@@ -454,36 +458,29 @@ def _hurwitz_em_once(flat, a, n_direct, jets=None):
     in-place product of one entry as a reduction, with a scalar complex
     product that can differ by 1 ulp from the array loop's.
     """
-    n = np.arange(n_direct, dtype=float) + a  # a, 1+a, ..., N-1+a
-    log_n = -np.log(n)
+    log_n = -np.log(np.arange(n_direct, dtype=float) + a)  # -log(n+a), n < N
     truncation = 0.0
     if jets is not None:
         total, truncation = jets.sums(flat, a, log_n)
     else:
-        # pairwise numpy reduction keeps ~1 ulp * log N. Summed in slabs
-        # of one reused buffer of at most _SLAB_BYTES, exp in place, so the
-        # largest temporary is bounded whatever N; each row's sum is the
-        # same whatever the slab.
+        # pairwise numpy reduction keeps ~1 ulp * log N. Summed in slabs of
+        # reused buffers of at most _SLAB_BYTES, so the largest temporary is
+        # bounded whatever N; each row's sum is the same whatever the slab.
         rows = max(_SLAB_BYTES // (16 * n_direct), 1)
         total = np.empty_like(flat)
-        buffer = np.empty((min(flat.size, rows), n_direct), dtype=complex)
-        im = flat.imag
-        t = abs(float(im[0])) if flat.size > 1 else 0.0
-        # the last entry first: it turns most calls of many ordinates away
-        shared = t > 0.0 and abs(im[-1]) == t and bool((np.abs(im) == t).all())
+        terms = np.empty((min(flat.size, rows), n_direct), dtype=complex)
+        magnitude = np.empty(terms.shape)
+        t = np.abs(flat.imag)
+        shared = flat.size > 0 and bool((t == t[-1]).all())
         if shared:
-            phase = np.exp(log_n * complex(0.0, t))  # (n+a)^(-it)
+            phase = _direct_phases(t[-1:], log_n, np.empty((1, n_direct), dtype=complex))
         for i in range(0, flat.size, rows):
-            terms = buffer[: flat.size - i]
-            # shared: the real products, cast to complex so that the exp is
-            # the complex one (numpy's float exp may differ by 1 ulp)
-            np.multiply.outer((flat.real if shared else flat)[i : i + rows], log_n, out=terms)
-            np.exp(terms, out=terms)
-            if shared:
-                terms *= phase
-            total[i : i + rows] = terms.sum(axis=1)
-        if shared:
-            np.conjugate(total, out=total, where=im < 0.0)
+            part = slice(i, i + rows)
+            mags, out = magnitude[: t[part].size], terms[: t[part].size]
+            np.exp(np.multiply.outer(flat.real[part], log_n, out=mags), out=mags)
+            row = phase if shared else _direct_phases(t[part], log_n, out)
+            total[part] = np.multiply(mags, row, out=out).sum(axis=1)
+        np.conjugate(total, out=total, where=flat.imag < 0.0)
 
     # corrections B_2k/(2k)! s(s+1)...(s+2k-2) b^(-s-2k+1), k = 1..nu, and
     # the first omitted term, k = nu + 1, which the tail bound reads, as a

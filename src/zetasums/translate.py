@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -82,7 +81,8 @@ def translated_sigma_series(
     (rho - z0)^(-m) = sum_p C(m+p-1, p) z0^p rho^(-(m+p)), so
     sigma_m(z0) = sum_p C(m+p-1, p) z0^p sigma_{m+p}. At z0 = 0 this
     reduces term by term to sigma_m itself. Raises DomainError unless
-    m >= 1 and terms >= 1.
+    m >= 1 and terms >= 1, and ConvergenceError unless the last term is
+    below the one before it or negligible next to the sum (rounding noise).
     """
     if m < 1 or terms < 1:
         raise DomainError(f"m and terms must be >= 1, got m={m}, terms={terms}")
@@ -94,11 +94,14 @@ def translated_sigma_series(
     total = 0.0 + 0.0j
     zp = 1.0 + 0.0j
     for p in range(terms + 1):
-        term = comb(m + p - 1, p) * zp * sig.sigma(m + p)
+        term = math.comb(m + p - 1, p) * zp * sig.sigma(m + p)
         total += term
         term_mags.append(abs(term))
         zp *= z0
-    if z0 != 0 and not term_mags[-1] < term_mags[-2]:  # nan when z0^p overflows
+    # a last term within 4 ulp of the sum of the sizes is rounding noise, whose
+    # size need not fall; a nan or inf (z0^p overflowed) passes neither test
+    last, noise = term_mags[-1], 4.0 * math.ulp(math.fsum(term_mags))
+    if z0 != 0 and not (last < term_mags[-2] or last <= noise < math.inf):
         raise ConvergenceError(
             f"translated series for m={m} at z0={z0} is not decreasing "
             f"at the final retained term ({term_mags[-2]:.3e} -> {term_mags[-1]:.3e})"

@@ -251,7 +251,8 @@ def test_y_star_refuses_a_bad_resolution(resolution, monkeypatch):
 
 
 def test_y_star_evaluates_xi1_once(monkeypatch):
-    # the family's y-free phase is computed once, not at every bisection step
+    # the family's y-free phase is computed once per process, not at every
+    # bisection step or every search, and no caller can write to it
     calls = []
 
     def spy(w):
@@ -259,8 +260,13 @@ def test_y_star_evaluates_xi1_once(monkeypatch):
         return log_xi1(w)
 
     monkeypatch.setattr(rhscan, "log_xi1", spy)
+    rhscan._collision_grid.cache_clear()
     lagarias_suzuki_y_star(1e-4)
+    lagarias_suzuki_y_star(1e-3)
     assert calls == [rhscan._FAMILY_GRID]  # one call, on the whole grid
+    ts, phase = rhscan._collision_grid()
+    assert not ts.flags.writeable and not phase.flags.writeable
+    assert phase.tobytes() == log_xi1(1.0 + 2j * ts).imag.tobytes()
 
 
 @pytest.mark.parametrize(

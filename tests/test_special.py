@@ -28,6 +28,7 @@ from zetasums.special import (
     log_xi1,
     riemann_zeta,
 )
+from zetasums.rhscan import _v_derivatives
 from zetasums.zeros import _chunk_jets, default_grid_step
 
 EULER_GAMMA = 0.5772156649015328606
@@ -220,10 +221,10 @@ def test_em_row_slabs_are_bitwise(rng):
     together = _hurwitz_em_once(s, 1.0, 400)[0]
     one_by_one = [_hurwitz_em_once(s[i : i + 1], 1.0, 400)[0][0] for i in range(s.size)]
     assert all(a == b for a, b in zip(together, one_by_one))
-    # points of one ordinate |Im s| = t share the phase row of the direct
-    # sum; one-point calls do not, and their correction tables are one
-    # column wide, so a 1-ulp drift of either path shows. This rests on the
-    # C library's cexp forming exp(x) cos y and exp(x) sin y.
+    # points of one ordinate |Im s| = t share one phase row of the direct
+    # sum, and those below the real axis take the conjugate sum; a one-point
+    # call forms its own row, and its correction tables are one column wide,
+    # so a 1-ulp drift between the paths shows
     for a in (1.0, 0.25, 0.75):
         for n_direct in (50, 400, 1260):
             t = rng.uniform(n_direct, 2.0 * n_direct)  # a height the cutoff serves
@@ -231,6 +232,67 @@ def test_em_row_slabs_are_bitwise(rng):
             together = _hurwitz_em_once(s, a, n_direct)[0]
             one_by_one = [_hurwitz_em_once(s[i : i + 1], a, n_direct)[0][0] for i in range(s.size)]
             assert all(x == y for x, y in zip(together, one_by_one)), (a, n_direct)
+
+
+def _v_stencil(s):
+    """The kernel argument of one V' step at s: the 12 log_xi1 points of
+    rhscan._v_derivatives, reflected into Re w >= 1/2 by _xi1_log_form, so
+    that they share |Im w|; those of 2s - 1 lie below the real axis if
+    Re s < 3/4."""
+    seen = []
+
+    def spy(w, a, jets=None):
+        seen.append(w)
+        return _hurwitz_em_array(w, a, jets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_hurwitz_em_array", spy)
+        _v_derivatives(s)
+    (w,) = seen
+    assert np.unique(np.abs(w.imag)).size == 1
+    return w
+
+
+def test_direct_sum_is_bitwise_in_any_batch(rng):
+    # the stencil alone takes one phase row; inside a call of mixed
+    # ordinates each entry takes its own, with the same products and sums
+    w = _v_stencil(complex(0.6, 500.3))
+    assert (w.imag < 0).sum() == 6
+    others = rng.uniform(0.5, 2.0, 40) + 1j * rng.uniform(-1100.0, 1100.0, 40)
+    mixed = np.concatenate((others[:20], w, others[20:]))
+    for a in (1.0, 0.25, 0.75):
+        alone = _hurwitz_em_once(w, a, 600)[0]
+        assert alone.tobytes() == _hurwitz_em_once(mixed, a, 600)[0][20:32].tobytes(), a
+    values, bound = _hurwitz_em_once(np.zeros(0, dtype=complex), 1.0, 50)
+    assert values.shape == (0,) and bound == 0.0
+    # Im s = +-0: one shared row of zero phases, the same sum on both sides,
+    # alone, together and among other ordinates, with a +0 imaginary part
+    axis = np.array([2.0, 0.75, complex(2.0, -0.0), complex(0.75, -0.0)])
+    for a in (1.0, 0.25):
+        alone = np.array([_hurwitz_em_once(axis[i : i + 1], a, 50)[0][0] for i in range(4)])
+        together = _hurwitz_em_once(axis, a, 50)[0]
+        among = _hurwitz_em_once(np.append(axis, 1.0 + 3j), a, 50)[0][:4]
+        assert alone.tobytes() == together.tobytes() == among.tobytes(), a
+        assert alone[:2].tobytes() == alone[2:].tobytes()
+        assert not np.signbit(alone.imag).any()
+
+
+# The parent kernel's worst absolute error over 23 V' stencils per (t, a)
+# at each height, rounded up: 1.8e-13, 2.3e-12 and 3.6e-12, from the
+# rounding of the direct terms' phases, largest for a = 1/4.
+_STENCIL_BOUNDS = {100.0: 2e-13, 1000.0: 2.5e-12, 2500.0: 4e-12}
+
+
+@pytest.mark.parametrize("t", sorted(_STENCIL_BOUNDS))
+def test_shared_ordinate_sums_match_mpmath(t):
+    rng = np.random.default_rng(int(t))
+    for a in (1.0, 0.25, 0.75):
+        for _ in range(3):
+            w = _v_stencil(complex(rng.uniform(0.5, 1.0), t / 2.0 + rng.uniform(-1.0, 1.0)))
+            got = _hurwitz_em_array(w, a)
+            with mpmath.workdps(30):
+                exact = [complex(mpmath.zeta(mpmath.mpc(z.real, z.imag), a)) for z in w]
+            assert np.max(np.abs(got - exact)) <= _STENCIL_BOUNDS[t], (a, w[0])
 
 
 # ---------------------------------------------------------------------------

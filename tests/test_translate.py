@@ -12,7 +12,7 @@ from zetasums.errors import (
     RangeMismatchError,
 )
 from zetasums.special import FunctionId
-from zetasums.sumrules import sigma_series_derivative
+from zetasums.sumrules import SigmaSeries, sigma_series_derivative
 from zetasums.translate import (
     interlacing_report,
     ratio_identity_check,
@@ -67,7 +67,7 @@ def test_imaginary_center_gives_complex_value(sig_xi):
 
 def test_convergence_error_outside_radius(sig_xi):
     # |z0| far beyond the safe disc: binomial terms grow
-    with pytest.raises((ConvergenceError, Exception)):
+    with pytest.raises(ConvergenceError):
         translated_sigma_series(sig_xi, 12.0, 3, terms=40)
 
 
@@ -75,6 +75,31 @@ def test_convergence_error_when_the_terms_overflow(sig_xi):
     # z0^p overflows to a nan term, which no comparison of sizes used to catch
     with pytest.raises(ConvergenceError):
         translated_sigma_series(sig_xi, 1e300j, 1, terms=2)
+
+
+def _series(values):
+    return SigmaSeries(FunctionId.XI, np.asarray(values, dtype=complex), [], 0)
+
+
+def test_a_last_term_at_the_noise_floor_is_kept():
+    # terms 1, 5e-21, 2.5e-31, 2.5e-31: the last does not fall, but it is
+    # far below the rounding of the sum
+    got = translated_sigma_series(_series([1.0, 1e-20, 1e-30, 2e-30]), 0.5, 1, terms=3)
+    assert got.value == 1.0
+
+
+@pytest.mark.parametrize(
+    "values, z0",
+    [
+        ([1.0, 1.0, 1.0, 1.0], 2.0),  # terms 1, 2, 4, 8
+        ([1.0, 1e-10, 4e-9, 1.6e-8], 0.5),  # a rise at 1e-9 of the sum is not noise
+        ([1.0, 1.0, 1.0, float("nan")], 0.5),
+        ([1.0, 1.0, 1.0, 1e308], 1e10),  # an infinite last term
+    ],
+)
+def test_a_growing_or_nan_tail_still_raises(values, z0):
+    with pytest.raises(ConvergenceError):
+        translated_sigma_series(_series(values), z0, 1, terms=3)
 
 
 def test_interlacing_degenerate_identical_sequences():
