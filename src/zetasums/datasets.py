@@ -39,8 +39,9 @@ CACHE_ENV = "ZETASUMS_CACHE_DIR"
 # refinement; 5: one table of Taylor jets per scan chunk, for its grid
 # points and its refinement; 6: brackets start from the chunk's jet values,
 # with no pointwise re-read of their ends; 7: long-double anchor phases in
-# the jets, inverse-cubic bracket starts and a regula falsi end point.
-KERNEL = 7
+# the jets, inverse-cubic bracket starts and a regula falsi end point;
+# 8: per-point Euler-Maclaurin cutoffs, fewer terms below |Im s| ~ 37.
+KERNEL = 8
 
 
 @dataclass(frozen=True)

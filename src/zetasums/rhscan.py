@@ -66,7 +66,8 @@ def u_func(s):
     """U(s) = xi_1(2s - 1) / xi_1(2s), computed in log form.
 
     Returns a complex for scalar s, else an array of the shape of s. Both
-    arguments go into one log_xi1 call; they share Im, hence the cutoff.
+    arguments go into one log_xi1 call; they share |Im|, hence the cutoff
+    and one phase row of the direct sum.
     """
     w = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
     lw = log_xi1(np.concatenate((2 * w - 1, 2 * w)))
@@ -104,8 +105,9 @@ def _v_derivatives(s: complex) -> Tuple[complex, complex]:
     """(V'(s), V''(s)) by central differences, from one v_func call on six
     points: s +- h, then (s +- h) +- h', the step 1e-5 * max(1, |x|) at each
     stencil point x. The steps are real, so all six points share Im s and
-    with it the Euler-Maclaurin cutoff: each value is bitwise the one of
-    separate first- and second-order calls."""
+    with it the Euler-Maclaurin cutoff and one phase row of the direct sum;
+    each value is bitwise the one of separate first- and second-order calls,
+    as every kernel value is the same in any batch."""
     x = np.array([s])
     h = 1e-5 * np.maximum(1.0, np.abs(x))
     outer = np.concatenate((x + h, x - h))

@@ -7,11 +7,16 @@ xi1(2s-1), the Dirichlet L function of conductor 4 with its completed even
 form, and real-valued restrictions to the critical line.
 
 Every value comes from one Euler-Maclaurin kernel with one fixed accuracy
-policy: N = max(50, ceil(|Im s|/2)) direct terms, taken from the largest
-|Im s| of an array call, the corrections B_2..B_24 of _BERNOULLI, and an
-absolute tail-bound target of _TARGET_ABS_ERROR = 1e-12. A call whose bound
-misses the target doubles N, at most twice, and then raises AccuracyError.
-That target bounds truncation only, of the Euler-Maclaurin series and of
+policy: the corrections B_2..B_24 of _BERNOULLI, an absolute tail-bound
+target of _TARGET_ABS_ERROR = 1e-12, and for each point its own cutoff,
+N = max(ceil(|Im s|/2), r) direct terms. r is the smallest rung of the
+ladder 12, 25, 50 whose a-priori tail bound meets half the target at that
+|Im s| anywhere in -1/2 <= Re s <= 10.5; the rung edges are derived at
+import from the Bernoulli coefficients (_rung_edges): 12 terms up to
+|Im s| ~ 13, 25 up to ~ 37, and 50 above, where N is max(50, ceil(|Im s|/2)).
+A point whose own bound misses the target is redone at twice its N, at
+most twice, and then AccuracyError is raised. That target bounds
+truncation only, of the Euler-Maclaurin series and of
 the Taylor jets. The rounding of the pointwise direct terms' phases is not
 bounded: on the critical line it adds up to 1.1e-12 at t ~ 1000 and
 4.5e-12 at t ~ 2500, against mpmath. The Taylor jets form their phases
@@ -44,6 +49,7 @@ their caller builds.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -246,31 +252,107 @@ def gamma(s) -> complex:
     return cmath.exp(lg)
 
 
-def _hurwitz_em_array(s: np.ndarray, a: float, jets=None) -> np.ndarray:
-    """Euler-Maclaurin Hurwitz zeta on an array of s with a shared cutoff.
+# The cutoff ladder at small |Im s|, rungs halving from 50, and the largest
+# Re s of the region it is sized for: every small-|Im| caller, the
+# translated sums' arguments at Re w ~ 10.4 included. At these rungs the
+# region's worst point is Re s = -1/2.
+_RUNGS = (12, 25, 50)
+_RUNG_RE = 10.5
 
-    Starts from N = max(50, ceil(|Im s|/2)), with the largest |Im s| of
-    the call, and doubles N, at most twice, while the tail bound misses
-    _TARGET_ABS_ERROR; negative Re s at large |Im s| needs the headroom.
-    Raises AccuracyError if the bound still misses it, and DomainError for
-    |Im s| above _IM_LIMIT or not a number.
-    jets: None, or TaylorJets, whose top sets the cutoff of every read of
-    them (see _hurwitz_em_once).
+
+def _rung_edges(rungs):
+    """For each cutoff in rungs, the largest |Im s| at which its a-priori
+    tail bound meets half of _TARGET_ABS_ERROR, by bisection.
+
+    The bound is the kernel's own, |B_2nu+2/(2nu+2)!| |s (s+1) ... (s+2nu)|
+    b^(-sigma-2nu-1) |s+2nu+1|/(sigma+2nu+1), with b = N + a >= N and each
+    |s + j| <= |s| + j, at the worst point of -1/2 <= sigma <= _RUNG_RE for
+    the given |Im s|: every entry there meets the half target in one pass.
+    """
+    sigma = np.arange(-0.5, _RUNG_RE + 0.25, 0.5)[:, None]  # sigma x rungs
+    edge = 2.0 * _EM_K[-1] - 1.0  # 2 nu + 1
+    j = np.arange(edge)
+    b = np.asarray(rungs, dtype=float)
+    log_b = np.log(b)
+    log_target = math.log(_TARGET_ABS_ERROR / 2.0) - math.log(abs(_EM_COEFF[-1]))
+
+    def meets(t):
+        log_bound = (
+            np.log(np.hypot(sigma, t)[..., None] + j).sum(axis=-1)
+            - (sigma + edge) * log_b
+            + np.log(np.hypot(sigma + edge, t) / (sigma + edge))
+        )
+        return log_bound.max(axis=0) <= log_target
+
+    low, high = np.zeros(b.size), 4.0 * b
+    for _ in range(50):
+        mid = 0.5 * (low + high)
+        ok = meets(mid)
+        low, high = np.where(ok, mid, low), np.where(ok, high, mid)
+    return low
+
+
+# The edges of every rung but the top one: 13.2 for 12 terms, 37.0 for 25.
+_RUNG_EDGES = tuple(_rung_edges(_RUNGS[:-1]).tolist())
+
+
+def _cutoff(t: float) -> int:
+    """The direct-sum cutoff N = max(ceil(t/2), rung) at |Im s| = t."""
+    return max(math.ceil(t / 2.0), _RUNGS[bisect.bisect_left(_RUNG_EDGES, t)])
+
+
+def _cutoffs(t: np.ndarray) -> np.ndarray:
+    """_cutoff of every entry of t."""
+    rung = np.take(_RUNGS, np.searchsorted(_RUNG_EDGES, t))
+    return np.maximum(np.ceil(t / 2.0), rung).astype(int)
+
+
+def _hurwitz_em_array(s: np.ndarray, a: float, jets=None) -> np.ndarray:
+    """Euler-Maclaurin Hurwitz zeta on an array of s, each entry at its own
+    cutoff.
+
+    An entry of |Im s| = t takes N = max(ceil(t/2), rung) direct terms
+    (_cutoff), a function of t alone: a call groups its entries by N and
+    makes one pass per group, so every value is the same bitwise in any
+    batch. Above |Im s| ~ 37 the rung is 50, and N = max(50, ceil(t/2)).
+    An entry whose own tail bound misses _TARGET_ABS_ERROR is redone at
+    twice its N, at most twice (negative Re s at large |Im s| needs the
+    headroom); then AccuracyError. DomainError for |Im s| above _IM_LIMIT
+    or not a number.
+    jets: None, or TaylorJets, whose reads all take the cutoff of the jets'
+    top (see _hurwitz_em_once).
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    im_max = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
+    t = np.abs(flat.imag)
+    im_max = float(t.max(initial=0.0))
     if jets is not None:
-        im_max = max(im_max, jets.top)  # one cutoff for every read of the jets
+        im_max = max(im_max, jets.top)
     if not im_max <= _IM_LIMIT:
         raise DomainError(f"|Im s| must be at most {_IM_LIMIT:g}, got {im_max!r}")
-    n_direct = max(50, math.ceil(im_max / 2.0))
-    for _ in range(3):
-        total, bound = _hurwitz_em_once(flat, a, n_direct, jets)
-        if bound <= _TARGET_ABS_ERROR:
-            return total.reshape(s.shape)
-        n_direct *= 2
-    raise AccuracyError("Euler-Maclaurin tail bound exceeds target accuracy")
+    # N rises with t: a call whose lowest and highest entries share it is one group
+    n_direct = _cutoff(im_max)
+    if jets is not None or n_direct == _cutoff(float(t.min(initial=im_max))):
+        return _em_retried(flat, a, n_direct, jets).reshape(s.shape)
+    cutoffs = _cutoffs(t)
+    order = np.argsort(cutoffs, kind="stable")
+    total = np.empty_like(flat)
+    for group in np.split(order, np.flatnonzero(np.diff(cutoffs[order])) + 1):
+        total[group] = _em_retried(flat[group], a, int(cutoffs[group[0]]), jets)
+    return total.reshape(s.shape)
+
+
+def _em_retried(flat, a, n_direct, jets, retries=2):
+    """_hurwitz_em_once's values; the entries whose tail bound misses
+    _TARGET_ABS_ERROR are redone at twice the cutoff, at most retries times."""
+    total, bound = _hurwitz_em_once(flat, a, n_direct, jets)
+    if bound.max(initial=0.0) <= _TARGET_ABS_ERROR:
+        return total
+    if not retries:
+        raise AccuracyError("Euler-Maclaurin tail bound exceeds target accuracy")
+    miss = ~(bound <= _TARGET_ABS_ERROR)  # a nan bound misses
+    total[miss] = _em_retried(flat[miss], a, 2 * n_direct, jets, retries - 1)
+    return total
 
 
 # Largest temporary of the pointwise direct sum.
@@ -434,7 +516,7 @@ def _direct_phases(t, log_n, out):
 
 
 def _hurwitz_em_once(flat, a, n_direct, jets=None):
-    """Euler-Maclaurin sum at cutoff n_direct: (values, tail bound).
+    """Euler-Maclaurin sum at cutoff n_direct: (values, tail bound of each).
 
     The direct terms (n+a)^(-s), n < N, are summed pointwise when jets is
     None, each as the real magnitude exp(-Re s log(n+a)), numpy's SIMD
@@ -507,8 +589,7 @@ def _hurwitz_em_once(flat, a, n_direct, jets=None):
     # tail bound: first omitted term times |s+2nu+1|/(sigma+2nu+1)
     edge = 2.0 * _EM_K[-1] - 1.0  # 2 nu + 1
     ratio = np.abs(flat + edge) / np.maximum(flat.real + edge, 1.0)
-    bound = float(np.max(omitted * ratio, initial=0.0)) + truncation
-    return total, bound
+    return total, omitted * ratio + truncation
 
 
 def riemann_zeta(s) -> complex:
@@ -593,7 +674,10 @@ def _near(s: np.ndarray, points, tol: float) -> np.ndarray:
 
 
 def _split(s: np.ndarray, mask: np.ndarray, on, off) -> np.ndarray:
-    """on(s[mask]) merged with off(s[~mask]); neither runs without entries."""
+    """on(s[mask]) merged with off(s[~mask]); neither runs without entries
+    (L4's two branches call each other)."""
+    if not s.size:
+        return np.empty(s.shape, dtype=complex)
     if not mask.any():
         return off(s)
     out = np.empty(s.shape, dtype=complex)

@@ -3,6 +3,7 @@ their symmetries, and the additive linkage identities."""
 
 import cmath
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -264,7 +265,7 @@ def test_direct_sum_is_bitwise_in_any_batch(rng):
         alone = _hurwitz_em_once(w, a, 600)[0]
         assert alone.tobytes() == _hurwitz_em_once(mixed, a, 600)[0][20:32].tobytes(), a
     values, bound = _hurwitz_em_once(np.zeros(0, dtype=complex), 1.0, 50)
-    assert values.shape == (0,) and bound == 0.0
+    assert values.shape == bound.shape == (0,)
     # Im s = +-0: one shared row of zero phases, the same sum on both sides,
     # alone, together and among other ordinates, with a +0 imaginary part
     axis = np.array([2.0, 0.75, complex(2.0, -0.0), complex(0.75, -0.0)])
@@ -293,6 +294,91 @@ def test_shared_ordinate_sums_match_mpmath(t):
             with mpmath.workdps(30):
                 exact = [complex(mpmath.zeta(mpmath.mpc(z.real, z.imag), a)) for z in w]
             assert np.max(np.abs(got - exact)) <= _STENCIL_BOUNDS[t], (a, w[0])
+
+
+# mixed heights: each ordinate drawn below 40, where the cutoff rungs
+# change, or anywhere to 2520; Re s in the rungs' reference region
+_mixed_points = st.lists(
+    st.builds(
+        complex,
+        st.floats(-0.5, 10.0),
+        st.one_of(st.floats(-40.0, 40.0), st.floats(-2520.0, 2520.0)),
+    ),
+    min_size=2,
+    max_size=16,
+)
+
+
+def _bitwise_alone(values, func, pts):
+    """Entries of values whose bytes differ from func at that one point."""
+    return [i for i in range(pts.size) if values[i : i + 1].tobytes() != func(pts[i : i + 1]).tobytes()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_points)
+def test_every_value_is_bitwise_in_any_batch(pts):
+    # each entry takes the cutoff of its own |Im s|, and retries on its own
+    # tail bound, so no value depends on the other points of its call; the
+    # points stay clear of every pole and removable point, all in {0, 1/2, 1}
+    s = np.array([p for p in pts if min(abs(p), abs(p - 0.5), abs(p - 1.0)) > 1e-3])
+    for a in (1.0, 0.25, 0.75):
+        func = partial(_hurwitz_em_array, a=a)
+        assert _bitwise_alone(func(s), func, s) == [], a
+    assert _bitwise_alone(log_xi1(s), log_xi1, s) == []
+    # higher up the completed functions underflow to 0, which proves nothing
+    low = s[np.abs(s.imag) <= 40.0]
+    for f in FunctionId:
+        func = partial(evaluate, f)
+        assert _bitwise_alone(func(low), func, low) == [], f
+
+
+def _em_passes(s, a):
+    """(cutoff, entries) of every _hurwitz_em_once call one kernel call makes."""
+    calls = []
+
+    def spy(flat, a, n_direct, jets=None):
+        calls.append((n_direct, flat.size))
+        return _hurwitz_em_once(flat, a, n_direct, jets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_hurwitz_em_once", spy)
+        _hurwitz_em_array(s, a)
+    return calls
+
+
+def test_cutoffs_meet_the_tail_target_in_one_pass():
+    # a grid to |Im s| = 200 with every rung edge and the points just above
+    # it, over the rungs' reference region, where the rungs meet the target
+    # in one pass, and so does max(50, ceil(|Im s|/2)) at Re s >= 0 (not at
+    # Re s < 0 above |Im s| ~ 95, which the per-entry retry serves)
+    t = np.concatenate((np.arange(0.0, 200.0, 0.25), special._RUNG_EDGES, np.nextafter(special._RUNG_EDGES, 99.0)))
+    cutoffs = special._cutoffs(t)
+    assert cutoffs.tolist() == [special._cutoff(x) for x in t]
+    assert set(cutoffs[t <= 40.0]) == set(special._RUNGS)
+    s = (np.arange(-0.5, special._RUNG_RE + 0.25, 0.5)[:, None] + 1j * t).ravel()
+    s = s[(s != 1.0) & ((s.real >= 0.0) | (s.imag <= 90.0))]
+    for a in (1.0, 0.25, 0.75):
+        passes = _em_passes(s, a)
+        assert sorted(n for n, _ in passes) == sorted(set(cutoffs)), a
+        assert sum(size for _, size in passes) == s.size, a
+    # a retry redoes only the entries whose own bound missed, at twice N
+    assert _em_passes(np.array([-0.5 + 150j, 2.0 + 150j, 2.0 - 150j]), 1.0) == [(75, 3), (150, 1)]
+
+
+# The parent kernel's worst error over 60 seeded points per a, Re s in
+# [-1/2, 10] and |Im s| <= 20, at N = 50, relative to max(1, |zeta|)
+# (zeta(s, 1/4) reaches 8.6e5 at Re s = 10), rounded up
+_SMALL_S_BOUNDS = {1.0: 1.6e-14, 0.25: 6.3e-14, 0.75: 8.1e-14}
+
+
+@pytest.mark.parametrize("a", sorted(_SMALL_S_BOUNDS))
+def test_small_s_matches_mpmath(a):
+    rng = np.random.default_rng([20, int(4 * a)])
+    s = rng.uniform(-0.5, 10.0, 60) + 1j * rng.uniform(-20.0, 20.0, 60)
+    with mpmath.workdps(30):
+        exact = np.array([complex(mpmath.zeta(mpmath.mpc(z.real, z.imag), a)) for z in s])
+    err = np.abs(_hurwitz_em_array(s, a) - exact) / np.maximum(1.0, np.abs(exact))
+    assert np.max(err) <= _SMALL_S_BOUNDS[a]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +481,8 @@ def test_array_evaluation_keeps_shape():
     values = evaluate(FunctionId.T_MINUS_TILDE, s)
     assert values.shape == (2, 2)
     assert values[1, 1] == evaluate(FunctionId.T_MINUS_TILDE, 0.5)
+    for f in FunctionId:  # L4's branches, which call each other, run on no entries
+        assert evaluate(f, np.zeros(0, dtype=complex)).shape == (0,), f
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +654,8 @@ def test_jets_read_beyond_their_radius_rebuild_or_raise(monkeypatch):
     # the direct sum adds its truncation bound to the tail bound
     w = 0.5 + 1j * far
     tail = _hurwitz_em_once(w, 1.0, 51)[1]
-    assert tail < _hurwitz_em_once(w, 1.0, 51, jets)[1] <= tail + special._JET_SHARE
+    with_jets = _hurwitz_em_once(w, 1.0, 51, jets)[1]
+    assert np.all(tail < with_jets) and np.all(with_jets <= tail + special._JET_SHARE)
     # a read that no jet of at most _JET_TERMS terms reaches raises
     with pytest.raises(AccuracyError):
         spec.line(centres + 5.0, jets)
