@@ -30,7 +30,7 @@ from .special import (
 from .zeros import (
     ZeroDataset,
     count_check,
-    real_axis_zeros_tminus,
+    real_axis_zeros,
     scan_zeros,
 )
 from .datasets import cached_dataset, load_dataset, save_dataset

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import click
 
@@ -58,20 +58,19 @@ _MAX_ORDER = sr._RESOLUTION - 1
 _MAX_T = 1e4
 
 
-def _parse_range(text: str) -> List[int]:
-    """Parse "3..6" or "4" into an inclusive integer list."""
+def _parse_range(text: str, number=int) -> Tuple:
+    """(lo, hi) from "lo..hi", both finite: integers with lo <= hi, where
+    "lo" alone stands for "lo..lo", or floats with lo < hi."""
     parts = text.split("..")
+    if number is int and len(parts) == 1:
+        parts *= 2
     try:
-        if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if lo > hi:
-                raise ValueError
-            return list(range(lo, hi + 1))
-    except ValueError:
-        pass
-    raise click.UsageError(f"cannot parse integer range {text!r}")
+        lo, hi = map(number, parts)
+    except ValueError:  # a bad number, or not two of them
+        lo = hi = math.nan
+    if not (-math.inf < lo <= hi < math.inf and (number is int or lo < hi)):
+        raise click.UsageError(f"cannot parse range {text!r}")
+    return lo, hi
 
 
 def _emit(
@@ -159,7 +158,7 @@ def zeros(f, t_max, fmt, output, precision_report):
     """Critical-line zero dataset, with the real-axis zeros of a function that has them."""
     if t_max is None:
         t_max = SPECS[f].t_max
-    ds = cached_dataset(f, t_max, None, SPECS[f].real_axis)
+    ds = cached_dataset(f, t_max, None, bool(SPECS[f].real_axis))
     extra = None
     if precision_report:
         observed, predicted = count_check(ds)
@@ -173,7 +172,8 @@ def zeros(f, t_max, fmt, output, precision_report):
 @_common()
 def sumrule(f, m_text, fmt, output, precision_report):
     """Power sums over zeros: derivative route vs zero route."""
-    m_range = _parse_range(m_text)
+    lo, hi = _parse_range(m_text)
+    m_range = list(range(lo, hi + 1))
     ds = default_dataset(f)
     table = sr.verify_sum_rule(f, ds, m_range)
     rows = [(m, float(lhs), float(rhs), float(diff)) for m, lhs, rhs, diff in table]
@@ -284,15 +284,7 @@ def interlace(pair, n_check, t0, output):
 @_common(precision=False)
 def rhscan(range_text, fmt, output):
     """Derivative zeros of V and the modulus condition over a t range."""
-    parts = range_text.split("..")
-    if len(parts) != 2:
-        raise click.UsageError(f"cannot parse range {range_text!r}")
-    try:
-        t_lo, t_hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise click.UsageError(f"cannot parse range {range_text!r}")
-    if not -math.inf < t_lo < t_hi < math.inf:
-        raise click.UsageError(f"range {range_text!r} is not finite and increasing")
+    t_lo, t_hi = _parse_range(range_text, float)
     reports = rhscan_mod.find_derivative_zeros(t_lo, t_hi)
     rows = [
         (

@@ -240,4 +240,4 @@ def cached_dataset(
 
 def default_dataset(f: FunctionId) -> ZeroDataset:
     """cached_dataset at the default height of f, with its real-axis zeros if it has them."""
-    return cached_dataset(f, SPECS[f].t_max, None, SPECS[f].real_axis)
+    return cached_dataset(f, SPECS[f].t_max, None, bool(SPECS[f].real_axis))

@@ -13,7 +13,6 @@ y^(1-s).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -299,8 +298,10 @@ def trace_unit_contour(t_center: float, n_points: int = 256) -> ContourPolyline:
     return ContourPolyline(level=1.0, points=points, closed=True)
 
 
-# Points of the scan grid of the two-term family on (0, t_hi].
+# Points of the scan grid of the two-term family on [_T0, t_hi].
 _FAMILY_GRID = 400
+# The grid's first ordinate: the lowest zero pair crosses it as y reaches y*.
+_T0 = 1e-6
 
 
 def _family_critical_line(t, y: float):
@@ -318,28 +319,18 @@ def _family_critical_line(t, y: float):
 def family_line_zeros(y: float, t_hi: float) -> List[float]:
     """Positive critical-line zero ordinates of the family up to t_hi.
 
-    The grid of _FAMILY_GRID points is geometric so that a zero descending
-    toward t = 0 (the collision point of the lowest conjugate pair) is
-    still bracketed. Raises DomainError unless y > 0 and t_hi > 1e-6 are
-    finite.
+    The grid of _FAMILY_GRID points from _T0 is geometric so that a zero
+    descending toward t = 0 (the collision point of the lowest conjugate
+    pair) is still bracketed. Raises DomainError unless y > 0 and
+    t_hi > _T0 are finite.
     """
-    if not (0.0 < y < math.inf and 1e-6 < t_hi < math.inf):
-        raise DomainError(f"need finite y > 0 and t_hi > 1e-6, got y = {y!r}, t_hi = {t_hi!r}")
-    ts = np.geomspace(1e-6, t_hi, _FAMILY_GRID)
+    if not (0.0 < y < math.inf and _T0 < t_hi < math.inf):
+        raise DomainError(f"need finite y > 0 and t_hi > {_T0:g}, got y = {y!r}, t_hi = {t_hi!r}")
+    ts = np.geomspace(_T0, t_hi, _FAMILY_GRID)
     vals = _family_critical_line(ts, y)
     i = _sign_changes(vals)
     func = lambda t: _family_critical_line(t, y)
     return [float(t) for t in _bracket_roots(func, ts[i], ts[i + 1], vals[i], vals[i + 1], 1e-8)]
-
-
-@functools.lru_cache(maxsize=1)
-def _collision_grid():
-    """(ts, phase): the grid of family_line_zeros(y, 1.5) and the y-free part
-    of _family_critical_line on it, once per process and read-only."""
-    ts = np.geomspace(1e-6, 1.5, _FAMILY_GRID)
-    phase = log_xi1(1.0 + 2j * ts).imag
-    ts.flags.writeable = phase.flags.writeable = False
-    return ts, phase
 
 
 def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
@@ -347,29 +338,23 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     xi_1(2s) y^s + xi_1(2-2s) y^(1-s) collides and leaves the critical line.
 
     For y below y* the lowest conjugate pair of zeros sits on the line at
-    +/- i t1(y) with t1 shrinking to 0 as y grows; at y* the pair collides
-    at the centre point and leaves the line. y* is found by bisection on
-    the presence of a sign change below t = 1.5 (the next zero of the
-    family stays above 2 throughout the bracket). Raises DomainError
-    unless the resolution is positive and finite; a resolution below the
-    float spacing at y* stops at adjacent doubles.
+    +/- i t1(y), with t1^2 proportional to y* - y, and at y* it collides at
+    the centre point. So it crosses the family grid's first ordinate _T0
+    at y* to within O(_T0^2): y* is the root in y of the line value
+    cos(_T0 log y + arg xi_1(1 + 2i _T0)), from one one-point log_xi1 call,
+    refined by _bracket_roots on [6, 8] to the resolution. The phase moves
+    by 3e-7 across [6, 8], so the value changes sign once. The root lies
+    within its resolution of 4 pi e^(-gamma), and within 2e-9 from 1e-4
+    down: an ulp of the phase over its slope _T0 / y in y. Raises
+    DomainError unless the resolution is positive and finite, and
+    ConvergenceError if [6, 8] does not bracket the root.
     """
     if not 0.0 < resolution < math.inf:
         raise DomainError(f"resolution must be positive and finite, got {resolution}")
-    ts, phase = _collision_grid()
-    y_lo, y_hi = 6.0, 8.0
-
-    def pair_on_line(y: float) -> bool:
-        # a sign change on the grid is a zero; no need to refine it
-        return _sign_changes(np.cos(ts * math.log(y) + phase)).size > 0
-
-    if not pair_on_line(y_lo) or pair_on_line(y_hi):
-        raise ConvergenceError(
-            f"collision not bracketed in y between {y_lo} and {y_hi}"
-        )
-    y_mid = 0.5 * (y_lo + y_hi)
-    # once the ends are adjacent doubles the midpoint is one of them
-    while y_hi - y_lo > resolution and y_lo < y_mid < y_hi:
-        y_lo, y_hi = (y_mid, y_hi) if pair_on_line(y_mid) else (y_lo, y_mid)
-        y_mid = 0.5 * (y_lo + y_hi)
-    return y_mid
+    phase = log_xi1(complex(1.0, 2.0 * _T0)).imag
+    line = lambda y: np.cos(_T0 * np.log(y) + phase)
+    ends = np.array([6.0, 8.0])
+    v_lo, v_hi = line(ends)
+    if not v_lo * v_hi < 0.0:
+        raise ConvergenceError(f"collision not bracketed in y between {ends[0]} and {ends[1]}")
+    return float(_bracket_roots(line, ends[:1], ends[1:], [v_lo], [v_hi], resolution)[0])

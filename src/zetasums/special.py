@@ -19,11 +19,11 @@ most twice, and then AccuracyError is raised. That target bounds
 truncation only, of the Euler-Maclaurin series and of
 the Taylor jets. The rounding of the pointwise direct terms' phases is not
 bounded: on the critical line it adds up to 1.1e-12 at t ~ 1000 and
-4.5e-12 at t ~ 2500, against mpmath. The Taylor jets form their phases
-in long double at anchor centres, and their critical-line zeros lie within a
-few ulp of mpmath's. Where numpy's long double is plain double (MSVC,
-macOS on arm64) the anchors round as the pointwise phases do, and the jets
-err as they do.
+4.5e-12 at t ~ 2500, against the 30-digit oracle. The Taylor jets form their
+phases in long double at anchor centres, and their critical-line zeros lie
+within a few ulp of the 30-digit oracle's. Where numpy's long double is
+plain double (MSVC, macOS on arm64) the anchors round as the pointwise
+phases do, and the jets err as they do.
 
 The Bernoulli corrections and the Lanczos sum are (terms x points) tables
 with a few whole-table operations each, in blocks of _COLUMNS points, and
@@ -38,9 +38,10 @@ centres take Taylor jets about the centres (TaylorJets), whose truncation
 bound joins the tail bound, and whose phase table comes from long-double
 anchor columns by a recurrence of one complex multiply per entry.
 
-SPECS holds one FunctionSpec row per FunctionId: the array evaluator, the
-series form and its circle radius, the default dataset, the smooth zero count
-and the critical-line form, which shares its log-form builder with the
+SPECS holds one FunctionSpec row per FunctionId: the array evaluator and
+the poles it declares, the series form and its circle radius, the default
+dataset and the brackets of its real-axis zeros, the smooth zero count and
+the critical-line form, which shares its log-form builder with the
 evaluator. Other modules read every per-function fact from that row. The
 evaluators are pure functions and keep no shared mutable state: the only
 module-level data are constant tables, and jets live in the TaylorJets
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -74,10 +75,7 @@ __all__ = [
     "critical_line_form",
     "critical_line_values",
     "laurent_check",
-    "EULER_GAMMA",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 LN_PI = math.log(math.pi)
 LN_2 = math.log(2.0)
@@ -690,7 +688,8 @@ def _split(s: np.ndarray, mask: np.ndarray, on, off) -> np.ndarray:
 def _singular(poles=(), removable=(), tol: float = 0.0, radius: float = 0.0):
     """Evaluator decorator: PoleError if an entry lies within 1e-12 of a pole;
     entries within tol of a removable point get the mean of the function over
-    8 points on a circle of the given radius, an O(radius^8) limit."""
+    8 points on a circle of the given radius, an O(radius^8) limit. The
+    evaluator keeps its poles (FunctionSpec.poles)."""
 
     def wrap(direct):
         def func(s):
@@ -704,6 +703,7 @@ def _singular(poles=(), removable=(), tol: float = 0.0, radius: float = 0.0):
 
             return _split(s, _near(s, removable, tol), limit, direct)
 
+        func.poles = tuple(poles)
         return func
 
     return wrap
@@ -866,21 +866,28 @@ class FunctionSpec:
     series: the form whose log-Taylor series about 0 gives the sum rules
         (pole-free, except xi1, which has no radius).
     radius: default Taylor circle radius, inside the nearest zero.
-    t_max, real_axis: height of the default zero dataset, and whether it
-        carries the real-axis zeros.
+    t_max: height of the default zero dataset.
+    real_axis: one (a, b) bracket per real-axis zero, each refined on the
+        series form (zeros.real_axis_zeros); the default dataset carries
+        them.
     zeros: smooth zero count and density, for the density-model tails.
     line: real critical-line form r(t) on a float array (critical_line_form),
         read pointwise or, given TaylorJets about ordinates t, on the jets
         (critical_line_values).
+    poles: the poles _singular declared on the evaluator.
     """
 
     evaluator: Callable
     series: FunctionId
     radius: Optional[float] = None
     t_max: Optional[float] = None
-    real_axis: bool = False
+    real_axis: Tuple[Tuple[float, float], ...] = ()
     zeros: Optional[ZeroCount] = None
     line: Optional[Callable] = None
+
+    @property
+    def poles(self) -> Tuple[float, ...]:
+        return getattr(self.evaluator, "poles", ())
 
 
 _XI_ZEROS = ZeroCount(2.0 * math.pi, 2.0 * math.pi, 7.0 / 8.0)
@@ -896,7 +903,7 @@ SPECS = {
         _t_plus, FunctionId.T_PLUS_TILDE, t_max=1000.0, zeros=_T_ZEROS, line=_t_line
     ),
     FunctionId.T_MINUS: FunctionSpec(
-        _t_minus, FunctionId.T_MINUS_TILDE, t_max=1000.0, real_axis=True,
+        _t_minus, FunctionId.T_MINUS_TILDE, t_max=1000.0, real_axis=((3.5, 4.3), (-3.3, -2.5)),
         zeros=_T_ZEROS, line=partial(_t_line, take_imag=True),
     ),
     FunctionId.T_PLUS_TILDE: FunctionSpec(
@@ -964,15 +971,16 @@ def critical_line_form(f: FunctionId, t: float) -> float:
 
 
 def laurent_check(f: FunctionId, pole):
-    """(residue, constant term) at a simple pole, by averaging over 64 points
-    on a circle of radius 1e-2 about it."""
+    """(residue, constant term) at a simple pole declared by f's evaluator
+    (FunctionSpec.poles), by averaging over 64 points on a circle of radius
+    1e-2 about it. Raises DomainError at any other point."""
     f = FunctionId(f)
     pole = complex(pole)
-    if f != FunctionId.T_PLUS or min(abs(pole), abs(pole - 1.0)) > 1e-12:
-        raise DomainError("laurent_check supports T_plus at poles 0 and 1 only")
+    if not any(abs(pole - p) <= 1e-12 for p in SPECS[f].poles):
+        raise DomainError(f"{f.value} has no declared pole at s={pole}")
     theta = 2.0 * math.pi * np.arange(64) / 64
     ring = 1e-2 * np.exp(1j * theta)
-    vals = _t_plus(pole + ring)
+    vals = SPECS[f].evaluator(pole + ring)
     residue = np.mean(vals * ring)
     constant = np.mean(vals)
     return float(residue.real), float(constant.real)

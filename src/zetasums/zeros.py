@@ -114,7 +114,8 @@ def _bracket_roots(func, a, b, fa, fb, tol: float, guess=None, spread: float = 0
     a_pos = va > 0.0  # the sign of func at the a end of each bracket
     kept = np.zeros(a.shape, dtype=int)  # end the last step kept: -1 a, 1 b
     width = float(np.max(b - a, initial=tol))
-    for step in range(max(math.ceil(math.log2(width / tol)), 0)):
+    # two logs: width / tol overflows for a subnormal tol
+    for step in range(max(math.ceil(math.log2(width) - math.log2(tol)), 0)):
         live = np.nonzero(np.isnan(roots) & (b - a > tol))[0]
         if live.size == 0:
             break
@@ -183,7 +184,7 @@ def scan_zeros(
     at the root of the inverse cubic through the grid values either side
     of its cell (_inverse_cubic) and _SPREAD about it, and each ordinate
     is the regula falsi point of its closed bracket: on the jets'
-    long-double phases, xi's lie within a few ulp of mpmath.zetazero. The
+    long-double phases, xi's lie within a few ulp of the 30-digit oracle. The
     carried point keeps the value read on the chunk before's jets. Jet
     reads agree with pointwise ones at rounding level, so the ordinates
     are those of a scan with a pointwise grid within the bracket width;
@@ -202,8 +203,8 @@ def scan_zeros(
         raise DomainError("grid_step must be positive")
     i_lo = math.ceil(t_lo / grid_step - 1e-9)
     i_hi = math.floor(t_hi / grid_step + 1e-9)
-    if f == FunctionId.T_MINUS:
-        i_lo = max(i_lo, 1)  # pole of T_minus at t=0
+    if 0.5 in SPECS[f].poles:
+        i_lo = max(i_lo, 1)  # the line's t = 0 is a pole
     roots: List[np.ndarray] = []
     prev_t = prev_v = None
     for start in range(i_lo, i_hi + 1, _CHUNK):
@@ -251,30 +252,31 @@ def count_check(ds: ZeroDataset) -> Tuple[int, float]:
     return observed, predicted
 
 
-def _tminus_real(x: np.ndarray) -> np.ndarray:
-    return evaluate(FunctionId.T_MINUS_TILDE, x).real
+def real_axis_zeros(f: FunctionId) -> np.ndarray:
+    """The real-axis zeros of f, one per bracket of its SPECS row, in the
+    row's order: for T_minus, [3.91231..., -2.91231...].
 
-
-def real_axis_zeros_tminus() -> np.ndarray:
-    """The two real-axis zeros of T_minus, [3.91231..., -2.91231...].
-
-    Located on the pole-free modified form (same zeros away from the poles),
-    which is real on the real axis.
+    Refined to 1e-11 on the row's series form, which has the same zeros
+    away from the poles and is real on the real axis. Raises DomainError
+    for a function whose row has no real-axis zeros.
     """
-    a, b = np.array([3.5, -3.3]), np.array([4.3, -2.5])
-    ends = _tminus_real(np.concatenate((a, b)))
-    return _bracket_roots(_tminus_real, a, b, ends[:2], ends[2:], 1e-11)
+    f = FunctionId(f)
+    spec = SPECS[f]
+    if not spec.real_axis:
+        raise DomainError(f"{f.value} has no real-axis zeros")
+    a, b = np.array(spec.real_axis).T
+    series = lambda x: evaluate(spec.series, x).real
+    ends = series(np.concatenate((a, b)))
+    return _bracket_roots(series, a, b, ends[: a.size], ends[a.size :], 1e-11)
 
 
 def with_real_axis_records(ds: ZeroDataset) -> ZeroDataset:
-    """Copy of a T_minus dataset with its two real-axis zeros, which replace any it had.
+    """Copy of a dataset with its function's real-axis zeros, which replace any it had.
 
     Raises DomainError for a function whose SPECS row has no real-axis zeros.
     """
-    if not SPECS[ds.function].real_axis:
-        raise DomainError(f"{ds.function.value} has no real-axis zeros")
     return replace(
         ds,
-        real=real_axis_zeros_tminus(),
+        real=real_axis_zeros(ds.function),
         generator_metadata=ds.generator_metadata + " + real-axis zeros",
     )

@@ -41,7 +41,7 @@ from zetasums.translate import (
     translation_window_search,
     xi_halfshift_ordinates,
 )
-from zetasums.zeros import real_axis_zeros_tminus
+from zetasums.zeros import real_axis_zeros
 
 
 def assert_printed(value: float, printed: str) -> None:
@@ -203,7 +203,7 @@ def test_criterion_10_symmetric_constants(sig_der):
 
 
 def test_criterion_11_real_zeros():
-    xs = sorted(real_axis_zeros_tminus())
+    xs = sorted(real_axis_zeros(FunctionId.T_MINUS))
     assert xs[1] == pytest.approx(3.91231, abs=1e-5)
     assert xs[0] == pytest.approx(-2.91231, abs=1e-5)
     assert xs[0] + xs[1] == pytest.approx(1.0, abs=1e-9)

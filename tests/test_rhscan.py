@@ -232,10 +232,20 @@ def test_family_line_zeros_match_scalar_grid(y):
     assert len(expected) == (1 if y < 7.0555 else 0)  # the pair collides at y* ~ 7.0555
 
 
-@pytest.mark.parametrize("resolution, expected", [(1e-3, 7.05517578125), (1e-4, 7.055511474609375)])
-def test_y_star_unchanged(resolution, expected):
-    # the values of the search that refined every grid zero before testing for one
-    assert lagarias_suzuki_y_star(resolution) == expected
+Y_STAR = 4.0 * math.pi * math.exp(-np.euler_gamma)  # 7.055507955448182
+
+
+@pytest.mark.parametrize("resolution", [1e-2, 1e-3, 1e-4])
+def test_y_star_within_its_resolution(resolution):
+    assert abs(lagarias_suzuki_y_star(resolution) - Y_STAR) <= resolution
+
+
+@pytest.mark.parametrize("resolution", [1e-8, 1e-12])
+def test_y_star_to_the_rounding_of_its_phase(resolution):
+    # arg xi_1(1 + 2e-6 i) errs by 1.3e-16, which moves the root in y by
+    # 8.9e-10, and the cosine's argument rounds by up to 1.1e-16 more;
+    # 1.13e-9 and 5.4e-10 measured
+    assert abs(lagarias_suzuki_y_star(resolution) - Y_STAR) <= 2e-9
 
 
 @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
@@ -251,22 +261,18 @@ def test_y_star_refuses_a_bad_resolution(resolution, monkeypatch):
 
 
 def test_y_star_evaluates_xi1_once(monkeypatch):
-    # the family's y-free phase is computed once per process, not at every
-    # bisection step or every search, and no caller can write to it
+    # one one-point log_xi1 call per search, at the family grid's first
+    # ordinate, and no cache: a second search calls it again
     calls = []
 
     def spy(w):
-        calls.append(np.size(w))
+        calls.append(np.asarray(w).tolist())
         return log_xi1(w)
 
     monkeypatch.setattr(rhscan, "log_xi1", spy)
-    rhscan._collision_grid.cache_clear()
     lagarias_suzuki_y_star(1e-4)
     lagarias_suzuki_y_star(1e-3)
-    assert calls == [rhscan._FAMILY_GRID]  # one call, on the whole grid
-    ts, phase = rhscan._collision_grid()
-    assert not ts.flags.writeable and not phase.flags.writeable
-    assert phase.tobytes() == log_xi1(1.0 + 2j * ts).imag.tobytes()
+    assert calls == [complex(1.0, 2.0 * rhscan._T0)] * 2
 
 
 @pytest.mark.parametrize(
@@ -282,9 +288,11 @@ def test_family_line_zeros_refuses_bad_arguments(y, t_hi):
 
 
 def test_y_star_below_the_float_spacing_returns():
-    # past adjacent doubles the midpoint equals an end; the loop used to spin there
-    y = lagarias_suzuki_y_star(1e-20)
-    assert abs(y - 4.0 * math.pi * math.exp(-np.euler_gamma)) <= 1e-9
+    # past adjacent doubles the midpoint equals an end; a bisection used to
+    # spin there. A subnormal resolution must not overflow the solver's
+    # step count (width / tol is inf)
+    for resolution in (1e-20, 5e-324):
+        assert abs(lagarias_suzuki_y_star(resolution) - Y_STAR) <= 1e-9
 
 
 def test_derivative_zero_bounds_must_be_finite():

@@ -421,6 +421,34 @@ def test_laurent_check_t_plus():
     assert residue == pytest.approx(0.125, abs=1e-8)
 
 
+# xi_1 has residues -1 and 1 at 0 and 1; T+- = (xi_1(2s) +- xi_1(2s - 1))/4
+# halve them, and at 1/2 both terms of T_minus add 1/8
+_RESIDUES = {
+    (FunctionId.XI1, 0.0): -1.0,
+    (FunctionId.XI1, 1.0): 1.0,
+    (FunctionId.T_PLUS, 0.0): -0.125,
+    (FunctionId.T_PLUS, 1.0): 0.125,
+    (FunctionId.T_MINUS, 0.0): -0.125,
+    (FunctionId.T_MINUS, 0.5): 0.25,
+    (FunctionId.T_MINUS, 1.0): -0.125,
+}
+
+
+def test_laurent_check_at_every_declared_pole():
+    assert {(f, p) for f, row in SPECS.items() for p in row.poles} == set(_RESIDUES)
+    for (f, pole), residue in _RESIDUES.items():
+        assert laurent_check(f, pole)[0] == pytest.approx(residue, abs=1e-14), (f, pole)
+
+
+@pytest.mark.parametrize(
+    "f, point",
+    [(FunctionId.XI, 0.0), (FunctionId.XI, 1.0), (FunctionId.T_PLUS, 0.5), (FunctionId.T_MINUS, 2.0)],
+)
+def test_laurent_check_refuses_a_point_that_is_no_declared_pole(f, point):
+    with pytest.raises(DomainError):
+        laurent_check(f, point)
+
+
 def test_completed_zeta_normalisation():
     # the pole structure of T_plus fixes the normalisation of xi_1
     r0, _ = laurent_check(FunctionId.T_PLUS, 0.0)

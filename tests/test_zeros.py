@@ -1,5 +1,6 @@
 """Zero finder: scanning, refinement, counts, and real-axis zeros."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -13,7 +14,7 @@ from zetasums.datasets import CRITICAL_LINE, REAL_AXIS, dataset_rows
 from zetasums.zeros import (
     _bracket_roots,
     count_check,
-    real_axis_zeros_tminus,
+    real_axis_zeros,
     ZeroDataset,
     scan_zeros,
     with_real_axis_records,
@@ -162,7 +163,7 @@ def test_real_axis_zeros_are_set_not_appended():
     ds = with_real_axis_records(scan_zeros(FunctionId.T_MINUS, 0.0, 20.0))
     twice = with_real_axis_records(ds)
     assert len(twice.real_points()) == 2
-    assert twice.real_points().tolist() == real_axis_zeros_tminus().tolist()
+    assert twice.real_points().tolist() == real_axis_zeros(FunctionId.T_MINUS).tolist()
     assert twice.ordinates().tolist() == ds.ordinates().tolist()
 
 
@@ -218,7 +219,7 @@ def test_t_plus_count_to_1000(ds_tplus):
 
 
 def test_real_axis_zeros():
-    xs = real_axis_zeros_tminus()
+    xs = real_axis_zeros(FunctionId.T_MINUS)
     assert len(xs) == 2
     hi = max(xs)
     lo = min(xs)
@@ -230,6 +231,15 @@ def test_real_axis_zeros():
 def test_real_axis_records_present(ds_tminus):
     ra = [r for r in dataset_rows(ds_tminus) if r[2] == REAL_AXIS]
     assert len(ra) == 2
+
+
+def test_real_axis_zeros_read_the_brackets_of_the_row(ds_tminus, monkeypatch):
+    # a row with one bracket gives that one zero, bitwise the default set's
+    row = special.SPECS[FunctionId.T_MINUS]
+    monkeypatch.setitem(special.SPECS, FunctionId.T_MINUS, dataclasses.replace(row, real_axis=row.real_axis[1:]))
+    assert real_axis_zeros(FunctionId.T_MINUS).tobytes() == ds_tminus.real[1:].tobytes()
+    with pytest.raises(DomainError):
+        real_axis_zeros(FunctionId.XI)
 
 
 @pytest.mark.parametrize("lo", [12.0, 997.0, 2498.0])
