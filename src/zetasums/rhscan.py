@@ -182,15 +182,15 @@ def _merged_triplets(t_lo: float, t_hi: float):
 def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     """Zeros of V' near the critical line, one per merged-sequence triplet.
 
-    Each consecutive triplet of the interlaced T_plus / T_minus ordinate
-    sequence anchors one derivative zero, found by damped Newton seeded at
-    the triplet centroid pushed 0.15 right of the critical line; further
-    seeds right of the line are tried before a NonConvergenceWarning is
-    issued (a seed left of the line would only mirror one of them). Each
-    search stays within 20 in Im of its seed and makes one log_xi1 call, on
-    12 points, per line-search trial, which gives V' and V'' together; each
-    report adds one 2-point call for |V(s_d)|. Raises DomainError unless
-    t_lo < t_hi are finite.
+    One search, then one report step. Each consecutive triplet of the
+    interlaced T_plus / T_minus ordinate sequence seeds damped Newton at its
+    centroid 0.15, then 0.3, 0.6 and 0.05 right of the critical line, and
+    keeps its first zero within 1.5 spans in Im, 1 of the line and
+    [t_lo, t_hi]: one log_xi1 call, on 12 points, per line-search trial.
+    The report step reads one |centroid - Im s_d| table: each distinct zero,
+    in order of Im, goes under its nearest triplet, with a 2-point call for
+    |V(s_d)|; then each triplet that no zero came within 1.5 spans of warns
+    NonConvergenceWarning. Raises DomainError unless t_lo < t_hi are finite.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
         raise DomainError(f"scan bounds must be finite with t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -198,11 +198,10 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     if not triplets:
         return []
     centroids = np.array([trio[3] for trio in triplets])
-    # Pool of distinct derivative zeros; a zero and its reflection
-    # 1 - conj(s_d) are the same object, keyed by the off-line distance.
-    pool: dict = {}
-    for ordinals, kind, ts, centroid_t in triplets:
-        span = ts[2] - ts[0]
+    spans = np.array([ts[2] - ts[0] for _, _, ts, _ in triplets])
+    # a zero and its reflection 1 - conj(s_d) are one, keyed by the off-line distance
+    found: dict = {}
+    for centroid_t, span in zip(centroids, spans):
         # V(1 - conj s) = -conj V(s): Newton commutes with this reflection, which
         # keeps Im s, and every filter below is symmetric under it, so a seed
         # left of the line could only repeat the failure of its mirror image
@@ -215,25 +214,20 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
                 or not t_lo <= s_d.imag <= t_hi
             ):
                 continue
-            key = (round(abs(s_d.real - 0.5), 5), round(s_d.imag, 5))
-            if key not in pool:
-                pool[key] = s_d
+            found.setdefault((round(abs(s_d.real - 0.5), 5), round(s_d.imag, 5)), s_d)
             break
-    reports: List[TripletReport] = []
-    for s_d in pool.values():
-        ordinals, kind, ts, centroid_t = triplets[int(np.argmin(np.abs(centroids - s_d.imag)))]
+    zeros = sorted(found.values(), key=lambda s: s.imag)
+    gaps = np.abs(centroids - np.array([s.imag for s in zeros])[:, None])  # zeros x triplets
+    reports = []
+    for s_d, row in zip(zeros, gaps):
+        ordinals, kind, ts, centroid_t = triplets[int(np.argmin(row))]
         modulus = abs(v_func(s_d))
         reports.append(TripletReport(s_d, modulus, kind, ordinals, modulus > 1.0, centroid_t))
-    covered = np.array(sorted(s.imag for s in pool.values()))
-    for ordinals, kind, ts, centroid_t in triplets:
-        span = ts[2] - ts[0]
-        if not (covered.size and np.min(np.abs(covered - centroid_t)) < 1.5 * span):
-            warnings.warn(
-                f"derivative-zero search did not converge for the triplet "
-                f"near t = {centroid_t:.4f}",
-                NonConvergenceWarning,
-            )
-    reports.sort(key=lambda r: r.s_d.imag)
+    for centroid_t in centroids[~(gaps < 1.5 * spans).any(axis=0)]:
+        warnings.warn(
+            f"derivative-zero search did not converge for the triplet near t = {centroid_t:.4f}",
+            NonConvergenceWarning,
+        )
     return reports
 
 

@@ -221,9 +221,13 @@ def log_gamma(s):
     """log Gamma(s) for scalar or array complex s.
 
     Real part is accurate to ~1e-13 relative; imaginary part is defined
-    modulo 2*pi (reflection may shift branches).
+    modulo 2*pi (reflection may shift branches). PoleError at non-positive
+    integers, DomainError unless finite.
     """
     z = np.asarray(s, dtype=complex)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise DomainError(f"log_gamma needs finite points, got {z[~finite][0]}")
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty(z.shape, dtype=complex)
@@ -240,11 +244,9 @@ def log_gamma(s):
 
 
 def gamma(s) -> complex:
-    """Gamma(s); raises PoleError at non-positive integers."""
-    s = complex(s)
-    if abs(s.imag) < 1e-13 and abs(s.real - round(s.real)) < 1e-13 and round(s.real) <= 0:
-        raise PoleError(f"Gamma pole at s={s}")
-    lg = log_gamma(s)
+    """Gamma(s); PoleError at non-positive integers, DomainError unless finite,
+    as log_gamma, and AccuracyError where it overflows."""
+    lg = log_gamma(complex(s))
     if lg.real > 709.0:
         raise AccuracyError("Gamma overflows double precision at this argument")
     return cmath.exp(lg)
@@ -315,13 +317,16 @@ def _hurwitz_em_array(s: np.ndarray, a: float, jets=None) -> np.ndarray:
     batch. Above |Im s| ~ 37 the rung is 50, and N = max(50, ceil(t/2)).
     An entry whose own tail bound misses _TARGET_ABS_ERROR is redone at
     twice its N, at most twice (negative Re s at large |Im s| needs the
-    headroom); then AccuracyError. DomainError for |Im s| above _IM_LIMIT
-    or not a number.
+    headroom); then AccuracyError. DomainError for a point that is not
+    finite, checked before any arithmetic, or |Im s| above _IM_LIMIT.
     jets: None, or TaylorJets, whose reads all take the cutoff of the jets'
     top (see _hurwitz_em_once).
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise DomainError(f"zeta needs finite points, got {flat[~finite][0]}")
     t = np.abs(flat.imag)
     im_max = float(t.max(initial=0.0))
     if jets is not None:
@@ -591,22 +596,17 @@ def _hurwitz_em_once(flat, a, n_direct, jets=None):
 
 
 def riemann_zeta(s) -> complex:
-    """Riemann zeta at complex s (PoleError at s = 1, DomainError unless finite).
+    """Riemann zeta at complex s: hurwitz_zeta(s, 1) at Re s >= -1/2.
 
     Below Re s = -1/2 it continues through xi1(s) = xi1(1 - s) in logs,
-    zeta(s) = pi^(s/2) xi1(1 - s) / Gamma(s/2), at any |Im s|.
+    zeta(s) = pi^(s/2) xi1(1 - s) / Gamma(s/2), at any |Im s|, and the
+    kernel raises DomainError for a point that is not finite.
     """
     s = complex(s)
-    # before abs(s - 1): at a nan part CPython's complex abs reads a stale
-    # errno, and raises OverflowError after any earlier libm overflow
-    if not cmath.isfinite(s):
-        raise DomainError(f"riemann_zeta needs a finite point, got {s!r}")
-    if abs(s - 1.0) < 1e-300:
-        raise PoleError("zeta pole at s=1")
-    if s.real < -0.5:
-        lg, z = _xi1_log_form(np.array([s]))
-        return complex(_rgamma(np.array([s / 2.0]), lg + (s / 2.0) * LN_PI)[0] * z[0])
-    return complex(_hurwitz_em_array(np.array([s]), 1.0)[0])
+    if not s.real < -0.5:  # a nan real part too
+        return hurwitz_zeta(s, 1.0)
+    lg, z = _xi1_log_form(np.array([s]))
+    return complex(_rgamma(np.array([s / 2.0]), lg + (s / 2.0) * LN_PI)[0] * z[0])
 
 
 def hurwitz_zeta(s, a: float) -> complex:
@@ -617,14 +617,16 @@ def hurwitz_zeta(s, a: float) -> complex:
     a non-finite s.
     """
     s = complex(s)
-    if not cmath.isfinite(s):  # see riemann_zeta
-        raise DomainError(f"hurwitz_zeta needs a finite point, got {s!r}")
+    # before abs(s - 1): at a nan part CPython's complex abs reads a stale
+    # errno, and raises OverflowError after any earlier libm overflow
+    if not cmath.isfinite(s):
+        raise DomainError(f"zeta needs a finite point, got {s!r}")
     if not 0.0 < a <= 1.0:
         raise DomainError("hurwitz_zeta requires a in (0, 1]")
     if s.real < -0.5:
         raise DomainError("hurwitz_zeta requires Re s >= -1/2")
     if abs(s - 1.0) < 1e-300:
-        raise PoleError("hurwitz zeta pole at s=1")
+        raise PoleError("zeta pole at s=1")
     return complex(_hurwitz_em_array(np.array([s]), a)[0])
 
 
@@ -642,7 +644,8 @@ def _xi1_log_form(s: np.ndarray, jets=None):
     jets: None, or TaylorJets of the direct sum at w (_hurwitz_em_once).
     """
     w = np.where(s.real < 0.5, 1.0 - s, s)
-    return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, _hurwitz_em_array(w, 1.0, jets)
+    z = _hurwitz_em_array(w, 1.0, jets)  # first: it refuses a point that is not finite
+    return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, z
 
 
 def log_xi1(w):

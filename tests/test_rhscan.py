@@ -156,6 +156,29 @@ def test_derivative_zeros_pinned(ds_tplus, ds_tminus, window, s_d, modulus, ordi
     assert r.anchor_ordinals == ordinals
 
 
+@pytest.mark.parametrize(
+    "window, s_d, modulus, ordinals",
+    [
+        # both triplets' searches reach the one zero, reported once
+        ((47.5, 48.0), 0.9554994277 + 47.6380321696j, 1.2851430390, (53, 54, 55)),
+        # the zero goes under the triplet nearest to it, not the one whose search found it first
+        ((156.5, 157.0), 1.2767179800 + 156.7548947134j, 1.2242509690, (292, 293, 294)),
+        # one triplet's search fails, and its neighbour's zero covers it: no warning
+        ((106.5, 107.0), 1.0035997760 + 106.9753082207j, 1.2046581945, (173, 174, 175)),
+    ],
+    ids=["shared", "nearest", "covered"],
+)
+def test_one_report_for_two_triplets(ds_tplus, ds_tminus, window, s_d, modulus, ordinals):
+    assert len(rhscan._merged_triplets(*window)) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (r,) = find_derivative_zeros(*window)
+    assert caught == []
+    assert abs(r.s_d - s_d) <= 1e-8
+    assert r.modulus == pytest.approx(modulus, abs=1e-10)
+    assert r.anchor_ordinals == ordinals
+
+
 @pytest.mark.parametrize("window", [(124.5, 125.0), (12.0, 12.5)], ids=["124.5", "12.0"])
 def test_derivative_zeros_pinned_warning_windows(ds_tplus, ds_tminus, window):
     with warnings.catch_warnings(record=True) as caught:

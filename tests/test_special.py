@@ -149,12 +149,28 @@ def test_zeta_pole():
 
 
 @pytest.mark.parametrize("call", [riemann_zeta, lambda s: hurwitz_zeta(s, 0.25)])
-@pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(0.5, math.nan), math.inf, complex(0.5, -math.inf)])
+@pytest.mark.parametrize(
+    "s", [complex(math.nan, 0.0), complex(0.5, math.nan), math.inf, complex(0.5, -math.inf), complex(-math.inf, 3.0)]
+)
 def test_zeta_refuses_a_non_finite_point_after_a_stale_overflow(call, s):
     # an earlier libm overflow leaves errno at ERANGE; abs(s - 1) at a nan
     # part then raised OverflowError("absolute value too large")
     with pytest.raises(OverflowError):
         math.exp(1000.0)
+    with pytest.raises(DomainError):
+        call(s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [gamma, log_gamma, log_xi1, lambda s: log_gamma(np.array([1.5, s])), lambda s: log_xi1(np.array([1.5, s]))],
+    ids=["gamma", "log_gamma", "log_xi1", "log_gamma_array", "log_xi1_array"],
+)
+@pytest.mark.parametrize("s", [complex(math.nan, 1.0), math.inf, -math.inf])
+def test_kernel_entry_points_refuse_a_non_finite_point(call, s):
+    # gamma(+-inf) raised OverflowError from round() in its own pole test;
+    # log_gamma returned nan, and log_xi1 raised AccuracyError, each after a
+    # numpy RuntimeWarning, which this suite turns into an error
     with pytest.raises(DomainError):
         call(s)
 

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from zetasums import sumrules
 from zetasums.errors import AccuracyError, ConvergenceError, DomainError, RadiusError, ZetasumsError
-from zetasums.rhscan import family_line_zeros, trace_unit_contour
+from zetasums.rhscan import family_line_zeros, trace_unit_contour, u_func, v_func
 from zetasums.special import (
     SPECS,
     FunctionId,
     critical_line_values,
     evaluate,
+    gamma,
     hurwitz_zeta,
+    log_gamma,
     log_xi1,
     riemann_zeta,
 )
@@ -498,6 +500,10 @@ def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
         lambda: scan_zeros(f, t + 1.0, t),
         lambda: riemann_zeta(pts[0]),
         lambda: hurwitz_zeta(pts[0], 0.25),
+        lambda: gamma(pts[0]),
+        lambda: log_gamma(np.array(pts)),
+        lambda: u_func(np.array(pts)),
+        lambda: v_func(pts[0]),
         lambda: taylor_log_coeffs(f, K, center=pts[0]),
         lambda: taylor_log_coeffs(f, K, radius=r),
         lambda: family_line_zeros(r, t),
