@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,6 +46,22 @@ class _FloatRange(click.FloatRange):
         value = super().convert(value, param, ctx)
         if not math.isfinite(value):
             self.fail(f"{value} is not a finite number", param, ctx)
+        return value
+
+
+class _OutputPath(click.Path):
+    """click.Path for the file --output writes: not a directory, and in a
+    directory that exists, so that a bad path is refused before any
+    computation rather than when the output is opened."""
+
+    def __init__(self):
+        super().__init__(dir_okay=False, writable=True)
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        folder = os.path.dirname(os.path.abspath(value))
+        if not os.path.isdir(folder):
+            self.fail(f"directory {folder!r} does not exist", param, ctx)
         return value
 
 
@@ -122,7 +139,7 @@ def _common(table: bool = True, precision: bool = True):
                 default="csv",
                 show_default=True,
             )(fn)
-        fn = click.option("--output", type=click.Path(writable=True), default=None)(fn)
+        fn = click.option("--output", type=_OutputPath(), default=None)(fn)
         if precision:
             fn = click.option("--precision-report", is_flag=True, default=False)(fn)
         return fn

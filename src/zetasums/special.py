@@ -217,6 +217,15 @@ def _log_sin_pi(z):
     return out
 
 
+def _require_finite(z: np.ndarray, message: str) -> None:
+    """DomainError, with message and the first entry of z that is not finite,
+    unless every entry is finite. Callers check before any arithmetic on z,
+    where numpy would warn."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise DomainError(f"{message}, got {z[~finite][0]}")
+
+
 def log_gamma(s):
     """log Gamma(s) for scalar or array complex s.
 
@@ -225,9 +234,7 @@ def log_gamma(s):
     integers, DomainError unless finite.
     """
     z = np.asarray(s, dtype=complex)
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise DomainError(f"log_gamma needs finite points, got {z[~finite][0]}")
+    _require_finite(z, "log_gamma needs finite points")
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty(z.shape, dtype=complex)
@@ -324,9 +331,7 @@ def _hurwitz_em_array(s: np.ndarray, a: float, jets=None) -> np.ndarray:
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    finite = np.isfinite(flat)
-    if not finite.all():
-        raise DomainError(f"zeta needs finite points, got {flat[~finite][0]}")
+    _require_finite(flat, "zeta needs finite points")
     t = np.abs(flat.imag)
     im_max = float(t.max(initial=0.0))
     if jets is not None:
@@ -643,8 +648,9 @@ def _xi1_log_form(s: np.ndarray, jets=None):
 
     jets: None, or TaylorJets of the direct sum at w (_hurwitz_em_once).
     """
+    _require_finite(s, "zeta needs finite points")  # before the reflection: names the caller's point
     w = np.where(s.real < 0.5, 1.0 - s, s)
-    z = _hurwitz_em_array(w, 1.0, jets)  # first: it refuses a point that is not finite
+    z = _hurwitz_em_array(w, 1.0, jets)
     return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, z
 
 
@@ -933,9 +939,7 @@ def evaluate(f: FunctionId, s):
     """
     f = FunctionId(f)
     z = np.asarray(s, dtype=complex)
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise DomainError(f"{f.value} needs finite points, got {z[~finite][0]}")
+    _require_finite(z, f"{f.value} needs finite points")
     values = SPECS[f].evaluator(z.ravel())
     bad = ~np.isfinite(values)
     if bad.any():
@@ -955,9 +959,7 @@ def critical_line_values(f: FunctionId, t, jets=None):
     if SPECS[f].line is None:
         raise DomainError(f"no critical-line real form for {f}")
     t = np.asarray(t, dtype=float)
-    finite = np.isfinite(t)
-    if not finite.all():
-        raise DomainError(f"{f.value} needs finite ordinates, got {t[~finite][0]}")
+    _require_finite(t, f"{f.value} needs finite ordinates")
     out = SPECS[f].line(np.atleast_1d(t), jets)
     return float(out[0]) if t.ndim == 0 else out
 

@@ -196,6 +196,8 @@ def test_options_a_command_ignores_are_usage_errors(runner, args):
         ["translate", "--function", "tminus", "--z0=inf", "--m", "4"],
         ["interlace", "--pair", "tminus:xihalf", "--t0", "nan"],
         ["interlace", "--pair", "tminus:xihalf", "--t0", "inf"],
+        ["sumrule", "--function", "xi", "--m", "1..2", "--output", "/nonexistent/dir/x.json"],
+        ["ystar", "--output", "."],
     ],
 )
 def test_bad_options_are_usage_errors(runner, args):

@@ -140,6 +140,72 @@ def test_newton_stays_in_box(ds_tplus, ds_tminus, monkeypatch):
     assert len(seen) < 150  # 242 with separate V' and V'' calls; 2,214 unbounded
 
 
+def _newton_unbanded(seed):
+    # the search's Newton loop before the Re band, and the largest
+    # |Re s - 1/2| it tried: (result, excursion)
+    s, reach = seed, 0.0
+    g, gp = _v_derivatives(s)
+    for _ in range(40):
+        if abs(g) <= 1e-8:
+            return s, reach
+        if gp == 0:
+            return None, reach
+        step = g / gp
+        lam = 1.0
+        for _ in range(8):
+            s_new = s - lam * step
+            reach = max(reach, abs(s_new.real - 0.5))
+            if abs(s_new.imag - seed.imag) <= 20.0:
+                g_new, gp_new = _v_derivatives(s_new)
+                if abs(g_new) < abs(g):
+                    s, g, gp = s_new, g_new, gp_new
+                    break
+            lam *= 0.5
+        else:
+            return None, reach
+    return (s if abs(g) <= 1e-8 else None), reach
+
+
+def test_re_band_keeps_every_run_that_ends_near_the_line(ds_tplus, ds_tminus):
+    # a run that ends within 1 of the line, the search filter's band, is
+    # bitwise the one without the Re band: over every triplet and seed below
+    # t = 1000 none tries a point past 1.461. Any other run returns the same
+    # zero or None. The two extreme runs are pinned beside a sample
+    triplets = _merged_triplets(0.0, 999.7)
+    centroids = np.array([trio[3] for trio in triplets])
+    picks = np.random.default_rng(46).choice(len(triplets), 150, replace=False)
+    runs = [(centroids[i], off) for i in picks for off in (0.15, 0.3, 0.6, 0.05)]
+    extremes = [(868.524, 0.6, 1.461), (879.236, 0.05, 1.439)]
+    for t, off, _ in extremes:
+        runs.append((centroids[np.argmin(np.abs(centroids - t))], off))
+    kept, reaches = 0, []
+    for centroid_t, off in runs:
+        seed = complex(0.5 + off, centroid_t)
+        old, reach = _newton_unbanded(seed)
+        reaches.append(reach)
+        new = _newton_vprime(seed)
+        if old is not None and abs(old.real - 0.5) <= 1.0:
+            kept += 1
+            assert reach < rhscan._RE_BAND and new == old, (centroid_t, off, reach)
+        else:
+            assert new is None or new == old, (centroid_t, off)
+    assert kept > len(runs) // 3
+    assert reaches[-2:] == pytest.approx([reach for _, _, reach in extremes], abs=1e-3)
+
+
+def test_re_band_ends_runs_that_leave_it(ds_tplus, ds_tminus, monkeypatch):
+    # the one triplet of (300.0, 300.5) has all four seeds reach zeros of V'
+    # more than 1 from the line, three of them at Re s ~ 4.8, beyond the band.
+    # Those three now end early: 45 calls, 78 without the band
+    calls = []
+    monkeypatch.setattr(rhscan, "log_xi1", lambda w: calls.append(w) or log_xi1(w))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert find_derivative_zeros(300.0, 300.5) == []
+    assert [w.category for w in caught] == [NonConvergenceWarning]
+    assert len(calls) <= 50
+
+
 @pytest.mark.parametrize(
     "window, s_d, modulus, ordinals",
     [

@@ -3,6 +3,7 @@ their symmetries, and the additive linkage identities."""
 
 import cmath
 import math
+import re
 from functools import partial
 
 import mpmath
@@ -29,7 +30,7 @@ from zetasums.special import (
     log_xi1,
     riemann_zeta,
 )
-from zetasums.rhscan import _v_derivatives
+from zetasums.rhscan import _v_derivatives, u_func, v_func
 from zetasums.zeros import _chunk_jets, default_grid_step
 
 EULER_GAMMA = 0.5772156649015328606
@@ -163,15 +164,26 @@ def test_zeta_refuses_a_non_finite_point_after_a_stale_overflow(call, s):
 
 @pytest.mark.parametrize(
     "call",
-    [gamma, log_gamma, log_xi1, lambda s: log_gamma(np.array([1.5, s])), lambda s: log_xi1(np.array([1.5, s]))],
-    ids=["gamma", "log_gamma", "log_xi1", "log_gamma_array", "log_xi1_array"],
+    [
+        gamma,
+        log_gamma,
+        log_xi1,
+        lambda s: log_gamma(np.array([1.5, s])),
+        lambda s: log_xi1(np.array([1.5, s])),
+        riemann_zeta,
+        u_func,
+        v_func,
+    ],
+    ids=["gamma", "log_gamma", "log_xi1", "log_gamma_array", "log_xi1_array", "riemann_zeta", "u_func", "v_func"],
 )
 @pytest.mark.parametrize("s", [complex(math.nan, 1.0), math.inf, -math.inf])
 def test_kernel_entry_points_refuse_a_non_finite_point(call, s):
     # gamma(+-inf) raised OverflowError from round() in its own pole test;
     # log_gamma returned nan, and log_xi1 raised AccuracyError, each after a
-    # numpy RuntimeWarning, which this suite turns into an error
-    with pytest.raises(DomainError):
+    # numpy RuntimeWarning, which this suite turns into an error; so did
+    # u_func and v_func at +-inf, from 2s - 1. The message names the point
+    # as given: left of Re 1/2, log_xi1 and riemann_zeta named 1 - s
+    with pytest.raises(DomainError, match=re.escape(f"got {complex(s)}")):
         call(s)
 
 
