@@ -65,9 +65,8 @@ class _OutputPath(click.Path):
         return value
 
 
-# Highest Taylor order of the circle samples behind every sigma series; a
-# command that needs one more order than its option exits 1 with the
-# library's DomainError.
+# Highest Taylor order of the circle samples behind every sigma series.
+# keiper and link read one order more than --order, translate m + terms.
 _MAX_ORDER = sr._RESOLUTION - 1
 # Highest zero scan. Its cost grows about as t^2 (the Euler-Maclaurin
 # cutoff is t/2 and the grid grows with t): xi to 1e4, 10,142 zeros, takes
@@ -204,7 +203,7 @@ def sumrule(f, m_text, fmt, output, precision_report):
 
 @main.command()
 @_function_option
-@click.option("--order", type=click.IntRange(1, _MAX_ORDER), default=30, show_default=True)
+@click.option("--order", type=click.IntRange(1, _MAX_ORDER - 1), default=30, show_default=True)
 @_common()
 def keiper(f, order, fmt, output, precision_report):
     """tau and lambda coefficients from the sigma series."""
@@ -232,7 +231,7 @@ def bell(f, order, fmt, output):
 
 
 @main.command()
-@click.option("--order", type=click.IntRange(0, _MAX_ORDER), default=10, show_default=True)
+@click.option("--order", type=click.IntRange(0, _MAX_ORDER - 1), default=10, show_default=True)
 @_common()
 def link(order, fmt, output, precision_report):
     """Cross-function linkage residuals (xi vs T-tilde pair)."""
@@ -260,6 +259,8 @@ def translate(f, z0, m, terms, output):
             raise ValueError
     except ValueError:
         raise click.UsageError(f"{z0!r} is not a finite complex number")
+    if m + terms > _MAX_ORDER:
+        raise click.UsageError(f"--m plus --terms must be at most {_MAX_ORDER}, got {m + terms}")
     sig = sr.sigma_series_derivative(f, m + terms)
     via_series = tr.translated_sigma_series(sig, center, m, terms)
     via_direct = tr.translated_sigma_direct(SPECS[f].series, center, m)

@@ -165,6 +165,10 @@ def _newton_vprime(seed: complex) -> Optional[complex]:
     return s if abs(g) <= 1e-8 else None
 
 
+# Two searches that stop within _SAME of each other found one zero of V'.
+_SAME = 1e-6
+
+
 def _merged_triplets(t_lo: float, t_hi: float):
     """Consecutive triplets of the merged T_plus / T_minus ordinate sequence.
 
@@ -204,10 +208,11 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
     [t_lo, t_hi]: one log_xi1 call, on 12 points, per line-search trial.
     A run that leaves |Re s - 1/2| <= _RE_BAND ends there and counts as
     failed; below t = 1000 no run that ends within 1 of the line leaves it.
-    The report step reads one |centroid - Im s_d| table: each distinct zero,
-    in order of Im, goes under its nearest triplet, with a 2-point call for
-    |V(s_d)|; then each triplet that no zero came within 1.5 spans of warns
-    NonConvergenceWarning. Raises DomainError unless t_lo < t_hi are finite.
+    The report step reads one |centroid - Im s_d| table: each distinct zero
+    (two within _SAME are one), in order of Im, goes under its nearest
+    triplet, with a 2-point call for |V(s_d)|; then each triplet that no
+    zero came within 1.5 spans of warns NonConvergenceWarning. Raises
+    DomainError unless t_lo < t_hi are finite.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
         raise DomainError(f"scan bounds must be finite with t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -216,8 +221,7 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
         return []
     centroids = np.array([trio[3] for trio in triplets])
     spans = np.array([ts[2] - ts[0] for _, _, ts, _ in triplets])
-    # a zero and its reflection 1 - conj(s_d) are one, keyed by the off-line distance
-    found: dict = {}
+    found: List[complex] = []
     for centroid_t, span in zip(centroids, spans):
         # V(1 - conj s) = -conj V(s): Newton commutes with this reflection, which
         # keeps Im s, and every filter below is symmetric under it, so a seed
@@ -231,9 +235,12 @@ def find_derivative_zeros(t_lo: float, t_hi: float) -> List[TripletReport]:
                 or not t_lo <= s_d.imag <= t_hi
             ):
                 continue
-            found.setdefault((round(abs(s_d.real - 0.5), 5), round(s_d.imag, 5)), s_d)
+            # a zero and its reflection 1 - conj(s_d) are one: compare (|Re s - 1/2|, Im s)
+            key = complex(abs(s_d.real - 0.5), s_d.imag)
+            if all(abs(key - complex(abs(z.real - 0.5), z.imag)) > _SAME for z in found):
+                found.append(s_d)
             break
-    zeros = sorted(found.values(), key=lambda s: s.imag)
+    zeros = sorted(found, key=lambda s: s.imag)
     gaps = np.abs(centroids - np.array([s.imag for s in zeros])[:, None])  # zeros x triplets
     reports = []
     for s_d, row in zip(zeros, gaps):
@@ -352,13 +359,14 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     +/- i t1(y), with t1^2 proportional to y* - y, and at y* it collides at
     the centre point. So it crosses the family grid's first ordinate _T0
     at y* to within O(_T0^2): y* is the root in y of the line value
-    cos(_T0 log y + arg xi_1(1 + 2i _T0)), from one one-point log_xi1 call,
-    refined by _bracket_roots on [6, 8] to the resolution. The phase moves
-    by 3e-7 across [6, 8], so the value changes sign once. The root lies
-    within its resolution of 4 pi e^(-gamma), and within 2e-9 from 1e-4
-    down: an ulp of the phase over its slope _T0 / y in y. Raises
-    DomainError unless the resolution is positive and finite, and
-    ConvergenceError if [6, 8] does not bracket the root.
+    cos(_T0 log y + arg xi_1(1 + 2i _T0)), from one one-point log_xi1 call.
+    The phase moves by 3e-7 across [6, 8], so the value changes sign once,
+    at exp((-pi/2 - arg) / _T0): _bracket_roots on [6, 8] starts there and
+    closes the bracket to the resolution in one step. The root lies within
+    1e-9 of 4 pi e^(-gamma) at every resolution from 1e-3 down: an ulp of
+    the phase over its slope _T0 / y in y. Raises DomainError unless the
+    resolution is positive and finite, and ConvergenceError if [6, 8] does
+    not bracket the root.
     """
     if not 0.0 < resolution < math.inf:
         raise DomainError(f"resolution must be positive and finite, got {resolution}")
@@ -368,4 +376,6 @@ def lagarias_suzuki_y_star(resolution: float = 1e-4) -> float:
     v_lo, v_hi = line(ends)
     if not v_lo * v_hi < 0.0:
         raise ConvergenceError(f"collision not bracketed in y between {ends[0]} and {ends[1]}")
-    return float(_bracket_roots(line, ends[:1], ends[1:], [v_lo], [v_hi], resolution)[0])
+    guess = [math.exp((-0.5 * math.pi - phase) / _T0)]
+    y = _bracket_roots(line, ends[:1], ends[1:], [v_lo], [v_hi], resolution, guess, 0.5 * resolution)
+    return float(y[0])

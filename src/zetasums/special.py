@@ -324,14 +324,13 @@ def _hurwitz_em_array(s: np.ndarray, a: float, jets=None) -> np.ndarray:
     batch. Above |Im s| ~ 37 the rung is 50, and N = max(50, ceil(t/2)).
     An entry whose own tail bound misses _TARGET_ABS_ERROR is redone at
     twice its N, at most twice (negative Re s at large |Im s| needs the
-    headroom); then AccuracyError. DomainError for a point that is not
-    finite, checked before any arithmetic, or |Im s| above _IM_LIMIT.
+    headroom); then AccuracyError. DomainError for |Im s| above _IM_LIMIT;
+    every caller has checked that the points are finite.
     jets: None, or TaylorJets, whose reads all take the cutoff of the jets'
     top (see _hurwitz_em_once).
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
-    _require_finite(flat, "zeta needs finite points")
     t = np.abs(flat.imag)
     im_max = float(t.max(initial=0.0))
     if jets is not None:
@@ -604,13 +603,15 @@ def riemann_zeta(s) -> complex:
     """Riemann zeta at complex s: hurwitz_zeta(s, 1) at Re s >= -1/2.
 
     Below Re s = -1/2 it continues through xi1(s) = xi1(1 - s) in logs,
-    zeta(s) = pi^(s/2) xi1(1 - s) / Gamma(s/2), at any |Im s|, and the
-    kernel raises DomainError for a point that is not finite.
+    zeta(s) = pi^(s/2) xi1(1 - s) / Gamma(s/2), at any |Im s|. DomainError
+    for a point that is not finite.
     """
     s = complex(s)
     if not s.real < -0.5:  # a nan real part too
         return hurwitz_zeta(s, 1.0)
-    lg, z = _xi1_log_form(np.array([s]))
+    w = np.array([s])
+    _require_finite(w, "zeta needs finite points")
+    lg, z = _xi1_log_form(w)
     return complex(_rgamma(np.array([s / 2.0]), lg + (s / 2.0) * LN_PI)[0] * z[0])
 
 
@@ -647,8 +648,8 @@ def _xi1_log_form(s: np.ndarray, jets=None):
     """(log(pi^(-w/2) Gamma(w/2)), zeta(w)), so that xi1(s) = exp(log) * zeta.
 
     jets: None, or TaylorJets of the direct sum at w (_hurwitz_em_once).
+    Callers check that s is finite, so that the message names their point.
     """
-    _require_finite(s, "zeta needs finite points")  # before the reflection: names the caller's point
     w = np.where(s.real < 0.5, 1.0 - s, s)
     z = _hurwitz_em_array(w, 1.0, jets)
     return _lanczos_loggamma_right(w / 2.0) - (w / 2.0) * LN_PI, z
@@ -661,6 +662,7 @@ def log_xi1(w):
     so it is stable for arbitrarily large |Im w|. Imaginary part modulo 2*pi.
     """
     w = np.asarray(w, dtype=complex)
+    _require_finite(w, "zeta needs finite points")
     lg, z = _xi1_log_form(np.atleast_1d(w))
     out = lg + np.log(z)
     return complex(out[0]) if w.ndim == 0 else out

@@ -28,8 +28,6 @@ from .errors import AccuracyError, ConvergenceError, DomainError, RadiusError
 from .special import SPECS, FunctionId, evaluate
 from .zeros import ZeroDataset
 
-DERIVATIVE_ROUTE = "derivative_route"
-ZERO_ROUTE = "zero_route"
 # Highest Taylor order plus one: a circle has 2 * _RESOLUTION points, and the
 # upper half of its log-Fourier coefficients reads the alias check.
 _RESOLUTION = 512
@@ -54,8 +52,6 @@ class PowerSeries:
 class SigmaSeries:
     function: FunctionId
     values: np.ndarray  # sigma_1..sigma_K at indices 0..K-1
-    method: List[str]
-    zeros_used: int
 
     def sigma(self, k: int) -> complex:
         if not 1 <= k <= len(self.values):
@@ -207,7 +203,7 @@ def sigma_series_derivative(f: FunctionId, K: int) -> SigmaSeries:
     f = SPECS[FunctionId(f)].series
     ps = taylor_log_coeffs(f, K)
     vals = np.array([-m * ps.coeffs[m] for m in range(1, K + 1)])
-    return SigmaSeries(f, vals, [DERIVATIVE_ROUTE] * K, 0)
+    return SigmaSeries(f, vals)
 
 
 def verify_sum_rule(
@@ -222,30 +218,6 @@ def verify_sum_rule(
         rhs = -sigma_from_zeros(ds, m) / m
         rows.append((m, lhs, rhs, lhs - rhs))
     return rows
-
-
-def crossover_select(f: FunctionId, ds: ZeroDataset, K: int) -> Tuple[int, float]:
-    """k minimizing |derivative-route sigma_k - zero-route sigma_k|."""
-    if len(ds) == 0 or K < 1:
-        raise DomainError("crossover_select needs a nonempty dataset and K >= 1")
-    der = sigma_series_derivative(f, K)
-    diffs = [
-        abs(der.sigma(k) - sigma_from_zeros(ds, k)) for k in range(1, K + 1)
-    ]
-    k_star = int(np.argmin(diffs)) + 1
-    return k_star, float(diffs[k_star - 1])
-
-
-def sigma_series_hybrid(f: FunctionId, ds: ZeroDataset, K: int) -> SigmaSeries:
-    """Derivative route below the crossover_select order, zero route at and above."""
-    crossover, _ = crossover_select(f, ds, min(K, 12))
-    der = sigma_series_derivative(f, K)
-    vals = der.values.copy()
-    method = list(der.method)
-    for k in range(crossover, K + 1):
-        vals[k - 1] = sigma_from_zeros(ds, k)
-        method[k - 1] = ZERO_ROUTE
-    return SigmaSeries(der.function, vals, method, len(ds))
 
 
 # ---------------------------------------------------------------------------

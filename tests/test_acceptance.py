@@ -120,7 +120,7 @@ def test_criterion_05_keiper_identities(sig_der):
         (FunctionId.T_MINUS_TILDE, 1e-9),
     ):
         s = sig_der[f]
-        s30 = SigmaSeries(s.function, s.values[:30], s.method[:30], s.zeros_used)
+        s30 = SigmaSeries(s.function, s.values[:30])
         r1, r2, r3 = keiper_identity_residuals(s30)
         assert max(r1, r2, r3) <= bound, f
 

@@ -231,8 +231,10 @@ def test_derivative_zeros_pinned(ds_tplus, ds_tminus, window, s_d, modulus, ordi
         ((156.5, 157.0), 1.2767179800 + 156.7548947134j, 1.2242509690, (292, 293, 294)),
         # one triplet's search fails, and its neighbour's zero covers it: no warning
         ((106.5, 107.0), 1.0035997760 + 106.9753082207j, 1.2046581945, (173, 174, 175)),
+        # both searches stop 2.8e-8 apart, which a key rounded to 5 decimals split
+        ((828.0, 828.5), 1.2569449876 + 828.2228937649j, 1.0944641893, (2413, 2414, 2415)),
     ],
-    ids=["shared", "nearest", "covered"],
+    ids=["shared", "nearest", "covered", "apart"],
 )
 def test_one_report_for_two_triplets(ds_tplus, ds_tminus, window, s_d, modulus, ordinals):
     assert len(rhscan._merged_triplets(*window)) == 2
@@ -362,6 +364,20 @@ def test_y_star_evaluates_xi1_once(monkeypatch):
     lagarias_suzuki_y_star(1e-4)
     lagarias_suzuki_y_star(1e-3)
     assert calls == [complex(1.0, 2.0 * rhscan._T0)] * 2
+
+
+def test_y_star_closes_its_bracket_in_one_step(monkeypatch):
+    # the solver starts at the line's root in closed form, so its first step
+    # closes the bracket; the phase's rounding sets the error, 8.9e-10
+    steps = []
+    solve = rhscan._bracket_roots
+
+    def spy(func, *args):
+        return solve(lambda y: steps.append(y) or func(y), *args)
+
+    monkeypatch.setattr(rhscan, "_bracket_roots", spy)
+    assert abs(lagarias_suzuki_y_star(1e-4) - Y_STAR) <= 1e-9
+    assert len(steps) == 1
 
 
 @pytest.mark.parametrize(

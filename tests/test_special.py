@@ -173,8 +173,13 @@ def test_zeta_refuses_a_non_finite_point_after_a_stale_overflow(call, s):
         riemann_zeta,
         u_func,
         v_func,
+        lambda s: evaluate(FunctionId.XI, s),
+        lambda s: hurwitz_zeta(s, 0.25),
     ],
-    ids=["gamma", "log_gamma", "log_xi1", "log_gamma_array", "log_xi1_array", "riemann_zeta", "u_func", "v_func"],
+    ids=[
+        "gamma", "log_gamma", "log_xi1", "log_gamma_array", "log_xi1_array", "riemann_zeta", "u_func", "v_func",
+        "evaluate", "hurwitz_zeta",
+    ],
 )
 @pytest.mark.parametrize("s", [complex(math.nan, 1.0), math.inf, -math.inf])
 def test_kernel_entry_points_refuse_a_non_finite_point(call, s):

@@ -27,13 +27,11 @@ from zetasums.sumrules import (
     SigmaSeries,
     _lambda_term,
     _log_fourier,
-    crossover_select,
     inverse_square_modulus_sum,
     keiper_identity_residuals,
     quad,
     sigma_from_zeros,
     sigma_series_derivative,
-    sigma_series_hybrid,
     tau_lambda_from_sigma,
     tau_lambda_from_zeros,
     taylor_log_coeffs,
@@ -69,7 +67,7 @@ def test_tau_lambda_routes_agree_on_toy_zeros():
     K = 8
     kz = tau_lambda_from_zeros(ds, K, tail_correction=False)
     sig_vals = np.array([_toy_sigma(m) for m in range(1, K + 2)])
-    sig = SigmaSeries(FunctionId.XI, sig_vals, ["exact"] * (K + 1), 4)
+    sig = SigmaSeries(FunctionId.XI, sig_vals)
     ks = tau_lambda_from_sigma(sig, K)
     assert np.max(np.abs(kz.tau - ks.tau)) < 1e-13
     assert np.max(np.abs(kz.lam - ks.lam)) < 1e-13
@@ -282,15 +280,6 @@ def test_verify_sum_rule_small_orders(ds_xi):
         assert abs(diff) < 1e-15
 
 
-def test_crossover_and_hybrid(ds_xi):
-    k_star, gap = crossover_select(FunctionId.XI, ds_xi, 10)
-    assert 1 <= k_star <= 10
-    sig = sigma_series_hybrid(FunctionId.XI, ds_xi, 12)
-    der = sigma_series_derivative(FunctionId.XI, 12)
-    # low orders come from the derivative route
-    assert sig.sigma(1) == der.sigma(1)
-
-
 # ---------------------------------------------------------------------------
 # Keiper identities and tau/lambda at scale (full checks in acceptance)
 
@@ -489,7 +478,7 @@ _edge_point = st.one_of(
 @example(FunctionId.XI, [math.nan, 1e300], math.nan, 0, 4.0)
 def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
     sigma = np.array([_toy_sigma(m) for m in range(1, 6)])
-    toy = SigmaSeries(FunctionId.XI, sigma, ["exact"] * 5, 4)
+    toy = SigmaSeries(FunctionId.XI, sigma)
     calls = [
         lambda: evaluate(f, pts[0]),
         lambda: evaluate(f, np.array(pts)),
@@ -509,7 +498,6 @@ def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
         lambda: family_line_zeros(r, t),
         lambda: trace_unit_contour(t, n_points=K),
         lambda: verify_sum_rule(f, _toy_dataset(), range(K, K + 2)),
-        lambda: sigma_series_hybrid(f, _toy_dataset(), K),
         lambda: tau_lambda_from_sigma(toy, K),
         lambda: tau_lambda_from_zeros(_toy_dataset(), K),
         lambda: translated_sigma_series(toy, 0.0, 1, terms=K),
@@ -521,8 +509,8 @@ def test_edge_inputs_end_in_a_result_or_a_package_error(f, pts, t, K, r):
                 call()
         except ZetasumsError:
             pass
-    # no hybrid series, Keiper coefficients or translated sum below order 1
-    for call in calls[-5:]:
+    # no Keiper coefficients or translated sum below order 1
+    for call in calls[-4:]:
         if K < 1:
             with pytest.raises(DomainError):
                 call()

@@ -78,7 +78,7 @@ def test_convergence_error_when_the_terms_overflow(sig_xi):
 
 
 def _series(values):
-    return SigmaSeries(FunctionId.XI, np.asarray(values, dtype=complex), [], 0)
+    return SigmaSeries(FunctionId.XI, np.asarray(values, dtype=complex))
 
 
 def test_a_last_term_at_the_noise_floor_is_kept():
