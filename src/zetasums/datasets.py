@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .errors import CacheWarning, ChecksumError, DomainError, SchemaError
 from .special import SPECS, FunctionId
-from .zeros import ZeroDataset, scan_zeros, with_real_axis_records
+# builds scan with scan_zero_sets; scan_zeros stays importable from here
+from .zeros import ZeroDataset, scan_zero_sets, scan_zeros, with_real_axis_records  # noqa: F401
 
 # 2: the checksum covers the function and t_max as well as the rows;
 # 3: four columns, a row holds its zero and nothing else
@@ -40,8 +41,9 @@ CACHE_ENV = "ZETASUMS_CACHE_DIR"
 # points and its refinement; 6: brackets start from the chunk's jet values,
 # with no pointwise re-read of their ends; 7: long-double anchor phases in
 # the jets, inverse-cubic bracket starts and a regula falsi end point;
-# 8: per-point Euler-Maclaurin cutoffs, fewer terms below |Im s| ~ 37.
-KERNEL = 8
+# 8: per-point Euler-Maclaurin cutoffs, fewer terms below |Im s| ~ 37;
+# 9: T_plus and T_minus from one scan, whose chunks start at t = 0.
+KERNEL = 9
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,12 @@ def cached_dataset(
     Memoized per cache file on the bytes of the CSV and its manifest: every
     call reads both, and while they hold the bytes the set was parsed from
     or saved as, it returns that same read-only set; a changed byte is
-    loaded, or rebuilt, as above. Another cache directory is another file."""
+    loaded, or rebuilt, as above. Another cache directory is another file.
+
+    A cold build scans f together with every function that shares its
+    critical-line form (scan_zero_sets): a T_plus or T_minus build writes
+    and memoizes the other's file too, at the same t_max and step and with
+    its default real-axis flag, unless that file exists."""
     f = FunctionId(f)
     if not 0.0 < t_max < np.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
@@ -226,16 +233,30 @@ def cached_dataset(
         except (ChecksumError, SchemaError) as exc:
             warnings.warn(f"rebuilding corrupt cache file {path}: {exc}", CacheWarning)
     if ds is None:
-        ds = scan_zeros(f, 0.0, t_max, grid_step)
+        sets = scan_zero_sets(f, 0.0, t_max, grid_step)
+        ds = sets.pop(f)
         if include_real_axis:
             ds = with_real_axis_records(ds)
-        save_dataset(ds, path)
-        held = _contents(path)  # the bytes ds was saved as
-    elif _contents(path) != held:
+        _save(ds, path)
+        for g, other in sets.items():  # the functions that share f's line form
+            flag = bool(SPECS[g].real_axis)
+            other_path = _cache_path(g, t_max, grid_step, flag)
+            if not other_path.exists():
+                _save(with_real_axis_records(other) if flag else other, other_path)
+        return ds
+    if _contents(path) != held:
         return ds  # the files changed around the parse: file ds under neither version
     if held is not None:
         _DATASETS[path] = (held, ds)
     return ds
+
+
+def _save(ds: ZeroDataset, path: Path) -> None:
+    """save_dataset, then memoize ds on the bytes it was saved as."""
+    save_dataset(ds, path)
+    held = _contents(path)
+    if held is not None:
+        _DATASETS[path] = (held, ds)
 
 
 def default_dataset(f: FunctionId) -> ZeroDataset:

@@ -55,7 +55,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -809,17 +808,16 @@ def _l4_completed(s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# critical-line real forms: the builders' pair at 1/2 + it (xi, l4c) or at
-# 1 + 2it (T_plus, T_minus), with the prefactor's modulus kept as a log.
-# Each takes TaylorJets about ordinates t, or None, and passes them, scaled
-# to the Im of its kernel argument, to the builder.
+# critical-line forms: the builders' pair at 1/2 + it (xi, l4c) or at
+# 1 + 2it (T_plus and T_minus, which share one complex form), with the
+# prefactor's modulus kept as a log. Each takes TaylorJets about ordinates
+# t, or None, and passes them, scaled to the Im of its kernel argument, to
+# the builder.
 
 
-def _scaled_real_part(log_scale, phase, values, take_imag=False):
+def _scaled_real_part(log_scale, phase, values):
     """exp(clamped log_scale) * Re(e^{i phase} values) elementwise."""
-    rotated = np.exp(1j * phase) * values
-    comp = rotated.imag if take_imag else rotated.real
-    return np.exp(np.maximum(log_scale, _LOG_FLOOR)) * comp
+    return np.exp(np.maximum(log_scale, _LOG_FLOOR)) * (np.exp(1j * phase) * values).real
 
 
 def _xi_line(t: np.ndarray, jets=None) -> np.ndarray:
@@ -828,17 +826,18 @@ def _xi_line(t: np.ndarray, jets=None) -> np.ndarray:
     return -_scaled_real_part(np.log(0.5 * (t * t + 0.25)) + lg.real, lg.imag, z)
 
 
-def _t_line(t: np.ndarray, jets=None, take_imag: bool = False) -> np.ndarray:
-    # xi1(2s - 1) = xi1(2 - 2s) = conj xi1(2s) on the line, so T_plus = Re xi1(1 + 2it)/2
-    # and T_minus / i = Im xi1(1 + 2it)/2
+def _t_line(t: np.ndarray, jets=None) -> np.ndarray:
+    """xi1(1 + 2it)/2, rescaled: xi1(2s - 1) = xi1(2 - 2s) = conj xi1(2s) on
+    the line, so T_plus is its real part and T_minus / i its imaginary part.
+    At |t| < 1e-8 it is read at t = 1e-6, off the zeta pole at w = 1, and
+    its real part is T_plus(1/2); the imaginary part, about -2.5e5, has the
+    sign of T_minus / i ~ -1/(4t) as t falls to 0+."""
     tiny = np.abs(t) < 1e-8
-    if take_imag and np.any(tiny):
-        raise PoleError("T_minus has a pole at s=1/2 (t=0)")
-    w = np.where(tiny, 1.0 + 2e-6j, 1.0 + 2j * t)  # dodge the zeta pole at w=1
+    w = np.where(tiny, 1.0 + 2e-6j, 1.0 + 2j * t)
     lg, z = _xi1_log_form(w, None if jets is None else jets.scaled(2.0))
-    out = 0.5 * _scaled_real_part(lg.real, lg.imag, z, take_imag)
+    out = 0.5 * np.exp(np.maximum(lg.real, _LOG_FLOOR)) * (np.exp(1j * lg.imag) * z)
     if np.any(tiny):
-        out[tiny] = evaluate(FunctionId.T_PLUS, 0.5).real
+        out.real[tiny] = evaluate(FunctionId.T_PLUS, 0.5).real
     return out
 
 
@@ -882,9 +881,11 @@ class FunctionSpec:
         series form (zeros.real_axis_zeros); the default dataset carries
         them.
     zeros: smooth zero count and density, for the density-model tails.
-    line: real critical-line form r(t) on a float array (critical_line_form),
-        read pointwise or, given TaylorJets about ordinates t, on the jets
-        (critical_line_values).
+    line: critical-line form on a float array of ordinates t, read
+        pointwise or, given TaylorJets about ordinates t, on the jets. Rows
+        may share one form: T_plus and T_minus read xi1(1 + 2it)/2.
+    part: the part of the line form's values that is the real form r(t)
+        (critical_line_values): np.real, or np.imag for T_minus.
     poles: the poles _singular declared on the evaluator.
     """
 
@@ -895,6 +896,7 @@ class FunctionSpec:
     real_axis: Tuple[Tuple[float, float], ...] = ()
     zeros: Optional[ZeroCount] = None
     line: Optional[Callable] = None
+    part: Callable = np.real
 
     @property
     def poles(self) -> Tuple[float, ...]:
@@ -915,7 +917,7 @@ SPECS = {
     ),
     FunctionId.T_MINUS: FunctionSpec(
         _t_minus, FunctionId.T_MINUS_TILDE, t_max=1000.0, real_axis=((3.5, 4.3), (-3.3, -2.5)),
-        zeros=_T_ZEROS, line=partial(_t_line, take_imag=True),
+        zeros=_T_ZEROS, line=_t_line, part=np.imag,
     ),
     FunctionId.T_PLUS_TILDE: FunctionSpec(
         _t_plus_tilde, FunctionId.T_PLUS_TILDE, radius=2.0, zeros=_T_ZEROS
@@ -956,13 +958,20 @@ def critical_line_values(f: FunctionId, t, jets=None):
     direct sums are then read on the jets (_hurwitz_em_once), at the
     cutoff of their top; the values agree with the pointwise ones to
     rounding level, about 1e-12 relative to the largest |r| of the call.
+    Raises PoleError at an ordinate within 1e-8 of a pole the row declares
+    on the line (T_minus at t = 0).
     """
     f = FunctionId(f)
-    if SPECS[f].line is None:
+    spec = SPECS[f]
+    if spec.line is None:
         raise DomainError(f"no critical-line real form for {f}")
     t = np.asarray(t, dtype=float)
     _require_finite(t, f"{f.value} needs finite ordinates")
-    out = SPECS[f].line(np.atleast_1d(t), jets)
+    flat = np.atleast_1d(t)
+    hit = _near(0.5 + 1j * flat, spec.poles, 1e-8)
+    if hit.any():
+        raise PoleError(f"{f.value} has a pole at s={0.5 + 1j * flat[hit][0]} (t={flat[hit][0]})")
+    out = spec.part(spec.line(flat, jets))
     return float(out[0]) if t.ndim == 0 else out
 
 

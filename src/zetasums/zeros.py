@@ -9,6 +9,8 @@ one table of Taylor jets of its Euler-Maclaurin direct sums
 (special.TaylorJets), built once: the chunk's grid points and its
 refiner's probes are all read on it, each at the cost of a Horner sum,
 not N complex exps. A scan makes no pointwise read of the line form.
+T_plus and T_minus share one complex line form, and scan_zero_sets finds
+both sets in one scan: one read per chunk, each set refining its part.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import KW_ONLY, dataclass, replace
-from functools import partial
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, MissedZeroWarning
-from .special import SPECS, FunctionId, TaylorJets, critical_line_values, evaluate
+from .special import SPECS, FunctionId, TaylorJets, evaluate
 
 _CHUNK = 4096
 # Spacing in t of a chunk's jet centres, in grid steps of at most 0.02: a
@@ -178,9 +179,9 @@ def scan_zeros(
     share their boundary points and concatenate without loss. Each chunk of
     _CHUNK points, with the point carried from the chunk before, has one
     TaylorJets (_chunk_jets), whose radius holds every probe in its cells.
-    The chunk is read on it through critical_line_values, and all of its
-    sign changes are refined together on the same jets, from the values of
-    that read, to brackets of width 1e-11. Each bracket's first probes lie
+    The chunk's line form is read once on it, and all of its sign changes
+    are refined together on the same jets, from the values of that read,
+    to brackets of width 1e-11. Each bracket's first probes lie
     at the root of the inverse cubic through the grid values either side
     of its cell (_inverse_cubic) and _SPREAD about it, and each ordinate
     is the regula falsi point of its closed bracket: on the jets'
@@ -189,47 +190,78 @@ def scan_zeros(
     reads agree with pointwise ones at rounding level, so the ordinates
     are those of a scan with a pointwise grid within the bracket width;
     the set holds those ordinates alone, and the scan makes no pointwise
-    read. grid_step defaults to default_grid_step(t_hi). A scan from the
-    origin (t_lo <= grid_step) holds every zero up to its top, so its
-    count is checked against the density model (count_check); a scan that
-    starts higher is not.
+    read. grid_step defaults to default_grid_step(t_hi). Each ordinate
+    stands for the pair 1/2 +- it, so t_lo below 0 raises DomainError. A
+    scan from the origin (t_lo <= grid_step) holds every zero up to its
+    top, so its count is checked against the density model (count_check);
+    a scan that starts higher is not.
     """
     f = FunctionId(f)
+    return _scan((f,), t_lo, t_hi, grid_step)[f]
+
+
+def scan_zero_sets(
+    f: FunctionId, t_lo: float, t_hi: float, grid_step: Optional[float] = None
+) -> Dict[FunctionId, ZeroDataset]:
+    """scan_zeros for f and every other function that shares its line form
+    (T_plus and T_minus), keyed f first, from one scan: each chunk builds
+    its jets and reads the form once, and each set, bitwise the one
+    scan_zeros gives, refines the sign changes of its own part.
+    """
+    f = FunctionId(f)
+    line = SPECS[f].line
+    rows = (f, *(g for g, spec in SPECS.items() if g != f and line is not None and spec.line is line))
+    return _scan(rows, t_lo, t_hi, grid_step)
+
+
+def _scan(rows, t_lo: float, t_hi: float, grid_step: Optional[float]) -> Dict[FunctionId, ZeroDataset]:
+    """The scan loop of scan_zeros, for rows that share one line form. From
+    the origin it reads t = 0 for every row: there T_minus's part has the
+    sign of its limit at its pole (special._t_line)."""
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and t_lo < t_hi):
         raise DomainError(f"scan bounds must be finite with t_lo < t_hi, got [{t_lo}, {t_hi}]")
+    if t_lo < 0.0:
+        raise DomainError(f"scan bounds must be >= 0: t and -t are one pair of zeros, got t_lo = {t_lo}")
     if grid_step is None:
         grid_step = default_grid_step(t_hi)
     if not grid_step > 0:
         raise DomainError("grid_step must be positive")
+    line = SPECS[rows[0]].line
+    if line is None:
+        raise DomainError(f"no critical-line real form for {rows[0]}")
+    parts = [SPECS[g].part for g in rows]
     i_lo = math.ceil(t_lo / grid_step - 1e-9)
     i_hi = math.floor(t_hi / grid_step + 1e-9)
-    if 0.5 in SPECS[f].poles:
-        i_lo = max(i_lo, 1)  # the line's t = 0 is a pole
-    roots: List[np.ndarray] = []
-    prev_t = prev_v = None
+    roots: List[List[np.ndarray]] = [[] for _ in rows]
+    prev_t = prev_form = None
     for start in range(i_lo, i_hi + 1, _CHUNK):
         stop = min(start + _CHUNK, i_hi + 1)
         t = np.arange(start, stop, dtype=float) * grid_step
         jets = _chunk_jets(t[0] if prev_t is None else prev_t, t[-1], grid_step)
-        v = critical_line_values(f, t, jets)
+        form = line(t, jets)
         if prev_t is not None:
             t = np.concatenate(([prev_t], t))
-            v = np.concatenate(([prev_v], v))
-        i = _sign_changes(v)
-        refine = partial(SPECS[f].line, jets=jets)
-        guess = _inverse_cubic(t, v, i)
-        roots.append(_bracket_roots(refine, t[i], t[i + 1], v[i], v[i + 1], 1e-11, guess, _SPREAD))
-        roots.append(t[v == 0.0])
-        prev_t, prev_v = float(t[-1]), float(v[-1])
-    ds = ZeroDataset(
-        f,
-        line=np.unique(np.concatenate(roots)) if roots else (),
-        t_max_scanned=float(i_hi) * grid_step,
-        generator_metadata=f"scan t in [{t_lo}, {t_hi}] step {grid_step}",
-    )
-    if t_lo <= grid_step:
-        count_check(ds)
-    return ds
+            form = np.concatenate(([prev_form], form))
+        for found, part in zip(roots, parts):
+            v = part(form)
+            i = _sign_changes(v)
+            guess = _inverse_cubic(t, v, i)
+            found.append(_bracket_roots(
+                lambda x: part(line(x, jets)), t[i], t[i + 1], v[i], v[i + 1], 1e-11, guess, _SPREAD
+            ))
+            found.append(t[v == 0.0])
+        prev_t, prev_form = float(t[-1]), form[-1]
+    sets = {}
+    for g, found in zip(rows, roots):
+        sets[g] = ZeroDataset(
+            g,
+            line=np.unique(np.concatenate(found)) if found else (),
+            t_max_scanned=float(i_hi) * grid_step,
+            generator_metadata=f"scan t in [{t_lo}, {t_hi}] step {grid_step}",
+        )
+        if t_lo <= grid_step:
+            count_check(sets[g])
+    return sets
 
 
 def count_check(ds: ZeroDataset) -> Tuple[int, float]:

@@ -656,6 +656,18 @@ def test_critical_line_values_match_evaluate(f, unit):
     assert np.all(np.abs(critical_line_values(f, ts) - expected) <= 1e-12 * np.abs(expected))
 
 
+def test_t_line_forms_at_the_origin():
+    # T_plus and T_minus share one form; T_minus's declared pole at 1/2 is
+    # its line's t = 0, and T_plus there is its value at the removable 1/2
+    with pytest.raises(PoleError):
+        critical_line_values(FunctionId.T_MINUS, 0.0)
+    with pytest.raises(PoleError):
+        critical_line_values(FunctionId.T_MINUS, np.array([1.0, 0.0]))
+    assert critical_line_values(FunctionId.T_PLUS, 0.0) == evaluate(FunctionId.T_PLUS, 0.5).real
+    # the shared form's T_minus part has the sign of its limit, -1/(4t)
+    assert special.SPECS[FunctionId.T_MINUS].line(np.array([0.0]))[0].imag < 0.0
+
+
 def _check_jet_values(f, t, jets, share):
     """Jet reads of f's line form at t agree with pointwise ones within
     share * max|r|, and have their signs wherever |r| exceeds that."""

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetasums import special, zeros
+from zetasums import datasets, special, zeros
 from zetasums.errors import DomainError
 from zetasums.special import FunctionId, critical_line_form, critical_line_values
 from zetasums.datasets import CRITICAL_LINE, REAL_AXIS, dataset_rows
@@ -141,6 +141,18 @@ def test_scan_bounds_must_increase():
         scan_zeros(FunctionId.XI, 10.0, 10.0)
 
 
+@pytest.mark.parametrize("f", [FunctionId.XI, FunctionId.T_PLUS, FunctionId.T_MINUS, FunctionId.L4_COMPLETED])
+def test_scan_bounds_must_not_be_negative(f):
+    # an ordinate t stands for the pair 1/2 +- it: a scan of [-20, 20]
+    # returned xi's -14.1347 and 14.1347, one pair twice, and T_minus
+    # dropped t < 0 silently
+    with pytest.raises(DomainError):
+        scan_zeros(f, -20.0, 20.0)
+    with pytest.raises(DomainError):
+        scan_zeros(f, -1e-300, 20.0)
+    assert scan_zeros(f, 0.0, 20.0).ordinates()[0] > 0.0
+
+
 def test_dataset_arrays_are_read_only_copies():
     line = np.array([2.0, 3.0])
     ds = ZeroDataset(FunctionId.XI, line=line, t_max_scanned=4.0)
@@ -208,6 +220,24 @@ def test_interlacing_of_t_plus_t_minus(ds_tplus, ds_tminus):
     assert np.all(np.diff(merged) > 0)
 
 
+def test_t_sets_are_complete_by_the_phase_count(ds_tplus, ds_tminus):
+    # T_plus = Re xi1(1 + 2it)/2 and T_minus/i = Im xi1(1 + 2it)/2 vanish
+    # where phi = arg xi1(1 + 2it) crosses pi/2 + k pi and k pi; phi starts
+    # at -pi/2 at t = 0+, so N+(T) + N-(T) = floor(2 phi(T)/pi) + 2 while
+    # phi rises (measured 158, 1,297 and 3,030 with mpmath's loggamma and
+    # arg zeta). phi is unwrapped along a grid of step 0.1 from t = 1e-6
+    t = np.concatenate(([1e-6], np.arange(1, 9991) * 0.1))
+    phi = np.unwrap(special.log_xi1(1.0 + 2j * t).imag)
+    assert phi[0] == pytest.approx(-math.pi / 2, abs=1e-5)
+    # the unwrapping is sound: no grid step moves phi by pi/2 or more
+    assert np.max(np.abs(np.diff(phi))) < math.pi / 2
+    for height, expected in ((100.0, 158), (500.0, 1297), (999.0, 3030)):
+        k = round(height / 0.1)
+        assert t[k] == height
+        count = np.sum(ds_tplus.ordinates() <= height) + np.sum(ds_tminus.ordinates() <= height)
+        assert count == math.floor(2.0 * phi[k] / math.pi) + 2 == expected, height
+
+
 def test_count_check_passes(ds_xi, ds_tplus, ds_tminus, ds_l4):
     for ds in (ds_xi, ds_tplus, ds_tminus, ds_l4):
         obs, pred = count_check(ds)
@@ -265,10 +295,8 @@ def test_rounding_level_grid_end_keeps_the_mpmath_root(monkeypatch):
     assert np.sign(grid[100]) != np.sign(point[100])
     assert abs(point[100]) <= 1e-12 * np.max(np.abs(point))
     found = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
-    # the same scan with a pointwise grid
-    monkeypatch.setattr(
-        zeros, "critical_line_values", lambda f, t, jets=None: special.critical_line_values(f, t)
-    )
+    # the same scan with no jets: its grid and refiner read pointwise
+    monkeypatch.setattr(zeros, "TaylorJets", lambda centres, radius: None)
     pointwise = scan_zeros(FunctionId.XI, t[0], t[-1], h).ordinates()
     assert found.size == pointwise.size == 2
     # the brackets start from the jet values, whose long-double phases
@@ -311,6 +339,21 @@ def test_coarse_steps_find_the_default_step_ordinates(f, lo, step):
     assert np.max(np.abs(coarse - fine)) <= 1e-11
 
 
+def _count_jets_and_line_reads(monkeypatch, f):
+    """Record every jet build, every jet read's size and the jets argument
+    of every read of f's line form, in rows that share it too."""
+    built, reads, line_reads = [], [], []
+    build, sums = special.TaylorJets._build, special.TaylorJets.sums
+    monkeypatch.setattr(special.TaylorJets, "_build", lambda jets, *a: built.append(jets) or build(jets, *a))
+    monkeypatch.setattr(special.TaylorJets, "sums", lambda jets, flat, *a: reads.append(flat.size) or sums(jets, flat, *a))
+    line = special.SPECS[f].line
+    recording = lambda t, jets=None: line_reads.append(jets) or line(t, jets)
+    for g, spec in list(special.SPECS.items()):
+        if spec.line is line:
+            monkeypatch.setitem(special.SPECS, g, dataclasses.replace(spec, line=recording))
+    return built, reads, line_reads
+
+
 @pytest.mark.parametrize(
     "f, parameters", [(FunctionId.XI, 1), (FunctionId.T_PLUS, 1), (FunctionId.L4_COMPLETED, 2)]
 )
@@ -318,14 +361,7 @@ def test_each_chunk_builds_its_jets_once(f, parameters, monkeypatch):
     # [0, 200] at step 0.02 is three chunks. The chunk read and every
     # refinement step read the same jets, and no read rebuilds them: the
     # carried cell lies within the radius of the first centre
-    built, reads, line_reads = [], [], []
-    build, sums = special.TaylorJets._build, special.TaylorJets.sums
-    monkeypatch.setattr(special.TaylorJets, "_build", lambda jets, *a: built.append(jets) or build(jets, *a))
-    monkeypatch.setattr(special.TaylorJets, "sums", lambda jets, flat, *a: reads.append(flat.size) or sums(jets, flat, *a))
-    values = zeros.critical_line_values
-    monkeypatch.setattr(
-        zeros, "critical_line_values", lambda f, t, jets=None: line_reads.append(jets) or values(f, t, jets)
-    )
+    built, reads, line_reads = _count_jets_and_line_reads(monkeypatch, f)
     assert scan_zeros(f, 0.0, 200.0).ordinates().size > 0
     assert len(built) == 3 * parameters
     assert len({id(jets._tables) for jets in built}) == 3
@@ -342,6 +378,36 @@ def test_each_chunk_builds_its_jets_once(f, parameters, monkeypatch):
     assert len(probes) <= {FunctionId.XI: 6, FunctionId.T_PLUS: 9, FunctionId.L4_COMPLETED: 16}[f]
     # and no read of the line form is pointwise
     assert line_reads and all(jets is not None for jets in line_reads)
+
+
+def test_one_scan_builds_both_t_sets(tmp_path, monkeypatch):
+    # a cold T_plus request scans T_plus and T_minus together: each of the
+    # three chunks builds its jets and reads the shared form once
+    scanned = {f: scan_zeros(f, 0.0, 200.0) for f in (FunctionId.T_PLUS, FunctionId.T_MINUS)}
+    monkeypatch.setenv(datasets.CACHE_ENV, str(tmp_path / "a"))
+    built, reads, line_reads = _count_jets_and_line_reads(monkeypatch, FunctionId.T_PLUS)
+    plus = datasets.cached_dataset(FunctionId.T_PLUS, 200.0)
+    assert len(built) == 3
+    assert sorted(n for n in reads if n > 1000) == [1809, 4096, 4096]
+    assert line_reads and all(jets is not None for jets in line_reads)
+    # the T_minus set was written and memoized with it: asking for it
+    # neither scans nor parses
+    monkeypatch.setattr(datasets, "scan_zero_sets", None)
+    monkeypatch.setattr(datasets, "load_dataset", None)
+    minus = datasets.cached_dataset(FunctionId.T_MINUS, 200.0, include_real_axis=True)
+    assert len(built) == 3
+    monkeypatch.undo()
+    # each set is the one its own scan gives, bitwise
+    assert plus.line.tobytes() == scanned[FunctionId.T_PLUS].line.tobytes()
+    assert minus.line.tobytes() == scanned[FunctionId.T_MINUS].line.tobytes()
+    assert minus.real.tobytes() == real_axis_zeros(FunctionId.T_MINUS).tobytes()
+    # a cold T_minus request writes the same two files
+    monkeypatch.setenv(datasets.CACHE_ENV, str(tmp_path / "b"))
+    datasets.cached_dataset(FunctionId.T_MINUS, 200.0, include_real_axis=True)
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(names) == 4 and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def _mpmath_form(f, t):
